@@ -7,12 +7,13 @@ identical flags (including ``--workers``) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import ast
 import math
 import sys
 from pathlib import Path
 
 from . import dense, ensemble, inequalities, models
-from .graph import read_edge_list_path, write_edge_list_path
+from .graph import atomic_write, read_edge_list_path, write_edge_list_path
 from .indices import (
     ADDITIVE_NAMES,
     EXCLUDE,
@@ -121,7 +122,10 @@ def cmd_sweep(args) -> int:
         isolated_policy=args.policy,
         workers=args.workers,
     )
-    rows = ensemble.sweep(spec)
+    try:
+        rows = ensemble.sweep(spec)
+    except RuntimeError as exc:
+        raise SystemExit(f"error: {exc}")
     if args.out:
         ensemble.write_results_csv_path(rows, args.out)
     else:
@@ -184,21 +188,62 @@ def cmd_predict(args) -> int:
     return 0
 
 
+_CUSTOM_CALLS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp}
+_CUSTOM_CONSTANTS = {"pi": math.pi, "e": math.e}
+_CUSTOM_ARGS = {"vertex": ("d",), "edge": ("a", "b", "du", "dv")}
+_CUSTOM_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _check_custom(node: ast.AST, names: tuple[str, ...]) -> None:
+    """Reject any expression node outside the custom-function grammar.
+
+    Allowed: int/float literals, the argument names and pi/e, ``+ - * / **``,
+    unary minus, and one-argument calls of sqrt/log/exp.
+    """
+    children: list[ast.AST] = []
+    if isinstance(node, ast.Constant):
+        ok = type(node.value) in (int, float)
+    elif isinstance(node, ast.Name):
+        ok = node.id in names or node.id in _CUSTOM_CONSTANTS
+    elif isinstance(node, ast.BinOp):
+        ok = isinstance(node.op, _CUSTOM_BINOPS)
+        children = [node.left, node.right]
+    elif isinstance(node, ast.UnaryOp):
+        ok = isinstance(node.op, ast.USub)
+        children = [node.operand]
+    elif isinstance(node, ast.Call):
+        ok = (isinstance(node.func, ast.Name) and node.func.id in _CUSTOM_CALLS
+              and len(node.args) == 1 and not node.keywords)
+        children = node.args
+    else:
+        ok = False
+    if not ok:
+        raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+    for child in children:
+        _check_custom(child, names)
+
+
 def _parse_custom(defs: list[str], arity: str):
     out = []
-    safe = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp, "pi": math.pi, "e": math.e}
+    names = _CUSTOM_ARGS[arity]
+    env = {"__builtins__": {}, **_CUSTOM_CALLS, **_CUSTOM_CONSTANTS}
     for item in defs:
         if "=" not in item:
             raise SystemExit(f"error: custom function must be NAME=EXPR, got {item!r}")
         name, expr = item.split("=", 1)
-        code = compile(expr, f"<{name}>", "eval")
+        try:
+            tree = ast.parse(expr, mode="eval")
+            _check_custom(tree.body, names)
+        except SyntaxError as exc:
+            raise SystemExit(f"error: custom function {name!r}: {exc.msg}")
+        except ValueError as exc:
+            raise SystemExit(f"error: custom function {name!r}: {exc}")
+        code = compile(tree, f"<{name}>", "eval")
         if arity == "vertex":
-            fn = lambda d, _c=code: float(eval(_c, {"__builtins__": {}}, {**safe, "d": d}))
+            fn = lambda d, _c=code: float(eval(_c, env, {"d": d}))
             out.append(VertexFunction(name, fn))
         else:
-            fn = lambda a, b, _c=code: float(
-                eval(_c, {"__builtins__": {}}, {**safe, "a": a, "b": b, "du": a, "dv": b})
-            )
+            fn = lambda a, b, _c=code: float(eval(_c, env, {"a": a, "b": b, "du": a, "dv": b}))
             out.append(EdgeFunction(name, fn))
     return out
 
@@ -219,7 +264,7 @@ def cmd_verify(args) -> int:
         return 2
 
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+        with atomic_write(args.out) as fh:
             inequalities.write_report_csv(rows, fh)
 
     flagged = [r for r in rows if not r.check.hypothesis_ok]
@@ -240,7 +285,7 @@ def cmd_verify(args) -> int:
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", newline="\n") as fh:
+        with atomic_write(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

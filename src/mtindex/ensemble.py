@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .dense import DENSE_REGIME_MEAN_DEGREE, UnsupportedIndexError, scaling_curve
+from .graph import atomic_write
 from .indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_INDICES, ln_indices_from_arrays
 from .models import ModelSpec, SeedDerivation, mean_degree, sample_degree_arrays
 
@@ -133,6 +135,25 @@ def _mean_sem(xs: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _pool_blocks(pool, args, replicas: int, workers: int) -> list:
+    """Split [0, replicas) into contiguous blocks, run them on ``pool``, keep order."""
+    n_blocks = min(workers, replicas)
+    bounds = [round(b * replicas / n_blocks) for b in range(n_blocks + 1)]
+    spans = list(zip(bounds, bounds[1:]))
+    futures = [pool.submit(_replica_block, *args, lo, hi) for lo, hi in spans]
+    blocks = []
+    for future, (lo, hi) in zip(futures, spans):
+        try:
+            blocks.append(future.result())
+        except BrokenProcessPool as exc:
+            *_, master_seed, point_id = args
+            raise RuntimeError(
+                f"worker process died at seed triple (master_seed={master_seed}, "
+                f"point_id={point_id}, replica_index in [{lo}, {hi})): {exc}"
+            ) from exc
+    return blocks
+
+
 def run_point(
     point: ModelSpec,
     indices: Sequence[str],
@@ -152,22 +173,11 @@ def run_point(
 
     if workers == 1 and _executor is None:
         blocks = [_replica_block(*args, 0, replicas)]
+    elif _executor is not None:
+        blocks = _pool_blocks(_executor, args, replicas, workers)
     else:
-        n_blocks = min(workers, replicas)
-        bounds = [round(b * replicas / n_blocks) for b in range(n_blocks + 1)]
-        if _executor is not None:
-            futures = [
-                _executor.submit(_replica_block, *args, lo, hi)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            blocks = [f.result() for f in futures]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_replica_block, *args, lo, hi)
-                    for lo, hi in zip(bounds, bounds[1:])
-                ]
-                blocks = [f.result() for f in futures]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = _pool_blocks(pool, args, replicas, workers)
 
     # Reassemble in ascending replica order regardless of how blocks ran.
     values = np.concatenate([b[0] for b in blocks], axis=1)
@@ -266,7 +276,7 @@ def write_results_csv(rows: Iterable[EnsembleStats], out: TextIO) -> None:
 
 
 def write_results_csv_path(rows: Iterable[EnsembleStats], path) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         write_results_csv(rows, fh)
 
 

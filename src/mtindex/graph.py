@@ -8,6 +8,8 @@ Graphs with ``n == 0`` or no edges are legal everywhere.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -124,8 +126,27 @@ def read_edge_list(src: TextIO) -> Graph:
     return build_graph(n, edges)
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Yield a text handle on a temp file beside ``path``; rename it into place on success.
+
+    If the block raises, the temp file is removed and ``path`` is left as it was,
+    so a failed run leaves no partial output file.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_edge_list_path(g: Graph, path) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         write_edge_list(g, fh)
 
 

@@ -15,13 +15,23 @@ Determinism contract: a replica stream is a pure function of the triple
 avalanche into a PCG64 state.  ER/BR spend exactly one uniform draw per
 candidate pair in canonical pair order; RG draws the n (x, y) positions first
 and only then tests distances, so edges never depend on traversal order.
+
+Cost of one sample with m edges:
+
+* ER/BR -- O(C(n, 2)) resp. O(n1*n2) uniform draws in O(block + m) memory.
+  Uniforms are drawn in blocks of ``_BLOCK``; each hit's flat pair offset is
+  mapped back to (u, v) arithmetically.
+* RG -- O(n + m) expected time and memory: a cell list over cells wider than
+  r, testing only pairs in the same or adjacent cells, then a canonical sort.
+
+The edges do not depend on the block size: they equal, array for array, those
+of materialising every candidate pair at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -175,32 +185,115 @@ class SeedDerivation:
         return np.random.Generator(np.random.PCG64(self.stream_seed()))
 
 
-@lru_cache(maxsize=32)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Lexicographic (u, v) with u < v; np.triu_indices enumerates row-major.
-    iu, ju = np.triu_indices(n, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+# Uniforms drawn per block by the ER/BR samplers and candidate pairs tested per
+# block by the RG sampler; edges do not depend on it.
+_BLOCK = 1 << 16
+
+# RG half stencil: a cell pairs with itself and four of its eight neighbours,
+# so every unordered pair of adjacent cells is visited once.
+_HALF_STENCIL = ((1, -1), (1, 0), (1, 1), (0, 1))
+
+
+def _bernoulli_offsets(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
+    """Offsets in [0, total) whose uniform draw is below p, drawn in blocks.
+
+    Each double consumes one PCG64 word, so consecutive blocks read the stream
+    exactly as one draw of ``total`` uniforms would.
+    """
+    hits = [np.empty(0, dtype=np.intp)]
+    for lo in range(0, total, _BLOCK):
+        block = rng.random(min(_BLOCK, total - lo))
+        hits.append(np.flatnonzero(block < p) + lo)
+    return np.concatenate(hits)
+
+
+def _unrank(row_start: np.ndarray, first: np.ndarray, flat: np.ndarray):
+    """Map offsets into consecutive ragged rows to (row, first[row] + column).
+
+    ``row_start`` is nondecreasing; an empty row shares its start with the
+    next row, and ``side="right"`` skips it.
+    """
+    row = np.searchsorted(row_start, flat, "right") - 1
+    return row, flat - row_start[row] + first[row]
+
+
+def _er_edges(n: int, p: float, rng: np.random.Generator):
+    # Row u holds the pairs (u, u+1..n-1); it starts at u*(2n-u-1)/2.
+    u = np.arange(n, dtype=np.intp)
+    row_start = u * (2 * n - u - 1) // 2
+    return _unrank(row_start, u + 1, _bernoulli_offsets(rng, n * (n - 1) // 2, p))
+
+
+def _br_edges(n1: int, n2: int, p: float, rng: np.random.Generator):
+    # Cross pairs (u, n1 + w) in lexicographic order; u < n1 <= v always.
+    u, w = np.divmod(_bernoulli_offsets(rng, n1 * n2, p), n2)
+    return u, w + n1
+
+
+def _cells_per_side(n: int, r: float) -> int:
+    """Grid side g for the RG cell list.
+
+    g <= 1/r - 1 makes cells at least r/(1-r) wide, a margin over r that
+    rounding in floor(x*g) cannot use up, so two points within distance r are
+    never two cells apart.  The cap isqrt(n) + 1 keeps O(n) cells for tiny r.
+    """
+    cap = math.isqrt(n) + 1
+    if r * (cap + 2) <= 1.0:
+        return cap
+    return max(1, min(cap, math.floor(1.0 / r) - 1))
+
+
+def _rg_edges(n: int, r: float, rng: np.random.Generator):
+    pos = rng.random((n, 2))
+    g = _cells_per_side(n, r)
+    cx, cy = np.minimum((pos * g).astype(np.intp), g - 1).T
+    cell = cx * g + cy
+    order = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=g * g)
+    cell_end = np.cumsum(counts)
+    cell_start = cell_end - counts
+
+    # Candidate rows in sorted order: point order[s] against the sorted points
+    # first..first+length-1.  In its own cell a point meets only later points.
+    s = np.arange(n, dtype=np.intp)
+    sx, sy, sc = cx[order], cy[order], cell[order]
+    rows, firsts, lengths = [s], [s + 1], [cell_end[sc] - s - 1]
+    for ox, oy in _HALF_STENCIL:
+        nx, ny = sx + ox, sy + oy
+        ok = (nx < g) & (ny >= 0) & (ny < g)
+        nc = nx[ok] * g + ny[ok]
+        rows.append(s[ok])
+        firsts.append(cell_start[nc])
+        lengths.append(counts[nc])
+    rows, firsts, lengths = (np.concatenate(x) for x in (rows, firsts, lengths))
+    ends = np.cumsum(lengths)
+    row_start = ends - lengths
+    total = int(ends[-1])
+
+    # (a-b)**2 == (b-a)**2 exactly, so testing in sorted order matches the
+    # canonical dx = pos[u, 0] - pos[v, 0] with u < v bit for bit.
+    x, y = pos[order, 0], pos[order, 1]
+    rr = r * r
+    keys = [np.empty(0, dtype=np.intp)]
+    for lo in range(0, total, _BLOCK):
+        flat = np.arange(lo, min(lo + _BLOCK, total), dtype=np.intp)
+        row, b = _unrank(row_start, firsts, flat)
+        a = rows[row]
+        dx = x[a] - x[b]
+        dy = y[a] - y[b]
+        hit = dx * dx + dy * dy <= rr
+        a, b = order[a[hit]], order[b[hit]]
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    return np.divmod(np.sort(np.concatenate(keys)), n)
 
 
 def sample_edge_arrays(spec: ModelSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one instance; return edge endpoint arrays (u, v) in canonical order."""
     if spec.model == "er":
-        iu, ju = _pair_indices(spec.n)
-        mask = rng.random(iu.shape[0]) < spec.p
-        return iu[mask], ju[mask]
+        return _er_edges(spec.n, spec.p, rng)
     if spec.model == "rg":
-        iu, ju = _pair_indices(spec.n)
-        pos = rng.random((spec.n, 2))
-        dx = pos[iu, 0] - pos[ju, 0]
-        dy = pos[iu, 1] - pos[ju, 1]
-        mask = dx * dx + dy * dy <= spec.r * spec.r
-        return iu[mask], ju[mask]
-    # br: candidate pairs (u, n1 + w) in lexicographic order; u < n1 <= v always.
-    mask = rng.random((spec.n1, spec.n2)) < spec.p
-    iu, jw = np.nonzero(mask)
-    return iu, jw + spec.n1
+        return _rg_edges(spec.n, spec.r, rng)
+    return _br_edges(spec.n1, spec.n2, spec.p, rng)
 
 
 def sample_degree_arrays(

@@ -1,6 +1,48 @@
-"""Shared deterministic graph streams for the test suite."""
+"""Shared deterministic graph streams and reference samplers for the test suite."""
+
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
+import numpy as np
 
 from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
+
+
+class BrokenPool:
+    """Executor stub whose futures fail as if their worker process had died."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_exception(BrokenProcessPool("worker terminated abruptly"))
+        return future
+
+    def shutdown(self):
+        pass
+
+
+def reference_edge_arrays(spec, rng):
+    """The original O(n^2) sampler: every candidate pair materialised at once.
+
+    The production samplers must return exactly these arrays from the same rng.
+    """
+    if spec.model == "er":
+        iu, ju = np.triu_indices(spec.n, k=1)
+        mask = rng.random(iu.shape[0]) < spec.p
+        return iu[mask], ju[mask]
+    if spec.model == "rg":
+        iu, ju = np.triu_indices(spec.n, k=1)
+        pos = rng.random((spec.n, 2))
+        dx = pos[iu, 0] - pos[ju, 0]
+        dy = pos[iu, 1] - pos[ju, 1]
+        mask = dx * dx + dy * dy <= spec.r * spec.r
+        return iu[mask], ju[mask]
+    # br: candidate pairs (u, n1 + w) in lexicographic order; u < n1 <= v always.
+    mask = rng.random((spec.n1, spec.n2)) < spec.p
+    iu, jw = np.nonzero(mask)
+    return iu, jw + spec.n1
 
 
 def mixed_graphs(master_seed, count, sizes=(4, 6, 8, 12, 16, 20), params=(0.15, 0.4, 0.8)):

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from helpers import BrokenPool
 
+from mtindex import ensemble
 from mtindex.cli import main
 
 
@@ -159,3 +161,41 @@ def test_verify_valid_custom_functions(capsys):
                        "--custom-edge", "rootsum=sqrt(a+b)")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_verify_rejects_code_in_custom_expressions(capsys):
+    payload = "x=1 if ().__class__.__base__.__subclasses__() else 2"
+    with pytest.raises(SystemExit, match="error: custom function 'x'.*not allowed"):
+        main(["verify", "--seed", "11", "--sizes", "8", "--graphs", "5",
+              "--custom-edge", payload])
+    for bad in ("y=d.real", "y=a+1", "y=sqrt(d, d)", "y=d//2", "y=True"):
+        with pytest.raises(SystemExit, match="not allowed"):
+            main(["verify", "--seed", "11", "--custom-vertex", bad])
+
+
+def test_sweep_worker_failure_is_a_one_line_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", BrokenPool)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--model", "er", "--n", "40", "--p", "0.1,0.3", "--index", "nk",
+              "--budget", "400", "--seed", "5", "--workers", "2", "--out", str(out)])
+    msg = info.value.code
+    assert msg.startswith("error: ") and "\n" not in msg
+    assert "master_seed=5" in msg and "point_id=0" in msg and "[0, 5)" in msg
+    assert not out.exists()
+
+
+def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
+    real = ensemble.write_results_csv
+
+    def fail_after_first_row(rows, fh):
+        real(list(rows)[:1], fh)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ensemble, "write_results_csv", fail_after_first_row)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(OSError, match="disk full"):
+        main(["sweep", "--model", "er", "--n", "40", "--p", "0.1", "--index", "nk,pi2",
+              "--budget", "80", "--seed", "5", "--out", str(out)])
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []

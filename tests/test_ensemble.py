@@ -1,7 +1,9 @@
 import io
 import math
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from helpers import BrokenPool
 
 from mtindex.ensemble import (
     EnsembleSpec,
@@ -175,3 +177,12 @@ def test_split_curves_groups_by_size():
     curves = split_curves(rows)
     assert [label for label, _ in curves] == ["er n=20", "er n=40"]
     assert all(len(grp) == 1 for _, grp in curves)
+
+
+def test_broken_worker_pool_names_the_seed_triple():
+    with pytest.raises(RuntimeError) as info:
+        run_point(erdos_renyi(20, 0.3), ["nk"], 10, 77, point_id=3, workers=2,
+                  _executor=BrokenPool())
+    msg = str(info.value)
+    assert "master_seed=77" in msg and "point_id=3" in msg and "[0, 5)" in msg
+    assert isinstance(info.value.__cause__, BrokenProcessPool)

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import reference_edge_arrays
+from hypothesis import given, settings, strategies as st
 
+from mtindex import models
 from mtindex.models import (
     MAX_RADIUS,
     ModelSpec,
@@ -17,6 +21,7 @@ from mtindex.models import (
     radius_for_mean_degree,
     random_geometric,
     sample_degree_arrays,
+    sample_edge_arrays,
     splitmix64,
 )
 
@@ -150,3 +155,75 @@ def test_rg_positions_drawn_before_distance_tests():
             if d2 <= 0.25:
                 expected.add((u, v))
     assert set(g.edges) == expected
+
+
+def _assert_same_edges(spec, seed):
+    got = sample_edge_arrays(spec, seed.generator())
+    want = reference_edge_arrays(spec, seed.generator())
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+@st.composite
+def model_specs(draw):
+    n = draw(st.integers(1, 300))
+    model = draw(st.sampled_from(("er", "rg", "br")))
+    if model == "rg":
+        return random_geometric(n, draw(st.floats(0.0, MAX_RADIUS)))
+    p = draw(st.floats(0.0, 1.0))
+    if model == "er":
+        return erdos_renyi(n, p)
+    n1 = draw(st.integers(1, max(1, n - 1)))
+    return bipartite(n1, max(1, n - n1), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_specs(), st.integers(0, 2**64 - 1), st.integers(0, 50), st.integers(0, 50))
+def test_sampler_matches_reference(spec, master, point, replica):
+    _assert_same_edges(spec, SeedDerivation(master, point, replica))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 57])
+@pytest.mark.parametrize(
+    "make",
+    [lambda n: erdos_renyi(n, 0.0), lambda n: erdos_renyi(n, 1.0)]
+    + [lambda n, r=r: random_geometric(n, r) for r in (0.0, 1e-9, 0.25, 0.5, 1.0, MAX_RADIUS)]
+    + [lambda n: bipartite(1, n, 0.0), lambda n: bipartite(n, 2, 1.0)],
+)
+def test_sampler_matches_reference_at_edge_cases(make, n):
+    for replica in range(3):
+        _assert_same_edges(make(n), SeedDerivation(8, 1, replica))
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize(
+    "spec",
+    [erdos_renyi(90, 0.1), random_geometric(90, 0.2), random_geometric(40, 0.6),
+     bipartite(30, 45, 0.1)],
+    ids=["er", "rg", "rg-dense", "br"],
+)
+def test_edges_do_not_depend_on_block_size(monkeypatch, block, spec):
+    monkeypatch.setattr(models, "_BLOCK", block)
+    for replica in range(3):
+        _assert_same_edges(spec, SeedDerivation(21, 0, replica))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        erdos_renyi(4000, probability_for_mean_degree(4000, 10.0)),
+        bipartite(2000, 2000, 10.0 / 2000),
+        random_geometric(4000, radius_for_mean_degree(4000, 10.0)),
+    ],
+    ids=["er", "br", "rg"],
+)
+def test_one_sample_stays_within_16_mib(spec):
+    rng = SeedDerivation(3).generator()
+    tracemalloc.start()
+    try:
+        sample_edge_arrays(spec, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
