@@ -223,6 +223,13 @@ def _check_custom(node: ast.AST, names: tuple[str, ...]) -> None:
         _check_custom(child, names)
 
 
+def _real(value) -> float:
+    # A negative base to a fractional power yields a complex number.
+    if isinstance(value, complex):
+        raise ValueError(f"complex result {value!r}")
+    return float(value)
+
+
 def _parse_custom(defs: list[str], arity: str):
     out = []
     names = _CUSTOM_ARGS[arity]
@@ -239,11 +246,14 @@ def _parse_custom(defs: list[str], arity: str):
         except ValueError as exc:
             raise SystemExit(f"error: custom function {name!r}: {exc}")
         code = compile(tree, f"<{name}>", "eval")
+        # Float arguments: integer powers such as d**d**d would otherwise grow
+        # without bound, where float ones overflow into an error.
         if arity == "vertex":
-            fn = lambda d, _c=code: float(eval(_c, env, {"d": d}))
+            fn = lambda d, _c=code: _real(eval(_c, env, {"d": float(d)}))
             out.append(VertexFunction(name, fn))
         else:
-            fn = lambda a, b, _c=code: float(eval(_c, env, {"a": a, "b": b, "du": a, "dv": b}))
+            fn = lambda a, b, _c=code: _real(
+                eval(_c, env, {"a": float(a), "b": float(b), "du": float(a), "dv": float(b)}))
             out.append(EdgeFunction(name, fn))
     return out
 

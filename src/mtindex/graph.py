@@ -1,9 +1,10 @@
-"""Immutable simple undirected graphs with cached degree sequences.
+"""Immutable simple undirected graphs held as int64 arrays.
 
-Vertices are the integers ``0 .. n-1``.  Edges are stored canonically as
-``(u, v)`` with ``u < v``, sorted in ascending lexicographic order, so that
-every downstream accumulation visits factors in a fixed, reproducible order.
-Graphs with ``n == 0`` or no edges are legal everywhere.
+Vertices are the integers ``0 .. n-1``.  ``edges`` is an ``(m, 2)`` array of
+canonical pairs ``u < v`` in ascending lexicographic order, so that every
+downstream accumulation visits factors in a fixed, reproducible order;
+``degrees`` is the ``(n,)`` degree sequence.  Graphs with ``n == 0`` or no
+edges are legal everywhere.
 """
 
 from __future__ import annotations
@@ -11,33 +12,44 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
+
+import numpy as np
 
 
 class GraphError(ValueError):
     """Malformed graph input: self-loop, out-of-range endpoint, or duplicate edge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph, immutable after construction.
+    """Simple undirected graph, immutable after construction (read-only arrays).
 
-    Safe to share across concurrent workers without synchronization.
+    Safe to share across concurrent workers without synchronization.  Two
+    graphs are equal when their vertex counts and arrays are equal.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...]
+    edges: np.ndarray       # (m, 2) int64, canonical u < v, sorted
+    degrees: np.ndarray     # (n,) int64
+
+    def __post_init__(self):
+        self.edges.setflags(write=False)
+        self.degrees.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.edges, other.edges)
+                and np.array_equal(self.degrees, other.degrees))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.edges.shape[0]
 
-    def edge_degree_pairs(self) -> Iterable[tuple[int, int]]:
-        """Yield ``(d_u, d_v)`` per edge in canonical edge order."""
-        deg = self.degrees
-        for u, v in self.edges:
-            yield deg[u], deg[v]
+    def edge_degree_pairs(self) -> np.ndarray:
+        """``(m, 2)`` array of ``(d_u, d_v)`` per edge in canonical edge order."""
+        return self.degrees[self.edges]
 
 
 @dataclass(frozen=True)
@@ -51,34 +63,43 @@ class DegreeSummary:
 def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     """Validate, canonicalize and deduplicate ``edge_list`` into a :class:`Graph`.
 
-    Raises :class:`GraphError` naming the offending pair for self-loops,
-    out-of-range endpoints, and duplicates (detected after canonicalization,
-    so ``(0, 1)`` and ``(1, 0)`` collide).
+    Raises :class:`GraphError` naming the offending pair: the first self-loop
+    or out-of-range endpoint in input order, else the first duplicate in
+    canonical order (detected after canonicalization, so ``(0, 1)`` and
+    ``(1, 0)`` collide).
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    canonical = []
-    for pair in edge_list:
-        u, v = pair
-        if u == v:
-            raise GraphError(f"self-loop ({u}, {v})")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"endpoint out of range [0, {n}): ({u}, {v})")
-        canonical.append((u, v) if u < v else (v, u))
-    canonical.sort()
-    for a, b in zip(canonical, canonical[1:]):
-        if a == b:
-            raise GraphError(f"duplicate edge {a}")
-    return _from_canonical(n, canonical)
+    try:
+        pairs = np.asarray(edge_list, dtype=np.int64)
+    except OverflowError:
+        raise GraphError(f"endpoint out of range [0, {n}): beyond int64") from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    loop = lo == hi
+    bad = loop | (lo < 0) | (hi >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        pair = tuple(pairs[i].tolist())
+        if loop[i]:
+            raise GraphError(f"self-loop {pair}")
+        raise GraphError(f"endpoint out of range [0, {n}): {pair}")
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if dup.any():
+        i = int(np.argmax(dup))
+        raise GraphError(f"duplicate edge {(int(lo[i]), int(hi[i]))}")
+    return _from_canonical(n, lo, hi)
 
 
-def _from_canonical(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
-    # Trusted path: edges already canonical (u < v), sorted, unique.
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return Graph(n=n, edges=tuple(edges), degrees=tuple(deg))
+def _from_canonical(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    # Trusted path: (u, v) already canonical (u < v), sorted, unique.
+    edges = np.stack((u, v), axis=1).astype(np.int64, copy=False)
+    return Graph(n=n, edges=edges, degrees=np.bincount(edges.ravel(), minlength=n))
 
 
 def degree_summary(g: Graph) -> DegreeSummary:
@@ -86,18 +107,17 @@ def degree_summary(g: Graph) -> DegreeSummary:
     if g.n == 0:
         return DegreeSummary(0, 0, 0.0, 0)
     return DegreeSummary(
-        min_degree=min(g.degrees),
-        max_degree=max(g.degrees),
+        min_degree=int(g.degrees.min()),
+        max_degree=int(g.degrees.max()),
         mean_degree_empirical=2.0 * g.m / g.n,
-        isolated_count=sum(1 for d in g.degrees if d == 0),
+        isolated_count=int(np.count_nonzero(g.degrees == 0)),
     )
 
 
 def write_edge_list(g: Graph, out: TextIO) -> None:
     """Write the ``n m`` header followed by one ``u v`` line per edge."""
     out.write(f"{g.n} {g.m}\n")
-    for u, v in g.edges:
-        out.write(f"{u} {v}\n")
+    out.write("".join(f"{u} {v}\n" for u, v in g.edges.tolist()))
 
 
 def read_edge_list(src: TextIO) -> Graph:

@@ -26,16 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO, Union
 
+import numpy as np
 from mpmath import mp
 
 from .graph import Graph, build_graph
-from .indices import (
-    EXCLUDE,
-    EdgeFunction,
-    MULTIPLICATIVE_INDICES,
-    VertexFunction,
-    _checked,
-)
+from .indices import EdgeFunction, MULTIPLICATIVE_INDICES, VertexFunction, _resolve
 from .models import ModelSpec, SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
 
 _PREC = 192          # bits; well above the 128-bit floor the bounds need
@@ -79,34 +74,6 @@ class InequalityCheck:
     note: str = ""
 
 
-def _function_values(g: Graph, f: FunctionKind) -> tuple[str, str, list[float]]:
-    """(arity, name, realized F values in canonical order).
-
-    Vertex functions are evaluated over non-isolated vertices only (exclude
-    policy with effective n); edge endpoints always have degree >= 1.
-    """
-    if isinstance(f, str):
-        b = MULTIPLICATIVE_INDICES.get(f)
-        if b is None:
-            raise KeyError(f"unknown built-in function {f!r}")
-        arity, fn, name = b.arity, b.factor, b.name
-    elif isinstance(f, VertexFunction):
-        arity, fn, name = "vertex", _checked(f.fn, f.name), f.name
-    elif isinstance(f, EdgeFunction):
-        arity, fn, name = "edge", _checked(f.fn, f.name), f.name
-    else:
-        raise TypeError(f"not a degree function: {f!r}")
-
-    if arity == "vertex":
-        values = [fn(d) for d in g.degrees if d > 0]
-    else:
-        values = [fn(du, dv) for du, dv in g.edge_degree_pairs()]
-    for v in values:
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"function {name!r} produced nonpositive value {v}")
-    return arity, name, values
-
-
 def _finish(inequality, name, lhs, rhs, hypothesis_ok=True, note=""):
     slack = rhs - lhs
     tol = RELATIVE_TOL * max(mp.one, abs(lhs), abs(rhs))
@@ -127,17 +94,30 @@ def _vacuous(inequality, name):
 
 
 class _Prepared:
-    """Shared per-(graph, function) quantities, all in working precision."""
+    """Shared per-(graph, function) quantities, all in working precision.
+
+    Vertex functions are evaluated over non-isolated vertices only (exclude
+    policy with effective n); edge endpoints always have degree >= 1.  F is
+    evaluated once per distinct degree, or per distinct ordered (d_u, d_v),
+    and the sums are weighted by how often each value occurs.
+    """
 
     def __init__(self, g: Graph, f: FunctionKind):
-        self.arity, self.name, raw = _function_values(g, f)
-        self.k = len(raw)
+        rule = _resolve(f)
+        self.name = rule.name
+        if rule.arity == "vertex":
+            args = g.degrees[g.degrees > 0, None]
+        else:
+            args = g.edge_degree_pairs()
+        self.k = args.shape[0]
+        distinct, counts = np.unique(args, axis=0, return_counts=True)
+        counts = counts.tolist()
         with mp.workprec(_PREC):
-            self.values = [mp.mpf(v) for v in raw]
-            self.logs = [mp.log(v) for v in self.values]
-            self.sum = mp.fsum(self.values)
-            self.sum_sq = mp.fsum(v * v for v in self.values)
-            self.log_sum = mp.fsum(self.logs)
+            values = [rule.mp(*x) for x in distinct.tolist()]
+            self.logs = [mp.log(v) for v in values]
+            self.sum = mp.fsum(c * v for c, v in zip(counts, values))
+            self.sum_sq = mp.fsum(c * v * v for c, v in zip(counts, values))
+            self.log_sum = mp.fsum(c * x for c, x in zip(counts, self.logs))
 
 
 def check_jensen(g: Graph, f: FunctionKind) -> InequalityCheck:

@@ -307,5 +307,4 @@ def sample_degree_arrays(
 
 def generate(spec: ModelSpec, seed: SeedDerivation) -> Graph:
     """Generate one :class:`Graph` instance, deterministic in the seed triple."""
-    iu, ju = sample_edge_arrays(spec, seed.generator())
-    return _from_canonical(spec.n, list(zip(iu.tolist(), ju.tolist())))
+    return _from_canonical(spec.n, *sample_edge_arrays(spec, seed.generator()))

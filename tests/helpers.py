@@ -1,10 +1,14 @@
-"""Shared deterministic graph streams and reference samplers for the test suite."""
+"""Shared deterministic graph streams and reference implementations for the test suite."""
 
+import math
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
+from mpmath import mp
 
+from mtindex.indices import VertexFunction, _checked
+from mtindex.inequalities import _PREC as PREC
 from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
 
 
@@ -85,3 +89,51 @@ def model_graphs(master_seed, model, count, sizes=(6, 10, 14, 18, 20), params=(0
                 yield generate(spec, SeedDerivation(master_seed, si * len(params) + pi, replica))
                 produced += 1
         replica += 1
+
+
+# The float factors of the built-ins, as the verifier used them before it
+# evaluated the exact mpmath rules once per distinct degree.
+REFERENCE_FACTORS = {
+    "nk": ("vertex", lambda d: float(d)),
+    "pi1": ("vertex", lambda d: float(d * d)),
+    "pi2": ("edge", lambda a, b: float(a * b)),
+    "pi1s": ("edge", lambda a, b: float(a + b)),
+    "rpi": ("edge", lambda a, b: (a * b) ** -0.5),
+    "hpi": ("edge", lambda a, b: 2.0 / (a + b)),
+    "chipi": ("edge", lambda a, b: (a + b) ** -0.5),
+    "idpi": ("edge", lambda a, b: 1.0 / (a * a) + 1.0 / (b * b)),
+    "gapi": ("edge", lambda a, b: 2.0 * math.sqrt(a * b) / (a + b)),
+}
+
+
+def reference_function_values(g, f):
+    """(arity, name, realized F values in canonical order), one float per element."""
+    if isinstance(f, str):
+        arity, fn = REFERENCE_FACTORS[f]
+        name = f
+    elif isinstance(f, VertexFunction):
+        arity, fn, name = "vertex", _checked(f.fn, f.name), f.name
+    else:
+        arity, fn, name = "edge", _checked(f.fn, f.name), f.name
+    if arity == "vertex":
+        values = [fn(d) for d in g.degrees.tolist() if d > 0]
+    else:
+        values = [fn(du, dv) for du, dv in g.edge_degree_pairs().tolist()]
+    for v in values:
+        if not math.isfinite(v) or v <= 0.0:
+            raise ValueError(f"function {name!r} produced nonpositive value {v}")
+    return arity, name, values
+
+
+class ReferencePrepared:
+    """The verifier's per-element preparation: float factors, one mpmath log each."""
+
+    def __init__(self, g, f):
+        self.arity, self.name, raw = reference_function_values(g, f)
+        self.k = len(raw)
+        with mp.workprec(PREC):
+            self.values = [mp.mpf(v) for v in raw]
+            self.logs = [mp.log(v) for v in self.values]
+            self.sum = mp.fsum(self.values)
+            self.sum_sq = mp.fsum(v * v for v in self.values)
+            self.log_sum = mp.fsum(self.logs)

@@ -5,6 +5,9 @@ from helpers import BrokenPool
 
 from mtindex import ensemble
 from mtindex.cli import main
+from mtindex.graph import write_edge_list_path
+from mtindex.indices import MULTIPLICATIVE_NAMES, ln_indices_from_arrays
+from mtindex.models import SeedDerivation, erdos_renyi, generate
 
 
 def run(capsys, *argv):
@@ -161,6 +164,33 @@ def test_verify_valid_custom_functions(capsys):
                        "--custom-edge", "rootsum=sqrt(a+b)")
     assert code == 0
     assert "0 failures" in out
+
+
+@pytest.mark.parametrize(
+    "expr, where",
+    [("x=1/(d-1)", "degree 1: float division by zero"),
+     ("x=d**d**d", "degree 5: (34, 'Numerical result out of range')"),
+     ("x=(d-2)**0.5", "degree 1: complex result")],
+)
+def test_verify_failing_custom_expression_aborts(capsys, expr, where):
+    # Float arguments: d**d**d overflows at degree 5 instead of building 5**3125.
+    code = main(["verify", "--seed", "11", "--sizes", "8", "--graphs", "5",
+                 "--custom-vertex", expr])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"verification aborted: function 'x' failed at {where}")
+
+
+def test_index_values_equal_the_bulk_path(tmp_path, capsys):
+    g = generate(erdos_renyi(200, 0.05), SeedDerivation(3))
+    path = tmp_path / "g.edges"
+    write_edge_list_path(g, path)
+    code, out, _ = run(capsys, "index", str(path), "--index", ",".join(MULTIPLICATIVE_NAMES))
+    assert code == 0
+    got = {ln.split(",")[1]: float(ln.split(",")[3]) for ln in out.splitlines()[1:]}
+    deg, (u, v) = g.degrees, g.edges.T
+    bulk = ln_indices_from_arrays(deg, deg[u], deg[v], MULTIPLICATIVE_NAMES)
+    assert got == {kind: res.value for kind, res in zip(MULTIPLICATIVE_NAMES, bulk)}
 
 
 def test_verify_rejects_code_in_custom_expressions(capsys):

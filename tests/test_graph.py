@@ -15,13 +15,13 @@ from mtindex.graph import (
 def test_path_graph_degrees():
     g = build_graph(3, [(0, 1), (1, 2)])
     assert g.n == 3 and g.m == 2
-    assert g.degrees == (1, 2, 1)
-    assert g.edges == ((0, 1), (1, 2))
+    assert g.degrees.tolist() == [1, 2, 1]
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_canonicalization_orders_endpoints_and_edges():
     g = build_graph(4, [(3, 2), (1, 0)])
-    assert g.edges == ((0, 1), (2, 3))
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
 
 
 def test_self_loop_rejected_with_pair():
@@ -39,9 +39,23 @@ def test_out_of_range_endpoint_rejected():
         build_graph(3, [(0, 3)])
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(0, 1), (2, 5), (1, 1)], r"out of range \[0, 3\): \(2, 5\)"),
+        ([(0, 1), (1, 1), (2, 5)], r"self-loop \(1, 1\)"),
+        ([(1, 2), (2, 1), (1, 0), (0, 1)], r"duplicate edge \(0, 1\)"),
+    ],
+)
+def test_first_of_two_bad_pairs_is_named(pairs, message):
+    # Self-loops and range errors in input order; duplicates in canonical order.
+    with pytest.raises(GraphError, match=message):
+        build_graph(3, pairs)
+
+
 def test_empty_graphs_are_legal():
-    assert build_graph(0, []).degrees == ()
-    assert build_graph(5, []).degrees == (0,) * 5
+    assert build_graph(0, []).degrees.tolist() == []
+    assert build_graph(5, []).degrees.tolist() == [0] * 5
 
 
 def test_degree_summary_examples():
@@ -77,16 +91,22 @@ def test_handshake_and_degree_cache(case):
     for u, v in g.edges:
         recount[u] += 1
         recount[v] += 1
-    assert tuple(recount) == g.degrees
+    assert recount == g.degrees.tolist()
 
 
-def test_edge_list_round_trip():
-    g = build_graph(4, [(0, 1), (2, 3), (1, 2)])
+@given(edge_sets())
+def test_edge_list_round_trip(case):
+    n, edges = case
+    g = build_graph(n, edges)
     buf = io.StringIO()
     write_edge_list(g, buf)
-    assert buf.getvalue().splitlines()[0] == "4 3"
-    back = read_edge_list(io.StringIO(buf.getvalue()))
+    text = buf.getvalue()
+    assert text.splitlines()[0] == f"{n} {len(edges)}"
+    back = read_edge_list(io.StringIO(text))
     assert back == g
+    again = io.StringIO()
+    write_edge_list(back, again)
+    assert again.getvalue() == text
 
 
 def test_reader_rejects_inconsistent_m():

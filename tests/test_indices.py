@@ -11,6 +11,7 @@ from mtindex.indices import (
     EvaluationError,
     LOGZERO,
     LogIndexValue,
+    MULTIPLICATIVE_INDICES,
     MULTIPLICATIVE_NAMES,
     VertexFunction,
     additive_index,
@@ -142,7 +143,7 @@ def test_bulk_path_agrees_with_engine(g):
             assert got.excluded == ref.excluded
             assert got.is_log_zero == ref.is_log_zero
             if not ref.is_log_zero:
-                assert abs(got.value - ref.value) <= 1e-9 * max(1.0, abs(ref.value))
+                assert got.value == ref.value
 
 
 def test_custom_functions():
@@ -154,6 +155,17 @@ def test_custom_functions():
     assert additive_index(P3, fe) == pytest.approx(8.0)
 
 
+def test_custom_functions_run_once_per_distinct_argument():
+    calls = []
+    fe = EdgeFunction("logged", lambda a, b: calls.append((a, b)) or float(a + b))
+    ln_multiplicative_index(P3, fe)
+    assert calls == [(1, 2), (2, 1)]
+    assert all(type(d) is int for pair in calls for d in pair)
+    calls.clear()
+    additive_index(C5, fe)
+    assert calls == [(2, 2)]
+
+
 def test_custom_function_errors_name_the_offender():
     bad = EdgeFunction("negative_demo", lambda a, b: -1.0)
     with pytest.raises(EvaluationError, match=r"negative_demo.*\(1, 2\)"):
@@ -161,6 +173,13 @@ def test_custom_function_errors_name_the_offender():
     bad_v = VertexFunction("zero_demo", lambda d: 0.0)
     with pytest.raises(EvaluationError, match="zero_demo"):
         additive_index(P3, bad_v)
+    # Exceptions raised inside a custom function name it and its degrees too.
+    pole = VertexFunction("pole_demo", lambda d: 1.0 / (d - 1))
+    with pytest.raises(EvaluationError, match=r"'pole_demo' failed at degree 1: .*division"):
+        ln_multiplicative_index(P3, pole)
+    domain = EdgeFunction("domain_demo", lambda a, b: math.log(a - 1))
+    with pytest.raises(EvaluationError, match=r"'domain_demo' failed at degrees \(1, 2\)"):
+        exact_ln_oracle(P3, domain)
 
 
 def test_unknown_kind_rejected():
@@ -178,3 +197,28 @@ def test_compensated_summation_agrees(g):
         assert abs(plain - comp) <= 1e-12 * max(g.m, 1)
     assert additive_index(g, "m2", compensated=True) == pytest.approx(
         additive_index(g, "m2"), abs=1e-12 * max(g.m, 1))
+
+
+U = 2.0 ** -53
+
+
+def _gamma(j):
+    return j * U / (1.0 - j * U)
+
+
+@pytest.mark.parametrize("g", list(mixed_graphs(4242, 40)), ids=lambda g: f"n{g.n}m{g.m}")
+def test_log_sum_within_stated_error_bound(g):
+    # The bound in the indices module docstring, plus the oracle's own final
+    # rounding to double (u * |S|).
+    deg = g.degrees
+    for kind in MULTIPLICATIVE_NAMES:
+        rule = MULTIPLICATIVE_INDICES[kind]
+        args = (deg[deg > 0],) if rule.arity == "vertex" else tuple(g.edge_degree_pairs().T)
+        abs_terms = np.abs(rule.ln(*args))
+        k, total = abs_terms.size, float(abs_terms.sum())
+        per_term = 4.0 * U * (k + total)
+        ref = exact_ln_oracle(g, kind).value
+        got = ln_multiplicative_index(g, kind).value
+        assert abs(got - ref) <= _gamma(max(k - 1, 0)) * total + per_term + U * abs(ref)
+        comp = ln_multiplicative_index(g, kind, compensated=True).value
+        assert abs(comp - ref) <= per_term + 2.0 * U * abs(ref)

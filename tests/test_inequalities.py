@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from helpers import mixed_graphs
+from helpers import ReferencePrepared, mixed_graphs
+from mtindex import inequalities
 from mtindex.graph import build_graph
-from mtindex.indices import EdgeFunction, VertexFunction
+from mtindex.indices import MULTIPLICATIVE_NAMES, EdgeFunction, VertexFunction
 from mtindex.inequalities import (
     BoundsWindow,
     all_asserted_hold,
@@ -151,3 +152,25 @@ def test_verify_corpus_report():
     assert lines[0] == "inequality,model,n,param,function,lhs,rhs,slack,holds,hypothesis_ok"
     assert len(lines) == len(rows) + 1
     assert any(",False,False" in ln for ln in lines)
+
+
+REFERENCE_FUNCTIONS = list(MULTIPLICATIVE_NAMES) + [
+    VertexFunction("shifted", lambda d: d + 1.0),
+    EdgeFunction("rootsum", lambda a, b: math.sqrt(a + b)),
+]
+
+
+@pytest.mark.parametrize("g", list(mixed_graphs(4711, 30)), ids=lambda g: f"n{g.n}m{g.m}")
+def test_verdicts_match_the_per_element_reference(monkeypatch, g):
+    # The verifier evaluates exact rules once per distinct degree; the
+    # reference evaluates the float factors once per vertex or edge.
+    for f in REFERENCE_FUNCTIONS:
+        got = run_all_checks(g, f)
+        with monkeypatch.context() as patch:
+            patch.setattr(inequalities, "_Prepared", ReferencePrepared)
+            want = run_all_checks(g, f)
+        for c, r in zip(got, want, strict=True):
+            assert (c.inequality, c.function) == (r.inequality, r.function)
+            assert (c.holds, c.hypothesis_ok) == (r.holds, r.hypothesis_ok), (c, r)
+            for x, y in ((c.lhs, r.lhs), (c.rhs, r.rhs)):
+                assert x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y)), (c, r)
