@@ -89,7 +89,10 @@ def cmd_generate(args) -> int:
 def cmd_index(args) -> int:
     lines = ["file,index,value_type,value,log_zero,excluded,policy"]
     for path in args.paths:
-        g = read_edge_list_path(path)
+        try:
+            g = read_edge_list_path(path)
+        except (ValueError, OSError) as exc:  # GraphError, undecodable bytes, unreadable path
+            raise SystemExit(f"error: {path}: {exc}")
         for name in args.index:
             if name in MULTIPLICATIVE_NAMES:
                 res = ln_multiplicative_index(g, name, args.policy)
@@ -136,7 +139,10 @@ def cmd_sweep(args) -> int:
 def cmd_collapse(args) -> int:
     tables = []
     for path in args.csvs:
-        rows = ensemble.read_results_csv_path(path)
+        try:
+            rows = ensemble.read_results_csv_path(path)
+        except (ValueError, OSError) as exc:
+            raise SystemExit(f"error: {path}: {exc}")
         for label, group in ensemble.split_curves(rows):
             tables.append((f"{Path(path).name}:{label}", group))
     try:

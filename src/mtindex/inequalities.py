@@ -5,7 +5,8 @@ under one positive degree function F.  All comparisons run in 192-bit
 mpmath arithmetic because the raw product appears un-logged in several of the
 bounds and overflows doubles already on mid-sized graphs; reported lhs/rhs
 are rounded to floats afterwards (possibly to inf) while ``holds`` is decided
-at full precision.
+at full precision.  The six checks read one preparation per (graph,
+function): k, the sums of F and F^2, the sum of ln F and its min/max.
 
 Conventions: every inequality is oriented ``lhs <= rhs``; ``slack = rhs -
 lhs``; ``holds`` tolerates slack down to ``-1e-9 * max(1, |lhs|, |rhs|)``.
@@ -120,15 +121,55 @@ class _Prepared:
             self.log_sum = mp.fsum(c * x for c, x in zip(counts, self.logs))
 
 
+def run_all_checks(
+    g: Graph, f: FunctionKind, window: BoundsWindow | None = None
+) -> list[InequalityCheck]:
+    """The six checks of ``INEQUALITIES``, in order, from one preparation of (g, f).
+
+    ``window`` is the converse-Jensen window (see :func:`check_jensen_converse`).
+    With no realized values (k == 0) the first four checks are vacuous.
+    """
+    p = _Prepared(g, f)
+    k, name = p.k, p.name
+    with mp.workprec(_PREC):
+        eps = mp.mpf("1e-12")
+        if k == 0:
+            checks = [_vacuous(inequality, name) for inequality in INEQUALITIES[:4]]
+            coherent = True
+        else:
+            lo, hi = min(p.logs), max(p.logs)
+            if window is None:
+                a, b = lo, hi
+                window_ok, window_note = True, ""
+            else:
+                a, b = mp.mpf(window.a), mp.mpf(window.b)
+                reach = eps * max(mp.one, abs(a), abs(b))
+                window_ok = bool(a <= lo + reach and hi <= b + reach)
+                window_note = "" if window_ok else (
+                    f"window [{float(a)}, {float(b)}] does not bound realized ln F "
+                    f"range [{float(lo)}, {float(hi)}]"
+                )
+            mean = p.sum / k
+            converse = mp.exp(a) + mp.exp(b) - mp.exp(a + b) * mp.exp(-p.log_sum / k)
+            gm_sq = mp.exp(2 * p.log_sum / k)
+            square = p.sum * p.sum
+            checks = [
+                _finish("jensen", name, mp.exp(p.log_sum / k), mean),
+                _finish("jensen_converse", name, mean, converse, window_ok, window_note),
+                _finish("kober_lower", name, p.sum_sq + k * (k - 1) * gm_sq, square),
+                _finish("kober_upper", name, square, (k - 1) * p.sum_sq + k * gm_sq),
+            ]
+            coherent = bool(lo >= -eps) or bool(hi <= eps)
+        product = mp.exp(p.log_sum)
+        note = "" if coherent else "mixed-sign log-factors: hypothesis violated"
+        checks.append(_finish("petrovic_sum", name, p.sum, product + (k - 1), coherent, note))
+        checks.append(_finish("exp_linear", name, p.log_sum + 1, product))
+    return checks
+
+
 def check_jensen(g: Graph, f: FunctionKind) -> InequalityCheck:
     """Geometric mean of the factors <= arithmetic mean: X_prod^(1/k) <= X_sum/k."""
-    p = _Prepared(g, f)
-    if p.k == 0:
-        return _vacuous("jensen", p.name)
-    with mp.workprec(_PREC):
-        lhs = mp.exp(p.log_sum / p.k)
-        rhs = p.sum / p.k
-        return _finish("jensen", p.name, lhs, rhs)
+    return run_all_checks(g, f)[0]
 
 
 def check_jensen_converse(
@@ -140,76 +181,23 @@ def check_jensen_converse(
     realized min/max envelope.  A violated window flags the check instead of
     asserting it.
     """
-    p = _Prepared(g, f)
-    if p.k == 0:
-        return _vacuous("jensen_converse", p.name)
-    with mp.workprec(_PREC):
-        lo, hi = min(p.logs), max(p.logs)
-        if window is None:
-            a, b = lo, hi
-            hypothesis_ok, note = True, ""
-        else:
-            a, b = mp.mpf(window.a), mp.mpf(window.b)
-            eps = mp.mpf("1e-12") * max(mp.one, abs(a), abs(b))
-            hypothesis_ok = bool(a <= lo + eps and hi <= b + eps)
-            note = "" if hypothesis_ok else (
-                f"window [{float(a)}, {float(b)}] does not bound realized ln F "
-                f"range [{float(lo)}, {float(hi)}]"
-            )
-        lhs = p.sum / p.k
-        rhs = mp.exp(a) + mp.exp(b) - mp.exp(a + b) * mp.exp(-p.log_sum / p.k)
-        return _finish("jensen_converse", p.name, lhs, rhs, hypothesis_ok, note)
+    return run_all_checks(g, f, window)[1]
 
 
 def check_kober(g: Graph, f: FunctionKind) -> tuple[InequalityCheck, InequalityCheck]:
     """Two-sided bound linking X_sum over F^2, (X_sum over F)^2, and X_prod^(2/k)."""
-    p = _Prepared(g, f)
-    if p.k == 0:
-        return _vacuous("kober_lower", p.name), _vacuous("kober_upper", p.name)
-    with mp.workprec(_PREC):
-        gm_sq = mp.exp(2 * p.log_sum / p.k)
-        square = p.sum * p.sum
-        lower = _finish("kober_lower", p.name, p.sum_sq + p.k * (p.k - 1) * gm_sq, square)
-        upper = _finish("kober_upper", p.name, square, (p.k - 1) * p.sum_sq + p.k * gm_sq)
-        return lower, upper
+    lower, upper = run_all_checks(g, f)[2:4]
+    return lower, upper
 
 
 def check_petrovic_sum(g: Graph, f: FunctionKind) -> InequalityCheck:
     """Sum bound X_sum <= X_prod + (k - 1), valid when log-factors share a sign."""
-    p = _Prepared(g, f)
-    with mp.workprec(_PREC):
-        eps = mp.mpf("1e-12")
-        if p.k == 0:
-            coherent, note = True, ""
-        else:
-            coherent = bool(min(p.logs) >= -eps) or bool(max(p.logs) <= eps)
-            note = "" if coherent else "mixed-sign log-factors: hypothesis violated"
-        lhs = p.sum
-        rhs = mp.exp(p.log_sum) + (p.k - 1)
-        return _finish("petrovic_sum", p.name, lhs, rhs, coherent, note)
+    return run_all_checks(g, f)[4]
 
 
 def check_exp_linear(g: Graph, f: FunctionKind) -> InequalityCheck:
     """Tangent-line bound X_prod >= (sum of log-factors) + 1; unconditional."""
-    p = _Prepared(g, f)
-    with mp.workprec(_PREC):
-        lhs = p.log_sum + 1
-        rhs = mp.exp(p.log_sum)
-        return _finish("exp_linear", p.name, lhs, rhs)
-
-
-def run_all_checks(
-    g: Graph, f: FunctionKind, window: BoundsWindow | None = None
-) -> list[InequalityCheck]:
-    lower, upper = check_kober(g, f)
-    return [
-        check_jensen(g, f),
-        check_jensen_converse(g, f, window),
-        lower,
-        upper,
-        check_petrovic_sum(g, f),
-        check_exp_linear(g, f),
-    ]
+    return run_all_checks(g, f)[5]
 
 
 def petrovic_counterexample() -> tuple[Graph, VertexFunction]:

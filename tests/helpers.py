@@ -5,6 +5,7 @@ from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
+from hypothesis import strategies as st
 from mpmath import mp
 
 from mtindex.indices import VertexFunction, _checked
@@ -47,6 +48,15 @@ def reference_edge_arrays(spec, rng):
     mask = rng.random((spec.n1, spec.n2)) < spec.p
     iu, jw = np.nonzero(mask)
     return iu, jw + spec.n1
+
+
+@st.composite
+def edge_sets(draw):
+    """(n, edges): a simple graph on 2..12 vertices as a list of distinct pairs u < v."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    return n, edges
 
 
 def mixed_graphs(master_seed, count, sizes=(4, 6, 8, 12, 16, 20), params=(0.15, 0.4, 0.8)):

@@ -79,6 +79,23 @@ def test_index_unknown_name(tmp_path, capsys):
         main(["index", str(f), "--index", "wiener"])
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"3 1\n0 0\n", "self-loop"),
+    (b"2 1\n0 \xc0\n", "can't decode"),
+    (None, "No such file"),
+], ids=["self-loop", "binary", "missing"])
+def test_index_bad_file_is_a_one_line_error(tmp_path, content, message):
+    f = tmp_path / "g.edges"
+    if content is not None:
+        f.write_bytes(content)
+    out = tmp_path / "index.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["index", str(f), "--index", "nk", "--out", str(out)])
+    text = str(exc.value)
+    assert text.startswith(f"error: {f}: ") and message in text and "\n" not in text
+    assert not out.exists()
+
+
 def test_predict_command(capsys):
     code, out, _ = run(capsys, "predict", "--model", "er", "--index", "nk", "--k", "10")
     assert code == 0
@@ -133,6 +150,17 @@ def test_collapse_missing_index_errors(tmp_path, capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit, match="not present"):
         main(["collapse", str(csv), str(csv), "--index", "pi2"])
+
+
+def test_collapse_bad_header_is_a_one_line_error(tmp_path):
+    csv = tmp_path / "sweep.csv"
+    csv.write_text("model,n\ner,50\n")
+    out = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", str(csv), str(csv), "--index", "nk", "--out", str(out)])
+    text = str(exc.value)
+    assert text.startswith(f"error: {csv}: unexpected results header") and "\n" not in text
+    assert not out.exists()
 
 
 def test_verify_small_corpus(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from helpers import edge_sets
+from hypothesis import given
 
 from mtindex.graph import (
     GraphError,
@@ -72,14 +73,6 @@ def test_degree_summary_examples():
     s4 = degree_summary(k4)
     assert (s4.min_degree, s4.max_degree, s4.mean_degree_empirical,
             s4.isolated_count) == (3, 3, 3.0, 0)
-
-
-@st.composite
-def edge_sets(draw):
-    n = draw(st.integers(min_value=2, max_value=12))
-    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
-    return n, edges
 
 
 @given(edge_sets())

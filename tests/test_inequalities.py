@@ -2,12 +2,14 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import ReferencePrepared, mixed_graphs
+from helpers import ReferencePrepared, edge_sets, mixed_graphs
 from mtindex import inequalities
 from mtindex.graph import build_graph
 from mtindex.indices import MULTIPLICATIVE_NAMES, EdgeFunction, VertexFunction
 from mtindex.inequalities import (
+    INEQUALITIES,
     BoundsWindow,
     all_asserted_hold,
     check_exp_linear,
@@ -174,3 +176,58 @@ def test_verdicts_match_the_per_element_reference(monkeypatch, g):
             assert (c.holds, c.hypothesis_ok) == (r.holds, r.hypothesis_ok), (c, r)
             for x, y in ((c.lhs, r.lhs), (c.rhs, r.rhs)):
                 assert x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y)), (c, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_sets())
+def test_verdicts_match_the_per_element_reference_on_any_graph(case):
+    g = build_graph(*case)
+    for f in REFERENCE_FUNCTIONS:
+        got = run_all_checks(g, f)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inequalities, "_Prepared", ReferencePrepared)
+            want = run_all_checks(g, f)
+        for c, r in zip(got, want, strict=True):
+            assert (c.inequality, c.function) == (r.inequality, r.function)
+            assert (c.holds, c.hypothesis_ok) == (r.holds, r.hypothesis_ok), (c, r)
+            for x, y in ((c.lhs, r.lhs), (c.rhs, r.rhs)):
+                assert x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y)), (c, r)
+
+
+# (graph, function, window, whether the window bounds the realized ln F)
+PREPARATION_CASES = [
+    pytest.param(K4, DEGREE, BoundsWindow(math.log(3.0), math.log(3.0)), True, id="k4-window-holds"),
+    pytest.param(K4, DEGREE, BoundsWindow(0.0, 0.5), False, id="k4-window-violated"),
+    pytest.param(build_graph(3, []), "pi2", None, True, id="empty"),
+    pytest.param(*petrovic_counterexample(), None, True, id="counterexample"),
+]
+
+
+@pytest.mark.parametrize("g, f, window, window_ok", PREPARATION_CASES)
+def test_run_all_checks_prepares_once(monkeypatch, g, f, window, window_ok):
+    built = []
+
+    class CountingPrepared(inequalities._Prepared):
+        def __init__(self, g, f):
+            built.append(f)
+            super().__init__(g, f)
+
+    monkeypatch.setattr(inequalities, "_Prepared", CountingPrepared)
+    checks = run_all_checks(g, f, window)
+    assert len(built) == 1
+    assert [c.inequality for c in checks] == list(INEQUALITIES)
+
+
+@pytest.mark.parametrize("g, f, window, window_ok", PREPARATION_CASES)
+def test_public_checks_are_entries_of_run_all_checks(g, f, window, window_ok):
+    lower, upper = check_kober(g, f)
+    public = [
+        check_jensen(g, f),
+        check_jensen_converse(g, f, window),
+        lower,
+        upper,
+        check_petrovic_sum(g, f),
+        check_exp_linear(g, f),
+    ]
+    assert public == run_all_checks(g, f, window)
+    assert public[1].hypothesis_ok == window_ok
