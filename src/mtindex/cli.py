@@ -2,6 +2,9 @@
 
 Every randomized command requires an explicit ``--seed``; reruns with
 identical flags (including ``--workers``) produce byte-identical output.
+An interrupt (Ctrl-C) ends any command with exit status 130 and one line on
+stderr; it leaves no partial output file and no temp file (``generate``
+keeps the edge-list files it finished).
 """
 
 from __future__ import annotations
@@ -385,7 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except KeyboardInterrupt:
+        # Every output file goes through atomic_write, so none is left behind.
+        print(f"{args.command}: interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

@@ -12,6 +12,8 @@ floats serialized via ``repr`` so reruns are byte-identical.
 from __future__ import annotations
 
 import math
+import signal
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -135,6 +137,14 @@ def _mean_sem(xs: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _process_pool(workers: int) -> ProcessPoolExecutor:
+    # Ctrl-C reaches every process of the terminal's process group.  The
+    # workers ignore it, so only the parent handles it (see _defer_interrupts).
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    )
+
+
 def _pool_blocks(pool, args, replicas: int, workers: int) -> list:
     """Split [0, replicas) into contiguous blocks, run them on ``pool``, keep order."""
     n_blocks = min(workers, replicas)
@@ -176,7 +186,7 @@ def run_point(
     elif _executor is not None:
         blocks = _pool_blocks(_executor, args, replicas, workers)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             blocks = _pool_blocks(pool, args, replicas, workers)
 
     # Reassemble in ascending replica order regardless of how blocks ran.
@@ -214,13 +224,27 @@ def run_point(
     return out
 
 
+def _defer_interrupts(noted: list) -> object:
+    """Make Ctrl-C append to ``noted`` instead of raising; returns the old handler.
+
+    A KeyboardInterrupt raised inside the executor's own locking can leave the
+    pool hung, so a pool sweep raises it itself, between grid points.  Off the
+    main thread, where no handler can be set, nothing changes (returns None).
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return None
+    return signal.signal(signal.SIGINT, lambda signum, frame: noted.append(signum))
+
+
 def sweep(spec: EnsembleSpec) -> list[EnsembleStats]:
     """Run every grid point in order; rows are (point, index) in grid order."""
     rows: list[EnsembleStats] = []
-    executor = None
+    executor = previous_handler = None
+    interrupts: list = []
     try:
         if spec.workers > 1:
-            executor = ProcessPoolExecutor(max_workers=spec.workers)
+            previous_handler = _defer_interrupts(interrupts)
+            executor = _process_pool(spec.workers)
         for point_id, point in enumerate(spec.grid):
             rows.extend(
                 run_point(
@@ -234,9 +258,14 @@ def sweep(spec: EnsembleSpec) -> list[EnsembleStats]:
                     _executor=executor,
                 )
             )
+            if interrupts:
+                raise KeyboardInterrupt
     finally:
         if executor is not None:
-            executor.shutdown()
+            # After an interrupt or a failed block, queued blocks are dropped.
+            executor.shutdown(cancel_futures=True)
+        if previous_handler is not None:
+            signal.signal(signal.SIGINT, previous_handler)
     return rows
 
 

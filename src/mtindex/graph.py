@@ -117,11 +117,15 @@ def degree_summary(g: Graph) -> DegreeSummary:
 def write_edge_list(g: Graph, out: TextIO) -> None:
     """Write the ``n m`` header followed by one ``u v`` line per edge."""
     out.write(f"{g.n} {g.m}\n")
-    out.write("".join(f"{u} {v}\n" for u, v in g.edges.tolist()))
+    out.write(("%d %d\n" * g.m) % tuple(g.edges.ravel().tolist()))
 
 
 def read_edge_list(src: TextIO) -> Graph:
-    """Parse the edge-list text format, rejecting inconsistent edge counts."""
+    """Parse the edge-list text format, rejecting inconsistent edge counts.
+
+    The edge lines are converted in one numpy call; only if that fails are
+    they parsed one by one, which names the first malformed line.
+    """
     lines = [ln for ln in (raw.strip() for raw in src) if ln]
     if not lines:
         raise GraphError("empty edge-list input")
@@ -134,8 +138,18 @@ def read_edge_list(src: TextIO) -> Graph:
         raise GraphError(f"non-integer header {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise GraphError(f"header declares m={m} but {len(lines) - 1} edge lines found")
+    try:
+        # numpy converts each token with int(), as the line parser does.
+        edges = np.array([ln.split() for ln in lines[1:]], dtype=np.int64).reshape(m, 2)
+    except (ValueError, OverflowError):
+        edges = _parse_edge_lines(lines[1:])
+    return build_graph(n, edges)
+
+
+def _parse_edge_lines(lines: list[str]) -> list[tuple[int, int]]:
+    """The edge lines as integer pairs; raises on the first malformed line."""
     edges = []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"malformed edge line {ln!r}")
@@ -143,7 +157,7 @@ def read_edge_list(src: TextIO) -> Graph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise GraphError(f"non-integer edge line {ln!r}") from None
-    return build_graph(n, edges)
+    return edges
 
 
 @contextlib.contextmanager

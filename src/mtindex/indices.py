@@ -193,6 +193,26 @@ MULTIPLICATIVE_NAMES = tuple(MULTIPLICATIVE_INDICES)
 ADDITIVE_NAMES = tuple(_ADDITIVE)
 
 
+def _distinct_arguments(
+    args: tuple[np.ndarray, ...],
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """The distinct arguments of a rule over ``(d,)`` or ``(d_u, d_v)`` degree arrays.
+
+    Returns the distinct arguments as tuples of Python ints in lexicographic
+    order, how often each occurs, and each element's position among them.
+    An edge argument is keyed as ``d_u*K + d_v`` with K = max degree + 1, so
+    one 1-D ``np.unique`` does the work in O(m) memory; ascending keys are
+    lexicographic pairs.
+    """
+    if len(args) == 1:
+        keys, inverse, counts = np.unique(args[0], return_inverse=True, return_counts=True)
+        return [(x,) for x in keys.tolist()], counts, inverse
+    du, dv = args
+    base = int(max(du.max(), dv.max())) + 1 if du.size else 1
+    keys, inverse, counts = np.unique(du * base + dv, return_inverse=True, return_counts=True)
+    return list(zip(*(a.tolist() for a in np.divmod(keys, base)))), counts, inverse
+
+
 def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) -> _Rule:
     """The rule behind any index kind: a built-in name in ``table`` or a custom function."""
     if isinstance(kind, str):
@@ -206,8 +226,8 @@ def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) 
 
         def value(*args: np.ndarray) -> np.ndarray:
             # One call per distinct (ordered) argument, gathered back per element.
-            keys, inverse = np.unique(np.stack(args, axis=1), axis=0, return_inverse=True)
-            return np.array([f(*key) for key in keys.tolist()])[inverse.reshape(-1)]
+            distinct, _, inverse = _distinct_arguments(args)
+            return np.array([f(*x) for x in distinct])[inverse]
 
         return _Rule(
             kind.name,

@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mtindex.indices import VertexFunction, _checked
+from mtindex.graph import GraphError, build_graph
+from mtindex.indices import VertexFunction, _checked, _resolve
 from mtindex.inequalities import _PREC as PREC
 from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
 
@@ -16,16 +17,43 @@ from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, ran
 class BrokenPool:
     """Executor stub whose futures fail as if their worker process had died."""
 
-    def __init__(self, max_workers=None):
-        pass
+    def __init__(self, max_workers=None, initializer=None, initargs=()):
+        self.cancel_futures = None
+
+    def error(self):
+        return BrokenProcessPool("worker terminated abruptly")
 
     def submit(self, fn, *args):
         future = Future()
-        future.set_exception(BrokenProcessPool("worker terminated abruptly"))
+        future.set_exception(self.error())
         return future
 
-    def shutdown(self):
-        pass
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.cancel_futures = cancel_futures
+
+
+class InterruptedPool(BrokenPool):
+    """Executor stub whose futures raise as if Ctrl-C arrived while waiting on them."""
+
+    def error(self):
+        return KeyboardInterrupt()
+
+
+class InlinePool(BrokenPool):
+    """Executor stub that runs each submitted replica block in this process,
+    split further at ``cuts``, and joins the pieces in replica order."""
+
+    def __init__(self, cuts):
+        super().__init__()
+        self.cuts = sorted(cuts)
+
+    def submit(self, fn, *args):
+        *head, lo, hi = args
+        bounds = [lo, *(c for c in self.cuts if lo < c < hi), hi]
+        pieces = [fn(*head, a, b) for a, b in zip(bounds, bounds[1:])]
+        future = Future()
+        future.set_result(tuple(np.concatenate(part, axis=-1) for part in zip(*pieces)))
+        return future
 
 
 def reference_edge_arrays(spec, rng):
@@ -48,6 +76,79 @@ def reference_edge_arrays(spec, rng):
     mask = rng.random((spec.n1, spec.n2)) < spec.p
     iu, jw = np.nonzero(mask)
     return iu, jw + spec.n1
+
+
+def reference_read_edge_list(src):
+    """The line-by-line edge-list parser; the production reader must agree with it."""
+    lines = [ln for ln in (raw.strip() for raw in src) if ln]
+    if not lines:
+        raise GraphError("empty edge-list input")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise GraphError(f"malformed header {lines[0]!r}, expected 'n m'")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise GraphError(f"non-integer header {lines[0]!r}") from None
+    if len(lines) - 1 != m:
+        raise GraphError(f"header declares m={m} but {len(lines) - 1} edge lines found")
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphError(f"malformed edge line {ln!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise GraphError(f"non-integer edge line {ln!r}") from None
+    return build_graph(n, edges)
+
+
+def reference_write_edge_list(g, out):
+    """The line-by-line edge-list writer; the production writer must give its bytes."""
+    out.write(f"{g.n} {g.m}\n")
+    out.write("".join(f"{u} {v}\n" for u, v in g.edges.tolist()))
+
+
+# Tokens that stress the reader: what int() takes and numpy might not, and the reverse.
+_ODD_TOKENS = ["+3", "007", "-0", "1_0", "x", "1.0", "0x1", "\u0663", "9" * 18, "9" * 19,
+               "99999999999999999999", "-9223372036854775809"]
+_BLANKS = ["", " ", "\t", " \t ", "\r", "\x0c", "\x1c"]
+_SEPARATORS = [" ", "\t", "  ", " \t", "\x0c", "\r", "\u2003"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text, well formed or mutated: a token added, dropped or replaced
+    on some line, a wrong edge count, odd whitespace, blank lines.
+
+    The header's vertex count stays small, so no text asks for a huge degree array.
+    """
+    n = draw(st.integers(min_value=0, max_value=8))
+    pairs = draw(st.lists(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=8))
+    m = len(pairs) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    lines = [[str(n), str(m)]] + [[str(u), str(v)] for u, v in pairs]
+    small = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(_ODD_TOKENS[:8]))
+    any_token = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(_ODD_TOKENS))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i]
+        token = draw(small if i == 0 else any_token)
+        op = draw(st.sampled_from(("add", "drop", "replace")))
+        if op == "add":
+            tokens.append(token)
+        elif tokens and op == "drop":
+            tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+        elif tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = token
+    plain = draw(st.booleans())     # spaces and tabs only, as the writer's output
+    separators = st.sampled_from(_SEPARATORS[:4] if plain else _SEPARATORS)
+    text_lines = [draw(separators).join(t) for t in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        text_lines.insert(draw(st.integers(0, len(text_lines))), draw(st.sampled_from(_BLANKS)))
+    indent = draw(st.sampled_from(["", " ", "\t"]))
+    end = draw(st.sampled_from(["\n", "", "\n\n", " \n", "\n\t"]))
+    return "\n".join(indent + ln for ln in text_lines) + end
 
 
 @st.composite
@@ -147,3 +248,25 @@ class ReferencePrepared:
             self.sum = mp.fsum(self.values)
             self.sum_sq = mp.fsum(v * v for v in self.values)
             self.log_sum = mp.fsum(self.logs)
+
+
+class UnmemoizedPrepared:
+    """The verifier's preparation before the memo: exact rules once per distinct
+    argument of one graph (``np.unique(axis=0)``), count-weighted ``c * v`` sums."""
+
+    def __init__(self, g, f):
+        rule = _resolve(f)
+        self.name = rule.name
+        if rule.arity == "vertex":
+            args = g.degrees[g.degrees > 0, None]
+        else:
+            args = g.edge_degree_pairs()
+        self.k = args.shape[0]
+        distinct, counts = np.unique(args, axis=0, return_counts=True)
+        counts = counts.tolist()
+        with mp.workprec(PREC):
+            values = [rule.mp(*x) for x in distinct.tolist()]
+            self.logs = [mp.log(v) for v in values]
+            self.sum = mp.fsum(c * v for c, v in zip(counts, values))
+            self.sum_sq = mp.fsum(c * v * v for c, v in zip(counts, values))
+            self.log_sum = mp.fsum(c * x for c, x in zip(counts, self.logs))

@@ -1,9 +1,18 @@
+import contextlib
+import glob
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
-from helpers import BrokenPool
+from helpers import BrokenPool, InlinePool, InterruptedPool
 
-from mtindex import ensemble
+import mtindex
+from mtindex import cli, ensemble, graph, inequalities, models
 from mtindex.cli import main
 from mtindex.graph import write_edge_list_path
 from mtindex.indices import MULTIPLICATIVE_NAMES, ln_indices_from_arrays
@@ -256,4 +265,150 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
         main(["sweep", "--model", "er", "--n", "40", "--p", "0.1", "--index", "nk,pi2",
               "--budget", "80", "--seed", "5", "--out", str(out)])
     assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+class _InterruptingHandle:
+    """A text handle that writes part of its text, then raises as Ctrl-C would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:8])
+        raise KeyboardInterrupt
+
+
+def _interrupting_atomic_write(real):
+    @contextlib.contextmanager
+    def atomic_write(path):
+        with real(path) as fh:
+            yield _InterruptingHandle(fh)
+    return atomic_write
+
+
+SWEEP = ["sweep", "--model", "er", "--n", "30", "--p", "0.1,0.3", "--index", "nk,pi2",
+         "--budget", "120", "--seed", "5"]
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("sweep", ensemble, "sample_degree_arrays"),
+    ("sweep", ensemble, "atomic_write"),
+    ("verify", inequalities, "_Prepared"),
+    ("verify", cli, "atomic_write"),
+    ("index", cli, "additive_index"),
+    ("index", cli, "atomic_write"),
+    ("generate", models, "generate"),
+    ("generate", graph, "atomic_write"),
+])
+def test_interrupt_exits_130_and_leaves_no_output(tmp_path, monkeypatch, capsys,
+                                                  command, module, name):
+    edges = tmp_path / "in" / "g.edges"
+    edges.parent.mkdir()
+    edges.write_text("3 2\n0 1\n1 2\n")
+    out = tmp_path / "out"
+    argv = {
+        "sweep": [*SWEEP, "--out", str(out)],
+        "verify": ["verify", "--seed", "3", "--sizes", "8", "--graphs", "10", "--out", str(out)],
+        "index": ["index", str(edges), "--index", "nk,m1", "--out", str(out)],
+        "generate": ["generate", "--model", "er", "--n", "10", "--p", "0.3", "--seed", "1",
+                     "--out", str(out)],
+    }[command]
+    if name == "atomic_write":
+        monkeypatch.setattr(module, name, _interrupting_atomic_write(getattr(module, name)))
+    else:
+        monkeypatch.setattr(module, name, _interrupt)
+    assert main(argv) == 130
+    assert capsys.readouterr().err == f"{command}: interrupted\n"
+    left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    # generate makes its output directory before the first file.
+    assert left == ["in", "in/g.edges"] + (["out"] if command == "generate" else [])
+
+
+def test_interrupted_pool_sweep_cancels_queued_blocks(tmp_path, monkeypatch, capsys):
+    pools = []
+
+    def make_pool(**kwargs):
+        pools.append(InterruptedPool(**kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", make_pool)
+    out = tmp_path / "sweep.csv"
+    assert main([*SWEEP, "--workers", "2", "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "sweep: interrupted\n"
+    assert [pool.cancel_futures for pool in pools] == [True]
+    assert list(tmp_path.iterdir()) == []
+
+
+class CtrlCPool(InlinePool):
+    """Executor stub that runs blocks in this process and sends this process a
+    SIGINT at every submit, as a Ctrl-C landing inside the executor would."""
+
+    def __init__(self, **kwargs):
+        super().__init__(cuts=())
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        os.kill(os.getpid(), signal.SIGINT)
+        self.submitted += 1
+        return super().submit(fn, *args)
+
+
+def test_ctrl_c_inside_the_pool_is_raised_between_points(tmp_path, monkeypatch, capsys):
+    pools = []
+
+    def make_pool(**kwargs):
+        pools.append(CtrlCPool(**kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", make_pool)
+    before = signal.getsignal(signal.SIGINT)
+    out = tmp_path / "sweep.csv"
+    assert main([*SWEEP, "--workers", "2", "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "sweep: interrupted\n"
+    # Both blocks of the first point went out; the second point never started.
+    assert [(pool.submitted, pool.cancel_futures) for pool in pools] == [(2, True)]
+    assert signal.getsignal(signal.SIGINT) is before
+    assert list(tmp_path.iterdir()) == []
+
+
+def _children(pid):
+    kids = []
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        with contextlib.suppress(OSError), open(path) as fh:
+            kids += fh.read().split()
+    return kids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the workers via /proc")
+def test_ctrl_c_on_a_real_pool_sweep_exits_130(tmp_path):
+    # A terminal's Ctrl-C goes to the whole process group, workers included.
+    # Many points of one-replica blocks keep the workers mostly idle and the
+    # parent mostly inside the executor, where an unhandled interrupt shows.
+    out = tmp_path / "sweep.csv"
+    p = ",".join(str(round(0.05 + i * 1e-5, 5)) for i in range(3000))
+    argv = [sys.executable, "-m", "mtindex.cli", "sweep", "--model", "er", "--n", "30",
+            "--p", p, "--index", "nk", "--budget", "60", "--seed", "5", "--workers", "2",
+            "--out", str(out)]
+    src = str(Path(mtindex.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_children(proc.pid)) < 2 and proc.poll() is None:
+            assert time.monotonic() < deadline, "no worker processes started"
+            time.sleep(0.02)
+        time.sleep(0.3)                 # let the pool take a few points
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert (proc.returncode, err) == (130, "sweep: interrupted\n")
     assert list(tmp_path.iterdir()) == []

@@ -1,10 +1,14 @@
 import io
 import math
+import signal
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
-from helpers import BrokenPool
+from helpers import BrokenPool, InlinePool
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mtindex import ensemble
 from mtindex.ensemble import (
     EnsembleSpec,
     collapse_check,
@@ -16,7 +20,7 @@ from mtindex.ensemble import (
     write_results_csv,
 )
 from mtindex.indices import EXCLUDE, LOGZERO
-from mtindex.models import bipartite, erdos_renyi
+from mtindex.models import bipartite, erdos_renyi, random_geometric
 
 SEED = 424242
 
@@ -186,3 +190,27 @@ def test_broken_worker_pool_names_the_seed_triple():
     msg = str(info.value)
     assert "master_seed=77" in msg and "point_id=3" in msg and "[0, 5)" in msg
     assert isinstance(info.value.__cause__, BrokenProcessPool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_any_contiguous_partition_gives_the_same_stats(data):
+    # The stub runs run_point's blocks in-process, cut again at arbitrary
+    # points, so every partition of [0, replicas) into contiguous blocks occurs.
+    replicas = data.draw(st.integers(1, 24), label="replicas")
+    workers = data.draw(st.integers(1, replicas), label="workers")
+    cuts = data.draw(st.sets(st.integers(1, replicas)), label="cuts")
+    point = data.draw(st.sampled_from(
+        [erdos_renyi(12, 0.2), random_geometric(10, 0.3), bipartite(5, 6, 0.3)]), label="point")
+    policy = data.draw(st.sampled_from([EXCLUDE, LOGZERO]), label="policy")
+    kwargs = dict(point_id=4, isolated_policy=policy)
+    want = run_point(point, ["nk", "pi2", "gapi"], replicas, SEED, **kwargs)
+    got = run_point(point, ["nk", "pi2", "gapi"], replicas, SEED, workers=workers,
+                    _executor=InlinePool(cuts), **kwargs)
+    assert repr(got) == repr(want)  # repr, so that NaN means equal NaN
+
+
+def test_pool_workers_ignore_ctrl_c():
+    # Only the parent handles Ctrl-C, whatever the start method.
+    with ensemble._process_pool(1) as pool:
+        assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN

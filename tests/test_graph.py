@@ -1,8 +1,8 @@
 import io
 
 import pytest
-from helpers import edge_sets
-from hypothesis import given
+from helpers import edge_list_texts, edge_sets, reference_read_edge_list, reference_write_edge_list
+from hypothesis import example, given, settings
 
 from mtindex.graph import (
     GraphError,
@@ -100,6 +100,37 @@ def test_edge_list_round_trip(case):
     again = io.StringIO()
     write_edge_list(back, again)
     assert again.getvalue() == text
+
+
+@given(edge_sets())
+def test_writer_gives_the_line_writer_bytes(case):
+    g = build_graph(*case)
+    got, want = io.StringIO(), io.StringIO()
+    write_edge_list(g, got)
+    reference_write_edge_list(g, want)
+    assert got.getvalue() == want.getvalue()
+
+
+def _outcome(read, text):
+    try:
+        return read(io.StringIO(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(edge_list_texts())
+@example("3 1\n0 99999999999999999999\n")     # beyond int64
+@example("3 1\n0 9223372036854775808\n")      # 2**63, 19 digits
+@example("3 1\n0 1000000000000000000\n")      # 19 digits, fits int64
+@example("3 1\r\n+0 002\r\n")
+@example("3 1\n0 1 2\n")                      # every edge line has three tokens
+@example("3 2\n0\n1\n")                       # every edge line has one token
+@example("\n \t\n")
+@example("2 0")
+def test_reader_agrees_with_the_line_parser(text):
+    # The same Graph, or the same error type and message.
+    assert _outcome(read_edge_list, text) == _outcome(reference_read_edge_list, text)
 
 
 def test_reader_rejects_inconsistent_m():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import mixed_graphs
 from mtindex.graph import build_graph
@@ -14,6 +16,7 @@ from mtindex.indices import (
     MULTIPLICATIVE_INDICES,
     MULTIPLICATIVE_NAMES,
     VertexFunction,
+    _distinct_arguments,
     additive_index,
     exact_ln_oracle,
     ln_indices_from_arrays,
@@ -164,6 +167,20 @@ def test_custom_functions_run_once_per_distinct_argument():
     calls.clear()
     additive_index(C5, fe)
     assert calls == [(2, 2)]
+
+
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=60))
+def test_distinct_arguments_match_the_two_dimensional_unique(pairs):
+    # The 1-D key d_u*K + d_v must give np.unique(axis=0)'s order, counts and inverse.
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    for args in ((arr[:, 0],), (arr[:, 0], arr[:, 1])):
+        want, inverse, counts = np.unique(
+            np.stack(args, axis=1), axis=0, return_inverse=True, return_counts=True)
+        got = _distinct_arguments(args)
+        assert got[0] == [tuple(x) for x in want.tolist()]
+        assert all(type(d) is int for x in got[0] for d in x)
+        assert got[1].tolist() == counts.tolist()
+        assert got[2].tolist() == inverse.reshape(-1).tolist()
 
 
 def test_custom_function_errors_name_the_offender():

@@ -1,10 +1,11 @@
+import collections
 import io
 import math
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import ReferencePrepared, edge_sets, mixed_graphs
+from helpers import ReferencePrepared, UnmemoizedPrepared, edge_sets, mixed_graphs
 from mtindex import inequalities
 from mtindex.graph import build_graph
 from mtindex.indices import MULTIPLICATIVE_NAMES, EdgeFunction, VertexFunction
@@ -17,11 +18,13 @@ from mtindex.inequalities import (
     check_jensen_converse,
     check_kober,
     check_petrovic_sum,
+    corpus_model_points,
     petrovic_counterexample,
     run_all_checks,
     verify_corpus,
     write_report_csv,
 )
+from mtindex.models import SeedDerivation, generate
 
 P3 = build_graph(3, [(0, 1), (1, 2)])
 K4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -231,3 +234,64 @@ def test_public_checks_are_entries_of_run_all_checks(g, f, window, window_ok):
     ]
     assert public == run_all_checks(g, f, window)
     assert public[1].hypothesis_ok == window_ok
+
+
+def _corpus_graphs(master_seed, sizes, graphs_per_size):
+    for point_id, (spec, reps) in enumerate(corpus_model_points(sizes, graphs_per_size)):
+        for replica in range(reps):
+            yield spec, generate(spec, SeedDerivation(master_seed, point_id, replica))
+
+
+def test_custom_functions_run_once_per_distinct_argument_across_the_corpus():
+    calls = collections.Counter()
+
+    def logged(*degrees):
+        calls[degrees] += 1
+        return float(sum(degrees)) + 0.5
+
+    functions = [VertexFunction("v", logged), EdgeFunction("e", logged)]
+    verify_corpus(5, sizes=(8, 16), graphs_per_size=10, functions=functions,
+                  include_counterexample=False)
+    seen = set()
+    for _, g in _corpus_graphs(5, (8, 16), 10):
+        seen.update((d,) for d in g.degrees.tolist() if d > 0)
+        seen.update(map(tuple, g.edge_degree_pairs().tolist()))
+    # Vertex arguments are 1-tuples and edge arguments 2-tuples, so they never collide.
+    assert calls == collections.Counter(seen)
+
+
+MEMO_FUNCTIONS = list(MULTIPLICATIVE_NAMES) + [
+    VertexFunction("shifted", lambda d: d + 1.0),
+    VertexFunction("third", lambda d: d / 3.0),     # ln F changes sign at d = 3
+    EdgeFunction("rootsum", lambda a, b: math.sqrt(a + b)),
+]
+
+
+def test_corpus_rows_equal_per_graph_checks_without_the_memo():
+    rows = verify_corpus(9, sizes=(8, 16), graphs_per_size=10, functions=MEMO_FUNCTIONS)
+    want = [
+        inequalities.CorpusCheck(spec.model, spec.n, spec.param_value, check)
+        for spec, g in _corpus_graphs(9, (8, 16), 10)
+        for f in MEMO_FUNCTIONS
+        for check in run_all_checks(g, f)
+    ]
+    assert rows[:-1] == want
+    assert rows[-1].model == "counterexample"
+
+
+REGULAR = [build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+           for n in range(3, 9)] + [build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+                                    for n in range(3, 9)]
+
+
+def test_memoized_preparations_equal_the_unmemoized_reference():
+    # The report rounds to floats; this compares every prepared quantity exactly.
+    # On regular graphs one argument carries all k, so a changed c*v*v shows.
+    graphs = REGULAR + [g for _, g in _corpus_graphs(13, (8, 16, 32), 10)]
+    memos = [{} for _ in MEMO_FUNCTIONS]
+    for g in graphs:
+        for f, memo in zip(MEMO_FUNCTIONS, memos):
+            got, want = inequalities._Prepared(g, f, memo), UnmemoizedPrepared(g, f)
+            for attr in ("name", "k", "sum", "sum_sq", "log_sum", "logs"):
+                assert getattr(got, attr) == getattr(want, attr), (attr, f, g)
+
