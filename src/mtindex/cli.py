@@ -2,6 +2,9 @@
 
 Every randomized command requires an explicit ``--seed``; reruns with
 identical flags (including ``--workers``) produce byte-identical output.
+Out-of-range flags, unreadable inputs, custom expressions outside the grammar,
+bad ``--out`` paths and failed replicas end the command with one ``error:`` line
+(exit status 1); a degree function that fails in ``verify`` exits 2 instead.
 An interrupt (Ctrl-C) ends any command with exit status 130 and one line on
 stderr; it leaves no partial output file and no temp file (``generate``
 keeps the edge-list files it finished).
@@ -12,6 +15,8 @@ from __future__ import annotations
 import argparse
 import ast
 import math
+import operator
+import os
 import sys
 from pathlib import Path
 
@@ -67,6 +72,14 @@ def _build_grid(args) -> list[models.ModelSpec]:
     return [models.random_geometric(n, r) for n in args.n for r in args.r]
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Stop before any work when ``--out`` is a directory or lies in a missing one."""
+    if out and os.path.isdir(out):
+        raise SystemExit(f"error: {out}: is a directory")
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise SystemExit(f"error: {os.path.dirname(out)}: no such output directory")
+
+
 def _point_tag(spec: models.ModelSpec) -> str:
     if spec.model == "br":
         size = f"n1-{spec.n1}_n2-{spec.n2}"
@@ -77,7 +90,7 @@ def _point_tag(spec: models.ModelSpec) -> str:
 
 def cmd_generate(args) -> int:
     grid = _build_grid(args)
-    outdir = Path(args.out)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for point_id, spec in enumerate(grid):
         for replica in range(args.replicas):
@@ -117,9 +130,6 @@ def cmd_sweep(args) -> int:
     max_n = max(spec.n for spec in grid)
     if args.budget < max_n:
         raise SystemExit(f"error: budget {args.budget} must be >= max n {max_n}")
-    for name in args.index:
-        if name not in MULTIPLICATIVE_NAMES:
-            raise SystemExit(f"error: unknown multiplicative index {name!r}")
     spec = ensemble.EnsembleSpec(
         grid=tuple(grid),
         indices=tuple(args.index),
@@ -128,10 +138,7 @@ def cmd_sweep(args) -> int:
         isolated_policy=args.policy,
         workers=args.workers,
     )
-    try:
-        rows = ensemble.sweep(spec)
-    except RuntimeError as exc:
-        raise SystemExit(f"error: {exc}")
+    rows = ensemble.sweep(spec)
     if args.out:
         ensemble.write_results_csv_path(rows, args.out)
     else:
@@ -148,10 +155,7 @@ def cmd_collapse(args) -> int:
             raise SystemExit(f"error: {path}: {exc}")
         for label, group in ensemble.split_curves(rows):
             tables.append((f"{Path(path).name}:{label}", group))
-    try:
-        report = ensemble.collapse_check(tables, args.index)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    report = ensemble.collapse_check(tables, args.index)
 
     lines = [
         "index,curve_a,curve_b,max_abs_deviation,k_at_max,pooled_sem,tolerance,within"
@@ -179,98 +183,84 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        if args.model == "br":
-            if args.d1 is None or args.d2 is None:
-                raise SystemExit("error: br prediction requires --d1 and --d2")
-            if args.per_vertex:
-                value = dense.predict_br_per_vertex(args.index, args.d1, args.d2)
-            else:
-                value = dense.predict_br(args.index, args.d1, args.d2)
+    if args.model == "br":
+        if args.d1 is None or args.d2 is None:
+            raise SystemExit("error: br prediction requires --d1 and --d2")
+        if args.per_vertex:
+            value = dense.predict_br_per_vertex(args.index, args.d1, args.d2)
         else:
-            if args.k is None:
-                raise SystemExit("error: er/rg prediction requires --k")
-            value = dense.predict(args.model, args.index, args.k)
-    except (ValueError, KeyError) as exc:
-        raise SystemExit(f"error: {exc}")
+            value = dense.predict_br(args.index, args.d1, args.d2)
+    else:
+        if args.k is None:
+            raise SystemExit("error: er/rg prediction requires --k")
+        value = dense.predict(args.model, args.index, args.k)
     print(_fmt(value))
     return 0
 
 
-_CUSTOM_CALLS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp}
-_CUSTOM_CONSTANTS = {"pi": math.pi, "e": math.e}
-_CUSTOM_ARGS = {"vertex": ("d",), "edge": ("a", "b", "du", "dv")}
-_CUSTOM_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-
-
-def _check_custom(node: ast.AST, names: tuple[str, ...]) -> None:
-    """Reject any expression node outside the custom-function grammar.
-
-    Allowed: int/float literals, the argument names and pi/e, ``+ - * / **``,
-    unary minus, and one-argument calls of sqrt/log/exp.
-    """
-    children: list[ast.AST] = []
-    if isinstance(node, ast.Constant):
-        ok = type(node.value) in (int, float)
-    elif isinstance(node, ast.Name):
-        ok = node.id in names or node.id in _CUSTOM_CONSTANTS
-    elif isinstance(node, ast.BinOp):
-        ok = isinstance(node.op, _CUSTOM_BINOPS)
-        children = [node.left, node.right]
-    elif isinstance(node, ast.UnaryOp):
-        ok = isinstance(node.op, ast.USub)
-        children = [node.operand]
-    elif isinstance(node, ast.Call):
-        ok = (isinstance(node.func, ast.Name) and node.func.id in _CUSTOM_CALLS
-              and len(node.args) == 1 and not node.keywords)
-        children = node.args
-    else:
-        ok = False
-    if not ok:
-        raise ValueError(f"{ast.unparse(node)!r} is not allowed")
-    for child in children:
-        _check_custom(child, names)
-
-
-def _real(value) -> float:
-    # A negative base to a fractional power yields a complex number.
+def _power(base, exponent):
+    # A negative base to a fractional power is the grammar's one way out of the reals.
+    value = base ** exponent
     if isinstance(value, complex):
         raise ValueError(f"complex result {value!r}")
-    return float(value)
+    return value
 
 
-def _parse_custom(defs: list[str], arity: str):
+_CUSTOM_CALLS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp}
+_CUSTOM_CONSTANTS = {"pi": math.pi, "e": math.e}
+# Argument name -> position in the degree tuple.
+_CUSTOM_ARGS = {VertexFunction: {"d": 0}, EdgeFunction: {"a": 0, "b": 1, "du": 0, "dv": 1}}
+_CUSTOM_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                  ast.Div: operator.truediv, ast.Pow: _power}
+
+
+def _custom_closure(node: ast.AST, args: dict[str, int]):
+    """Closure over the degree tuple that evaluates ``node`` in the custom grammar.
+
+    Allowed: int/float literals, the argument names and pi/e, ``+ - * / **``,
+    unary minus, and one-argument calls of sqrt/log/exp.  Any other node is
+    rejected with a ValueError naming it, before anything is evaluated.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return lambda x, value=node.value: value
+    if isinstance(node, ast.Name) and node.id in _CUSTOM_CONSTANTS:
+        return lambda x, value=_CUSTOM_CONSTANTS[node.id]: value
+    if isinstance(node, ast.Name) and node.id in args:
+        return lambda x, i=args[node.id]: x[i]
+    if isinstance(node, ast.BinOp) and type(node.op) in _CUSTOM_BINOPS:
+        op = _CUSTOM_BINOPS[type(node.op)]
+        left, right = _custom_closure(node.left, args), _custom_closure(node.right, args)
+        return lambda x: op(left(x), right(x))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand = _custom_closure(node.operand, args)
+        return lambda x: -operand(x)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _CUSTOM_CALLS and len(node.args) == 1 and not node.keywords):
+        fn, arg = _CUSTOM_CALLS[node.func.id], _custom_closure(node.args[0], args)
+        return lambda x: fn(arg(x))
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+
+
+def _parse_custom(defs: list[str], kind: type):
     out = []
-    names = _CUSTOM_ARGS[arity]
-    env = {"__builtins__": {}, **_CUSTOM_CALLS, **_CUSTOM_CONSTANTS}
     for item in defs:
         if "=" not in item:
             raise SystemExit(f"error: custom function must be NAME=EXPR, got {item!r}")
         name, expr = item.split("=", 1)
         try:
-            tree = ast.parse(expr, mode="eval")
-            _check_custom(tree.body, names)
-        except SyntaxError as exc:
-            raise SystemExit(f"error: custom function {name!r}: {exc.msg}")
-        except ValueError as exc:
-            raise SystemExit(f"error: custom function {name!r}: {exc}")
-        code = compile(tree, f"<{name}>", "eval")
+            closure = _custom_closure(ast.parse(expr, mode="eval").body, _CUSTOM_ARGS[kind])
+        except (SyntaxError, ValueError) as exc:
+            raise SystemExit(f"error: custom function {name!r}: {getattr(exc, 'msg', exc)}")
         # Float arguments: integer powers such as d**d**d would otherwise grow
         # without bound, where float ones overflow into an error.
-        if arity == "vertex":
-            fn = lambda d, _c=code: _real(eval(_c, env, {"d": float(d)}))
-            out.append(VertexFunction(name, fn))
-        else:
-            fn = lambda a, b, _c=code: _real(
-                eval(_c, env, {"a": float(a), "b": float(b), "du": float(a), "dv": float(b)}))
-            out.append(EdgeFunction(name, fn))
+        out.append(kind(name, lambda *degrees, _c=closure: float(_c(tuple(map(float, degrees))))))
     return out
 
 
 def cmd_verify(args) -> int:
     functions = list(MULTIPLICATIVE_NAMES)
-    functions += _parse_custom(args.custom_vertex, "vertex")
-    functions += _parse_custom(args.custom_edge, "edge")
+    functions += _parse_custom(args.custom_vertex, VertexFunction)
+    functions += _parse_custom(args.custom_edge, EdgeFunction)
     try:
         rows = inequalities.verify_corpus(
             args.seed,
@@ -278,7 +268,7 @@ def cmd_verify(args) -> int:
             graphs_per_size=args.graphs,
             functions=functions,
         )
-    except (EvaluationError, ValueError) as exc:
+    except EvaluationError as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
         return 2
 
@@ -333,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write edge-list files for sampled instances")
     add_model_flags(p, budgeted=False)
     p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--out", dest="outdir", default=".", help="output directory (made if missing)")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("index", help="compute index values for edge-list files")
@@ -388,8 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _check_out_dir(getattr(args, "out", None))
     try:
         return args.fn(args)
+    except (ValueError, RuntimeError) as exc:
+        raise SystemExit(f"error: {exc}")
     except KeyboardInterrupt:
         # Every output file goes through atomic_write, so none is left behind.
         print(f"{args.command}: interrupted", file=sys.stderr)

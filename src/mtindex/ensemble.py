@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -145,6 +145,15 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
     )
 
 
+class _InProcess(Executor):
+    """Executor that runs each submitted block at once, in this process."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def _pool_blocks(pool, args, replicas: int, workers: int) -> list:
     """Split [0, replicas) into contiguous blocks, run them on ``pool``, keep order."""
     n_blocks = min(workers, replicas)
@@ -173,21 +182,17 @@ def run_point(
     point_id: int = 0,
     isolated_policy: str = EXCLUDE,
     workers: int = 1,
-    _executor: ProcessPoolExecutor | None = None,
+    _executor: Executor | None = None,
 ) -> list[EnsembleStats]:
-    """Run one grid point; returns one :class:`EnsembleStats` per index."""
-    indices = tuple(indices)
-    if replicas < 1:
-        raise ValueError("replica count must be >= 1")
-    args = (point, indices, isolated_policy, master_seed, point_id)
+    """Run one grid point; returns one :class:`EnsembleStats` per index.
 
-    if workers == 1 and _executor is None:
-        blocks = [_replica_block(*args, 0, replicas)]
-    elif _executor is not None:
-        blocks = _pool_blocks(_executor, args, replicas, workers)
-    else:
-        with _process_pool(workers) as pool:
-            blocks = _pool_blocks(pool, args, replicas, workers)
+    Runs ``min(workers, replicas)`` replica blocks on ``_executor``, else in this process.
+    """
+    indices = tuple(indices)
+    if replicas < 1 or workers < 1:
+        raise ValueError(f"replica and worker counts must be >= 1, got {replicas}, {workers}")
+    args = (point, indices, isolated_policy, master_seed, point_id)
+    blocks = _pool_blocks(_executor or _InProcess(), args, replicas, workers)
 
     # Reassemble in ascending replica order regardless of how blocks ran.
     values = np.concatenate([b[0] for b in blocks], axis=1)

@@ -1,5 +1,6 @@
 """Shared deterministic graph streams and reference implementations for the test suite."""
 
+import ast
 import math
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from mtindex.graph import GraphError, build_graph
-from mtindex.indices import VertexFunction, _checked, _resolve
+from mtindex.indices import EdgeFunction, VertexFunction, _checked, _resolve
 from mtindex.inequalities import _PREC as PREC
 from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
 
@@ -270,3 +271,108 @@ class UnmemoizedPrepared:
             self.sum = mp.fsum(c * v for c, v in zip(counts, values))
             self.sum_sq = mp.fsum(c * v * v for c, v in zip(counts, values))
             self.log_sum = mp.fsum(c * x for c, x in zip(counts, self.logs))
+
+
+# The custom-expression front end of the CLI before it became one AST walk:
+# a whitelist over the tree, then compile and eval with float arguments.
+# ``cli._parse_custom`` must give the same bits and the same errors.
+_CUSTOM_CALLS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp}
+_CUSTOM_CONSTANTS = {"pi": math.pi, "e": math.e}
+_CUSTOM_ARGS = {"vertex": ("d",), "edge": ("a", "b", "du", "dv")}
+_CUSTOM_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _check_custom(node: ast.AST, names: tuple[str, ...]) -> None:
+    """Reject any expression node outside the custom-function grammar.
+
+    Allowed: int/float literals, the argument names and pi/e, ``+ - * / **``,
+    unary minus, and one-argument calls of sqrt/log/exp.
+    """
+    children: list[ast.AST] = []
+    if isinstance(node, ast.Constant):
+        ok = type(node.value) in (int, float)
+    elif isinstance(node, ast.Name):
+        ok = node.id in names or node.id in _CUSTOM_CONSTANTS
+    elif isinstance(node, ast.BinOp):
+        ok = isinstance(node.op, _CUSTOM_BINOPS)
+        children = [node.left, node.right]
+    elif isinstance(node, ast.UnaryOp):
+        ok = isinstance(node.op, ast.USub)
+        children = [node.operand]
+    elif isinstance(node, ast.Call):
+        ok = (isinstance(node.func, ast.Name) and node.func.id in _CUSTOM_CALLS
+              and len(node.args) == 1 and not node.keywords)
+        children = node.args
+    else:
+        ok = False
+    if not ok:
+        raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+    for child in children:
+        _check_custom(child, names)
+
+
+def _real(value) -> float:
+    # A negative base to a fractional power yields a complex number.
+    if isinstance(value, complex):
+        raise ValueError(f"complex result {value!r}")
+    return float(value)
+
+
+def reference_parse_custom(defs: list[str], arity: str):
+    out = []
+    names = _CUSTOM_ARGS[arity]
+    env = {"__builtins__": {}, **_CUSTOM_CALLS, **_CUSTOM_CONSTANTS}
+    for item in defs:
+        if "=" not in item:
+            raise SystemExit(f"error: custom function must be NAME=EXPR, got {item!r}")
+        name, expr = item.split("=", 1)
+        try:
+            tree = ast.parse(expr, mode="eval")
+            _check_custom(tree.body, names)
+        except SyntaxError as exc:
+            raise SystemExit(f"error: custom function {name!r}: {exc.msg}")
+        except ValueError as exc:
+            raise SystemExit(f"error: custom function {name!r}: {exc}")
+        code = compile(tree, f"<{name}>", "eval")
+        # Float arguments: integer powers such as d**d**d would otherwise grow
+        # without bound, where float ones overflow into an error.
+        if arity == "vertex":
+            fn = lambda d, _c=code: _real(eval(_c, env, {"d": float(d)}))
+            out.append(VertexFunction(name, fn))
+        else:
+            fn = lambda a, b, _c=code: _real(
+                eval(_c, env, {"a": float(a), "b": float(b), "du": float(a), "dv": float(b)}))
+            out.append(EdgeFunction(name, fn))
+    return out
+
+
+# Leaves that the grammar allows besides the argument names, and nodes it rejects.
+_CUSTOM_LITERALS = ["0", "1", "2", "3", "0.5", "1.5", "2.0", "1e-3", "1e300", "pi", "e"]
+_CUSTOM_REJECTED = ["True", "None", "x", "1j", "'s'", "d.real", "abs(d)", "sqrt(d, d)",
+                    "sqrt(x=d)", "sqrt(d, x=d)", "(d // 2)", "(d % 2)", "+d", "(d < 2)", "[d][0]"]
+
+
+@st.composite
+def custom_expressions(draw, names, depth=4, power=True):
+    """Source text of an expression in the custom-function grammar over ``names``,
+    now and then with one node the grammar rejects.
+
+    An exponent holds no ``**`` and at most one operator, so integer powers stay
+    small: with literals up to 3 and depth 4 no integer exceeds 3**(9**4).
+    """
+    leaf = st.sampled_from([*names, *_CUSTOM_LITERALS])
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.integers(0, 40)) == 0:
+            return draw(st.sampled_from(_CUSTOM_REJECTED))
+        return draw(leaf)
+    ops = ["+", "-", "*", "/", "neg", "call"] + (["**"] if power else [])
+    op = draw(st.sampled_from(ops))
+    sub = custom_expressions(names, depth - 1, power)
+    if op == "neg":
+        return f"-{draw(sub)}"
+    if op == "call":
+        return f"{draw(st.sampled_from(['sqrt', 'log', 'exp']))}({draw(sub)})"
+    if op == "**":
+        exponent = custom_expressions(names, 1, power=False)
+        return f"({draw(sub)} ** {draw(exponent)})"
+    return f"({draw(sub)} {op} {draw(sub)})"

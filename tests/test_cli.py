@@ -9,13 +9,26 @@ import time
 from pathlib import Path
 
 import pytest
-from helpers import BrokenPool, InlinePool, InterruptedPool
+from helpers import (
+    BrokenPool,
+    InlinePool,
+    InterruptedPool,
+    custom_expressions,
+    reference_parse_custom,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mtindex
 from mtindex import cli, ensemble, graph, inequalities, models
 from mtindex.cli import main
 from mtindex.graph import write_edge_list_path
-from mtindex.indices import MULTIPLICATIVE_NAMES, ln_indices_from_arrays
+from mtindex.indices import (
+    MULTIPLICATIVE_NAMES,
+    EdgeFunction,
+    VertexFunction,
+    ln_indices_from_arrays,
+)
 from mtindex.models import SeedDerivation, erdos_renyi, generate
 
 
@@ -207,7 +220,8 @@ def test_verify_valid_custom_functions(capsys):
     "expr, where",
     [("x=1/(d-1)", "degree 1: float division by zero"),
      ("x=d**d**d", "degree 5: (34, 'Numerical result out of range')"),
-     ("x=(d-2)**0.5", "degree 1: complex result")],
+     ("x=(d-2)**0.5", "degree 1: complex result"),
+     ("x=sqrt((d-2)**0.5)", "degree 1: complex result")],
 )
 def test_verify_failing_custom_expression_aborts(capsys, expr, where):
     # Float arguments: d**d**d overflows at degree 5 instead of building 5**3125.
@@ -240,6 +254,57 @@ def test_verify_rejects_code_in_custom_expressions(capsys):
             main(["verify", "--seed", "11", "--custom-vertex", bad])
 
 
+def _outcome(fn, degrees):
+    """The float bits ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*degrees).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _agrees_with_the_reference(expr, arity, degree_args):
+    kind = VertexFunction if arity == "vertex" else EdgeFunction
+    try:
+        (want,) = reference_parse_custom([f"x={expr}"], arity)
+    except SystemExit as exc:
+        with pytest.raises(SystemExit) as info:
+            cli._parse_custom([f"x={expr}"], kind)
+        assert info.value.code == exc.code
+        return
+    (got,) = cli._parse_custom([f"x={expr}"], kind)
+    for degrees in degree_args:
+        expected, actual = _outcome(want.fn, degrees), _outcome(got.fn, degrees)
+        walk_complex = actual[0] is ValueError and actual[1].startswith("complex result")
+        # The reference meets a complex number at a ``**`` and carries it on:
+        # into sqrt/log/exp (TypeError) or to the end (complex result).
+        ref_complex = expected[0] is TypeError or (
+            expected[0] is ValueError and expected[1].startswith("complex result"))
+        if walk_complex or ref_complex:
+            # The walk stops at that ``**``; the reference cannot return a float.
+            assert walk_complex and not isinstance(expected, str), (expr, degrees, expected)
+        else:
+            assert actual == expected, (expr, degrees)
+
+
+@settings(max_examples=400, deadline=None)
+@given(custom_expressions(("d",)))
+@example("sqrt((d - 2) ** 0.5)")                      # TypeError in the reference
+@example("(d - 2) ** 0.5 + 1 / 0")                    # complex, then a plain error
+@example("1 / ((d - 2) ** 0.5 - (d - 2) ** 0.5)")     # complex division by zero
+@example("d ** d ** d")
+def test_custom_vertex_walk_matches_the_eval_reference(expr):
+    _agrees_with_the_reference(expr, "vertex", [(d,) for d in range(1, 41)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(custom_expressions(("a", "b", "du", "dv")),
+       st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=12))
+@example("log((a - du - 1) ** 1.5) + dv", [])
+@example("2 * sqrt(du * dv) / (a + b)", [])
+def test_custom_edge_walk_matches_the_eval_reference(expr, pairs):
+    _agrees_with_the_reference(expr, "edge", [(1, 1), (1, 2), (2, 1), (40, 40), *pairs])
+
+
 def test_sweep_worker_failure_is_a_one_line_error(tmp_path, monkeypatch):
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", BrokenPool)
     out = tmp_path / "sweep.csv"
@@ -266,6 +331,25 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
               "--budget", "80", "--seed", "5", "--out", str(out)])
     assert not out.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--model", "er", "--n", "40", "--p", "0.1", "--index", "nk", "--seed", "5",
+      "--workers", "0"], "workers must be >= 1"),
+    (["sweep", "--model", "er", "--n", "40", "--p", "1.5", "--index", "nk", "--seed", "5"],
+     "p must lie in [0, 1], got 1.5"),
+    (["generate", "--model", "er", "--n", "10", "--p", "1.5", "--seed", "1"],
+     "p must lie in [0, 1], got 1.5"),
+    (["sweep", "--model", "rg", "--n", "40", "--r", "2", "--index", "nk", "--seed", "5"],
+     "r must lie in [0, sqrt(2)], got 2.0"),
+    (["verify", "--seed", "1", "--sizes", "0"], "size must be a positive integer, got n=0"),
+], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0"])
+def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(out)])
+    assert info.value.code == f"error: {message}"
+    assert not out.exists()
 
 
 def _interrupt(*args, **kwargs):
@@ -327,6 +411,26 @@ def test_interrupt_exits_130_and_leaves_no_output(tmp_path, monkeypatch, capsys,
     left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
     # generate makes its output directory before the first file.
     assert left == ["in", "in/g.edges"] + (["out"] if command == "generate" else [])
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started work before checking --out")
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (SWEEP, ensemble, "sweep"),
+    (["verify", "--seed", "3", "--sizes", "8", "--graphs", "10"], inequalities, "verify_corpus"),
+], ids=["sweep", "verify"])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_bad_output_path_stops_before_any_work(tmp_path, monkeypatch, argv, module, name,
+                                               where):
+    monkeypatch.setattr(module, name, _no_work)
+    out = tmp_path / "missing" / "out.csv" if where == "missing" else tmp_path
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(out)])
+    assert info.value.code == {"missing": f"error: {out.parent}: no such output directory",
+                               "directory": f"error: {out}: is a directory"}[where]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_interrupted_pool_sweep_cancels_queued_blocks(tmp_path, monkeypatch, capsys):

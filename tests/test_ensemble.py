@@ -1,5 +1,6 @@
 import io
 import math
+import multiprocessing
 import signal
 from concurrent.futures.process import BrokenProcessPool
 
@@ -208,6 +209,20 @@ def test_any_contiguous_partition_gives_the_same_stats(data):
     got = run_point(point, ["nk", "pi2", "gapi"], replicas, SEED, workers=workers,
                     _executor=InlinePool(cuts), **kwargs)
     assert repr(got) == repr(want)  # repr, so that NaN means equal NaN
+
+
+def test_run_point_without_an_executor_starts_no_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("run_point started a process pool")
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+    point = erdos_renyi(30, 0.2)
+    one = run_point(point, ["nk", "pi2"], 9, SEED, workers=1)
+    two = run_point(point, ["nk", "pi2"], 9, SEED, workers=2)
+    assert repr(two) == repr(one)
+    with pytest.raises(ValueError, match="worker counts must be >= 1"):
+        run_point(point, ["nk"], 9, SEED, workers=0)
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_workers_ignore_ctrl_c():
