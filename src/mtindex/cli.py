@@ -91,7 +91,10 @@ def _point_tag(spec: models.ModelSpec) -> str:
 def cmd_generate(args) -> int:
     grid = _build_grid(args)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise SystemExit(f"error: {outdir}: not a directory")
     for point_id, spec in enumerate(grid):
         for replica in range(args.replicas):
             seed = models.SeedDerivation(args.seed, point_id, replica)

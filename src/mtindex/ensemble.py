@@ -62,6 +62,8 @@ class EnsembleSpec:
             raise ValueError(f"grid mixes model kinds {sorted(kinds)}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not math.isfinite(self.budget):
+            raise ValueError(f"budget must be finite, got {self.budget}")
 
 
 def replicas_for(n: int, budget: float = DEFAULT_BUDGET) -> int:

@@ -10,9 +10,10 @@ edges are legal everywhere.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -50,6 +51,32 @@ class Graph:
     def edge_degree_pairs(self) -> np.ndarray:
         """``(m, 2)`` array of ``(d_u, d_v)`` per edge in canonical edge order."""
         return self.degrees[self.edges]
+
+    @functools.cached_property
+    def histogram(self) -> DegreeHistogram:
+        """The :class:`DegreeHistogram`, built on first use and kept."""
+        return DegreeHistogram.of(self.degrees, *self.edge_degree_pairs().T)
+
+
+class DegreeHistogram(NamedTuple):
+    """All that a degree-based index reads of a graph: ``vertex[d]`` counts the
+    vertices of degree d (slot 0: isolated), ``pair_counts`` the edges of each
+    distinct ordered degree pair in ``pairs = (d_u, d_v)``, lexicographic."""
+
+    vertex: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
+    pair_counts: np.ndarray
+
+    @classmethod
+    def of(cls, deg: np.ndarray, du: np.ndarray, dv: np.ndarray) -> DegreeHistogram:
+        """From the degrees and each edge's endpoint degrees; O(n + m), read-only."""
+        # Ascending keys d_u*K + d_v (K = max degree + 1) are lexicographic pairs.
+        base = int(max(du.max(), dv.max())) + 1 if du.size else 1
+        keys, counts = np.unique(du * base + dv, return_counts=True)
+        h = cls(np.bincount(deg), tuple(np.divmod(keys, base)), counts)
+        for a in (h.vertex, *h.pairs, h.pair_counts):
+            a.setflags(write=False)
+        return h
 
 
 @dataclass(frozen=True)

@@ -8,27 +8,28 @@ Two families of graph invariants over a degree function F:
 Multiplicative values explode far beyond double range (the second
 multiplicative Zagreb index of a 1000-vertex network with mean degree 10 is
 around e^23000), so this module never forms the raw product: it returns
-``ln X_prod``, the ``np.sum`` of the k log-factors in canonical vertex/edge
-order.  Every built-in or custom index, one graph or many, runs through one
-evaluator with that one reduction.  :func:`exact_ln_oracle` recomputes the
-product itself in 240-bit precision for small graphs and is the independent
-check on that accumulation.
+``ln X_prod``.  Every index, one graph or many, runs through one evaluator:
+the rule once per distinct degree or degree pair of the graph's histogram,
+one numpy sum of the count-weighted terms.  :func:`exact_ln_oracle` forms
+the product itself, factor by factor, in 240-bit precision for small graphs
+and is the independent check on that accumulation.
 
 Error bound.  With unit roundoff u = 2^-53 and gamma_j = j*u / (1 - j*u),
 the computed value S^ of S = sum ln F_i over k factors obeys
 
     |S^ - S| <= gamma_(k-1) * sum |t_i|  +  4u * sum (1 + |t_i|)
 
-where t_i are the computed log-factors.  The first term bounds any order of
-the k-1 additions (Higham, *Accuracy and Stability of Numerical Algorithms*,
-2nd ed., section 4.2), so it covers numpy's pairwise sum, whose tree depth of
-O(log k) makes the actual error far smaller; ``compensated=True``
-(``math.fsum``) drops it to one rounding, u*|S|.  The second term is the
-error of each log-factor: each built-in forms the argument of its log from
-exact integers with at most three rounded operations (an absolute error of
-at most 3.0001u after the log), the log itself is within one ulp (2u*|t_i|),
-and the scalings by 2 and -1/2 are exact.  The tests hold every built-in to
-this bound against the oracle.
+where t_i are the computed log-factors.  The first term bounds the reduction
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section
+4.2): d terms c_j*t_j over the distinct arguments, each rounded once, and d-1
+additions in any order stay within gamma_d * sum |t_i|; when every count c_j
+is 1, d = k and the terms are exact, else d < k.  ``compensated=True``
+(``math.fsum``) leaves one rounding of the additions, u*|S|.  The second term
+is the error of each log-factor: a built-in forms its log's argument from
+exact integers with at most three rounded operations (3.0001u after the log),
+the log is within one ulp (2u*|t_i|), the scalings by 2 and -1/2 are exact,
+and the 2u*|t_i| left covers the rounding of c_j*t_j under ``compensated``.
+The tests hold every built-in to this bound against the oracle.
 
 Vertex-based products are zero on graphs with isolated vertices.  The
 ``isolated_policy`` argument picks between excluding those vertices from the
@@ -46,7 +47,7 @@ from typing import Callable, Iterable, Union
 import numpy as np
 from mpmath import mp
 
-from .graph import Graph
+from .graph import DegreeHistogram, Graph
 
 EXCLUDE = "exclude"
 LOGZERO = "logzero"
@@ -193,24 +194,15 @@ MULTIPLICATIVE_NAMES = tuple(MULTIPLICATIVE_INDICES)
 ADDITIVE_NAMES = tuple(_ADDITIVE)
 
 
-def _distinct_arguments(
-    args: tuple[np.ndarray, ...],
-) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """The distinct arguments of a rule over ``(d,)`` or ``(d_u, d_v)`` degree arrays.
-
-    Returns the distinct arguments as tuples of Python ints in lexicographic
-    order, how often each occurs, and each element's position among them.
-    An edge argument is keyed as ``d_u*K + d_v`` with K = max degree + 1, so
-    one 1-D ``np.unique`` does the work in O(m) memory; ascending keys are
-    lexicographic pairs.
-    """
-    if len(args) == 1:
-        keys, inverse, counts = np.unique(args[0], return_inverse=True, return_counts=True)
-        return [(x,) for x in keys.tolist()], counts, inverse
-    du, dv = args
-    base = int(max(du.max(), dv.max())) + 1 if du.size else 1
-    keys, inverse, counts = np.unique(du * base + dv, return_inverse=True, return_counts=True)
-    return list(zip(*(a.tolist() for a in np.divmod(keys, base)))), counts, inverse
+def _distinct_arguments(h: DegreeHistogram, rule: _Rule) -> tuple[tuple, np.ndarray, int]:
+    """Distinct arguments of ``rule`` in ``h`` (ascending degrees ``(d,)`` or
+    lexicographic pairs ``(d_u, d_v)``), their counts, and the isolated
+    vertices skipped (degree 0 is an argument only where the rule is defined)."""
+    if rule.arity == "edge":
+        return h.pairs, h.pair_counts, 0
+    start = 0 if rule.defined_at_zero else 1
+    d = np.flatnonzero(h.vertex[start:]) + start
+    return (d,), h.vertex[d], int(h.vertex[:start].sum())
 
 
 def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) -> _Rule:
@@ -225,9 +217,7 @@ def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) 
         f = _checked(kind.fn, kind.name)
 
         def value(*args: np.ndarray) -> np.ndarray:
-            # One call per distinct (ordered) argument, gathered back per element.
-            distinct, _, inverse = _distinct_arguments(args)
-            return np.array([f(*x) for x in distinct])[inverse]
+            return np.array([f(*x) for x in zip(*(a.tolist() for a in args))])
 
         return _Rule(
             kind.name,
@@ -244,38 +234,20 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"unknown isolated policy {policy!r}")
 
 
-def _degree_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return g.degrees, g.degrees[g.edges[:, 0]], g.degrees[g.edges[:, 1]]
-
-
 def _evaluate(
-    fn: Callable,
-    rule: _Rule,
-    deg: np.ndarray,
-    du: np.ndarray,
-    dv: np.ndarray,
-    policy: str,
-    compensated: bool = False,
+    fn: Callable, rule: _Rule, h: DegreeHistogram, policy: str, compensated: bool = False
 ) -> tuple[float, int] | None:
-    """Sum ``fn`` (``rule.ln`` or ``rule.value``) over the vertex degrees or
-    the edge endpoint degrees.
+    """Sum ``fn`` (``rule.ln`` or ``rule.value``) over the vertices or edges
+    summarized by ``h``: once per distinct argument, weighted by its count.
 
     Returns ``(total, excluded)``, or ``None`` when the ``logzero`` policy
     meets an isolated vertex at which the rule is undefined.
     """
-    excluded = 0
-    if rule.arity == "edge":
-        args = (du, dv)
-    elif rule.defined_at_zero:
-        args = (deg,)
-    else:
-        nonzero = deg[deg > 0]
-        excluded = deg.shape[0] - nonzero.shape[0]
-        if excluded and policy == LOGZERO:
-            return None
-        args = (nonzero,)
-    terms = fn(*args)
-    return (math.fsum(terms) if compensated else float(np.sum(terms))), excluded
+    args, counts, excluded = _distinct_arguments(h, rule)
+    if excluded and policy == LOGZERO:
+        return None
+    terms = counts * fn(*args)
+    return (math.fsum(terms) if compensated else float(terms.sum())), excluded
 
 
 def ln_multiplicative_index(
@@ -283,13 +255,13 @@ def ln_multiplicative_index(
 ) -> LogIndexValue:
     """ln of the multiplicative index of ``g``.
 
-    The ln-factors are summed by ``np.sum`` (see the module docstring for the
-    error bound); ``compensated=True`` switches the reduction to
-    ``math.fsum``.  An empty product yields ``Finite(0)``.
+    The count-weighted ln-factors are summed by numpy (see the module
+    docstring for the error bound); ``compensated=True`` switches the
+    reduction to ``math.fsum``.  An empty product yields ``Finite(0)``.
     """
     _check_policy(isolated_policy)
     rule = _resolve(kind)
-    res = _evaluate(rule.ln, rule, *_degree_arrays(g), isolated_policy, compensated)
+    res = _evaluate(rule.ln, rule, g.histogram, isolated_policy, compensated)
     return LogIndexValue.log_zero() if res is None else LogIndexValue(*res)
 
 
@@ -305,7 +277,7 @@ def additive_index(
     """
     _check_policy(isolated_policy)
     rule = _resolve(kind, _ADDITIVE)
-    res = _evaluate(rule.value, rule, *_degree_arrays(g), isolated_policy, compensated)
+    res = _evaluate(rule.value, rule, g.histogram, isolated_policy, compensated)
     return math.inf if res is None else res[0]
 
 
@@ -347,12 +319,13 @@ def ln_indices_from_arrays(
 
     ``deg`` is the full degree sequence; ``du``/``dv`` are edge endpoint
     degrees in canonical edge order.  This is the ensemble path; it runs the
-    same evaluator, so it returns the same bits as the per-graph function.
+    same evaluator on one histogram, so it returns the per-graph function's bits.
     """
     _check_policy(isolated_policy)
+    h = DegreeHistogram.of(deg, du, dv)
     out = []
     for kind in kinds:
         rule = _resolve(kind)
-        res = _evaluate(rule.ln, rule, deg, du, dv, isolated_policy)
+        res = _evaluate(rule.ln, rule, h, isolated_policy)
         out.append(LogIndexValue.log_zero() if res is None else LogIndexValue(*res))
     return out

@@ -6,17 +6,14 @@ mpmath arithmetic because the raw product appears un-logged in several of the
 bounds and overflows doubles already on mid-sized graphs; reported lhs/rhs
 are rounded to floats afterwards (possibly to inf) while ``holds`` is decided
 at full precision.  The six checks read one preparation per (graph,
-function): k, the sums of F and F^2, the sum of ln F and its min/max.
+function), made from the graph's degree histogram: k, the sums of F and F^2,
+the sum of ln F and its min/max.
 
-The preparation works over the distinct degrees, or ordered degree pairs
-keyed as the single integer ``d_u*K + d_v`` (K = max degree + 1), with their
-counts.  :func:`verify_corpus` keeps one memo per function for the length of
-one call: each distinct argument's F and ln F, computed at the working
+:func:`verify_corpus` keeps one memo per function for the length of one
+call: each distinct argument's F and ln F, computed at the working
 precision.  The exact rule thus runs once per distinct argument of the whole
-corpus, and the memo holds at most that many entries (a few hundred per
-function on the default corpus, whose degrees are below 32).  The sums are
-formed from the memoized values exactly as without the memo, so no result
-bit changes.
+corpus, the memo holds at most that many entries (a few hundred per function
+on the default corpus, whose degrees are below 32), and no result bit changes.
 
 Conventions: every inequality is oriented ``lhs <= rhs``; ``slack = rhs -
 lhs``; ``holds`` tolerates slack down to ``-1e-9 * max(1, |lhs|, |rhs|)``.
@@ -124,13 +121,9 @@ class _Prepared:
     def __init__(self, g: Graph, f: FunctionKind, memo: dict | None = None):
         rule = _resolve(f)
         self.name = rule.name
-        if rule.arity == "vertex":
-            args = (g.degrees[g.degrees > 0],)
-        else:
-            args = tuple(g.edge_degree_pairs().T)
-        self.k = args[0].shape[0]
-        distinct, counts, _ = _distinct_arguments(args)
-        counts = counts.tolist()
+        args, counts, _ = _distinct_arguments(g.histogram, rule)
+        distinct, counts = list(zip(*(a.tolist() for a in args))), counts.tolist()
+        self.k = sum(counts)
         memo = {} if memo is None else memo
         with mp.workprec(_PREC):
             for x in distinct:
@@ -261,6 +254,8 @@ def corpus_model_points(
     Per model and size: a 10-value parameter grid, graphs split evenly over
     the grid.
     """
+    if graphs_per_size < 1:
+        raise ValueError(f"graphs per size must be >= 1, got {graphs_per_size}")
     params = [(i + 1) / 10.0 for i in range(10)]
     reps = max(1, graphs_per_size // len(params))
     cells = []

@@ -9,8 +9,8 @@ import numpy as np
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mtindex.graph import GraphError, build_graph
-from mtindex.indices import EdgeFunction, VertexFunction, _checked, _resolve
+from mtindex.graph import DegreeHistogram, GraphError, build_graph
+from mtindex.indices import LOGZERO, EdgeFunction, VertexFunction, _checked, _resolve
 from mtindex.inequalities import _PREC as PREC
 from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
 
@@ -201,6 +201,43 @@ def model_graphs(master_seed, model, count, sizes=(6, 10, 14, 18, 20), params=(0
                 yield generate(spec, SeedDerivation(master_seed, si * len(params) + pi, replica))
                 produced += 1
         replica += 1
+
+
+# The evaluator before the degree histogram: every rule applied to every
+# vertex or edge, then one reduction.  Kept verbatim as the reference.
+def _degree_arrays(g):
+    return g.degrees, g.degrees[g.edges[:, 0]], g.degrees[g.edges[:, 1]]
+
+
+def _evaluate(fn, rule, deg, du, dv, policy, compensated=False):
+    excluded = 0
+    if rule.arity == "edge":
+        args = (du, dv)
+    elif rule.defined_at_zero:
+        args = (deg,)
+    else:
+        nonzero = deg[deg > 0]
+        excluded = deg.shape[0] - nonzero.shape[0]
+        if excluded and policy == LOGZERO:
+            return None
+        args = (nonzero,)
+    terms = fn(*args)
+    return (math.fsum(terms) if compensated else float(np.sum(terms))), excluded
+
+
+def reference_evaluate(g, fn, rule, policy, compensated=False):
+    """``(total, excluded)`` of ``fn`` summed per vertex or per edge of ``g``,
+    or ``None`` for a log-zero."""
+    return _evaluate(fn, rule, *_degree_arrays(g), policy, compensated)
+
+
+def count_histograms(monkeypatch):
+    """A list that gains one entry each time a degree histogram is built."""
+    built = []
+    of = DegreeHistogram.of.__func__
+    monkeypatch.setattr(DegreeHistogram, "of", classmethod(
+        lambda cls, *arrays: built.append(arrays) or of(cls, *arrays)))
+    return built
 
 
 # The float factors of the built-ins, as the verifier used them before it

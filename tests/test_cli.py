@@ -343,7 +343,16 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
     (["sweep", "--model", "rg", "--n", "40", "--r", "2", "--index", "nk", "--seed", "5"],
      "r must lie in [0, sqrt(2)], got 2.0"),
     (["verify", "--seed", "1", "--sizes", "0"], "size must be a positive integer, got n=0"),
-], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0"])
+    (["sweep", "--model", "er", "--n", "40", "--p", "0.1", "--index", "nk", "--seed", "5",
+      "--budget", "inf"], "budget must be finite, got inf"),
+    (["sweep", "--model", "er", "--n", "40", "--p", "0.1", "--index", "nk", "--seed", "5",
+      "--budget", "nan"], "budget must be finite, got nan"),
+    (["verify", "--seed", "1", "--sizes", "8", "--graphs", "0"],
+     "graphs per size must be >= 1, got 0"),
+    (["verify", "--seed", "1", "--sizes", "8", "--graphs", "-1"],
+     "graphs per size must be >= 1, got -1"),
+], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0",
+        "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative"])
 def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:
@@ -431,6 +440,17 @@ def test_bad_output_path_stops_before_any_work(tmp_path, monkeypatch, argv, modu
     assert info.value.code == {"missing": f"error: {out.parent}: no such output directory",
                                "directory": f"error: {out}: is a directory"}[where]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_into_a_regular_file_stops_before_any_work(tmp_path, monkeypatch):
+    monkeypatch.setattr(models, "generate", _no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--model", "er", "--n", "10", "--p", "0.5", "--seed", "1",
+              "--out", str(taken)])
+    assert info.value.code == f"error: {taken}: not a directory"
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "keep\n"
 
 
 def test_interrupted_pool_sweep_cancels_queued_blocks(tmp_path, monkeypatch, capsys):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed_graphs
-from mtindex.graph import build_graph
+from helpers import count_histograms, edge_sets, mixed_graphs, reference_evaluate
+from mtindex.graph import DegreeHistogram, build_graph
 from mtindex.indices import (
+    ADDITIVE_NAMES,
     EXCLUDE,
+    POLICIES,
     EdgeFunction,
     EvaluationError,
     LOGZERO,
@@ -16,6 +18,7 @@ from mtindex.indices import (
     MULTIPLICATIVE_INDICES,
     MULTIPLICATIVE_NAMES,
     VertexFunction,
+    _ADDITIVE,
     _distinct_arguments,
     additive_index,
     exact_ln_oracle,
@@ -169,18 +172,27 @@ def test_custom_functions_run_once_per_distinct_argument():
     assert calls == [(2, 2)]
 
 
-@given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=60))
-def test_distinct_arguments_match_the_two_dimensional_unique(pairs):
-    # The 1-D key d_u*K + d_v must give np.unique(axis=0)'s order, counts and inverse.
+@given(st.lists(st.integers(0, 40), max_size=60),
+       st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=60))
+def test_distinct_arguments_match_the_two_dimensional_unique(degrees, pairs):
+    # The histogram must give np.unique(axis=0)'s order and counts: over all
+    # degrees, over the nonzero ones, and over the pairs keyed as d_u*K + d_v.
+    deg = np.array(degrees, dtype=np.int64)
     arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    for args in ((arr[:, 0],), (arr[:, 0], arr[:, 1])):
-        want, inverse, counts = np.unique(
-            np.stack(args, axis=1), axis=0, return_inverse=True, return_counts=True)
-        got = _distinct_arguments(args)
-        assert got[0] == [tuple(x) for x in want.tolist()]
-        assert all(type(d) is int for x in got[0] for d in x)
-        assert got[1].tolist() == counts.tolist()
-        assert got[2].tolist() == inverse.reshape(-1).tolist()
+    h = DegreeHistogram.of(deg, arr[:, 0], arr[:, 1])
+    cases = (
+        (_ADDITIVE["m1"], deg[:, None], 0),
+        (MULTIPLICATIVE_INDICES["nk"], deg[deg > 0, None], int(np.sum(deg == 0))),
+        (MULTIPLICATIVE_INDICES["pi2"], arr, 0),
+    )
+    for rule, elements, excluded in cases:
+        want, counts = np.unique(elements, axis=0, return_counts=True)
+        args, got_counts, got_excluded = _distinct_arguments(h, rule)
+        got = list(zip(*(a.tolist() for a in args)))
+        assert got == [tuple(x) for x in want.tolist()]
+        assert all(type(d) is int for x in got for d in x)
+        assert got_counts.tolist() == counts.tolist()
+        assert got_excluded == excluded
 
 
 def test_custom_function_errors_name_the_offender():
@@ -239,3 +251,54 @@ def test_log_sum_within_stated_error_bound(g):
         assert abs(got - ref) <= _gamma(max(k - 1, 0)) * total + per_term + U * abs(ref)
         comp = ln_multiplicative_index(g, kind, compensated=True).value
         assert abs(comp - ref) <= per_term + 2.0 * U * abs(ref)
+
+
+@settings(max_examples=150)
+@given(edge_sets())
+def test_weighted_sums_equal_the_per_element_reference(case):
+    # Both sums are within the module's stated bound of the exact one, so
+    # within twice that bound of each other.
+    g = build_graph(*case)
+    deg, (du, dv) = g.degrees, g.edge_degree_pairs().T
+    kinds = [(name, MULTIPLICATIVE_INDICES[name], "ln") for name in MULTIPLICATIVE_NAMES]
+    kinds += [(name, _ADDITIVE[name], "value") for name in ADDITIVE_NAMES]
+    for name, rule, field in kinds:
+        fn = getattr(rule, field)
+        index = ln_multiplicative_index if field == "ln" else additive_index
+        if rule.arity == "edge":
+            elements = (du, dv)
+        else:
+            elements = (deg if rule.defined_at_zero else deg[deg > 0],)
+        abs_terms = np.abs(fn(*elements))
+        k, total = abs_terms.size, float(abs_terms.sum())
+        per_term = 4.0 * U * (k + total)
+        for policy in POLICIES:
+            for compensated in (False, True):
+                ref = reference_evaluate(g, fn, rule, policy, compensated)
+                got = index(g, name, policy, compensated)
+                if field == "ln":
+                    assert got.is_log_zero == (ref is None)
+                    if ref is None:
+                        continue
+                    assert got.excluded == ref[1]
+                    got = got.value
+                elif ref is None:
+                    assert got == math.inf
+                    continue
+                bound = per_term + U * abs(ref[0])
+                if not compensated:
+                    bound += _gamma(max(k - 1, 0)) * total
+                assert abs(got - ref[0]) <= 2.0 * bound, (name, policy, compensated)
+
+
+def test_all_kinds_of_a_graph_share_one_histogram(monkeypatch):
+    built = count_histograms(monkeypatch)
+    g = build_graph(5, [(0, 1), (1, 2), (1, 3)])
+    for name in MULTIPLICATIVE_NAMES:
+        ln_multiplicative_index(g, name, LOGZERO)
+    for name in ADDITIVE_NAMES:
+        additive_index(g, name)
+    assert len(built) == 1
+    du, dv = g.edge_degree_pairs().T
+    ln_indices_from_arrays(g.degrees, du, dv, MULTIPLICATIVE_NAMES)
+    assert len(built) == 2

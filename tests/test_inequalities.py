@@ -5,7 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from helpers import ReferencePrepared, UnmemoizedPrepared, edge_sets, mixed_graphs
+from helpers import (
+    ReferencePrepared,
+    UnmemoizedPrepared,
+    count_histograms,
+    edge_sets,
+    mixed_graphs,
+)
 from mtindex import inequalities
 from mtindex.graph import build_graph
 from mtindex.indices import MULTIPLICATIVE_NAMES, EdgeFunction, VertexFunction
@@ -295,3 +301,10 @@ def test_memoized_preparations_equal_the_unmemoized_reference():
             for attr in ("name", "k", "sum", "sum_sq", "log_sum", "logs"):
                 assert getattr(got, attr) == getattr(want, attr), (attr, f, g)
 
+
+def test_a_verify_graph_builds_its_histogram_once_for_all_functions(monkeypatch):
+    built = count_histograms(monkeypatch)
+    rows = verify_corpus(9, sizes=(8, 16), graphs_per_size=10, functions=MEMO_FUNCTIONS)
+    graphs = sum(reps for _, reps in corpus_model_points((8, 16), 10))
+    assert len(rows) == graphs * len(MEMO_FUNCTIONS) * len(INEQUALITIES) + 1
+    assert len(built) == graphs + 1     # the counterexample is one more graph
