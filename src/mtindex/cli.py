@@ -174,13 +174,13 @@ def cmd_collapse(args) -> int:
     ok = report.passed(args.tolerance)
     print(
         f"collapse[{report.index}]: max deviation {report.max_deviation:.6g} "
-        f"at <k>={report.k_at_max:.6g} over {len(report.curves)} curves -> "
+        f"at <k>={report.k_at_max:.6g} over {len(report.labels)} curves -> "
         f"{'PASS' if ok else 'FAIL'} (tolerance floor {args.tolerance})"
     )
     if report.dense_deviation is not None:
         print(
-            f"collapse[{report.index}]: dense-regime (<k> >= {report.dense_threshold:g}) "
-            f"max |curve - prediction| = {report.dense_deviation:.6g}"
+            f"collapse[{report.index}]: dense-regime (<k> >= {dense.DENSE_REGIME_MEAN_DEGREE:g})"
+            f" max |curve - prediction| = {report.dense_deviation:.6g}"
         )
     return 0 if ok else 1
 
@@ -223,9 +223,13 @@ def _custom_closure(node: ast.AST, args: dict[str, int]):
     Allowed: int/float literals, the argument names and pi/e, ``+ - * / **``,
     unary minus, and one-argument calls of sqrt/log/exp.  Any other node is
     rejected with a ValueError naming it, before anything is evaluated.
+    Literals become floats, so every operation is a float one: integer powers
+    such as 9**9**9 would otherwise grow without bound, where float ones
+    overflow into an error.  An int literal beyond the float range raises
+    OverflowError.
     """
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return lambda x, value=node.value: value
+        return lambda x, value=float(node.value): value
     if isinstance(node, ast.Name) and node.id in _CUSTOM_CONSTANTS:
         return lambda x, value=_CUSTOM_CONSTANTS[node.id]: value
     if isinstance(node, ast.Name) and node.id in args:
@@ -252,11 +256,10 @@ def _parse_custom(defs: list[str], kind: type):
         name, expr = item.split("=", 1)
         try:
             closure = _custom_closure(ast.parse(expr, mode="eval").body, _CUSTOM_ARGS[kind])
-        except (SyntaxError, ValueError) as exc:
+        except (SyntaxError, ValueError, OverflowError) as exc:
             raise SystemExit(f"error: custom function {name!r}: {getattr(exc, 'msg', exc)}")
-        # Float arguments: integer powers such as d**d**d would otherwise grow
-        # without bound, where float ones overflow into an error.
-        out.append(kind(name, lambda *degrees, _c=closure: float(_c(tuple(map(float, degrees))))))
+        # Float arguments, as the literals are floats (see _custom_closure).
+        out.append(kind(name, lambda *degrees, _c=closure: _c(tuple(map(float, degrees)))))
     return out
 
 

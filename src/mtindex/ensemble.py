@@ -11,12 +11,14 @@ floats serialized via ``repr`` so reruns are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import signal
 import threading
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -27,12 +29,6 @@ from .indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_INDICES, ln_indices_from_a
 from .models import ModelSpec, SeedDerivation, mean_degree, sample_degree_arrays
 
 DEFAULT_BUDGET = 1e5
-
-RESULTS_COLUMNS = (
-    "model,n,n1,n2,param_name,param_value,index,policy,replicas,degenerate,"
-    "mean_k_theory,mean_k_empirical,mean_ln,sem,mean_ln_over_n,master_seed"
-)
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -276,39 +272,47 @@ def sweep(spec: EnsembleSpec) -> list[EnsembleStats]:
     return rows
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _optional_int(text: str) -> int | None:
+    return None if text == "" else int(text)
+
+
+# The results CSV, one entry per column in file order: the EnsembleStats
+# attribute it holds (whose last part names it) and the type that reads it
+# back.  Floats are spelled by repr, so reruns are byte-identical.
+_RESULTS_TABLE = (
+    ("spec.model", str),
+    ("spec.n", int),
+    ("spec.n1", _optional_int),
+    ("spec.n2", _optional_int),
+    ("spec.param_name", str),
+    ("spec.param_value", float),
+    ("index", str),
+    ("policy", str),
+    ("replicas", int),
+    ("degenerate", int),
+    ("mean_k_theory", float),
+    ("mean_k_empirical", float),
+    ("mean_ln", float),
+    ("sem", float),
+    ("mean_ln_over_n", float),
+    ("master_seed", int),
+)
+_RESULTS_NAMES = tuple(attr.rpartition(".")[2] for attr, _ in _RESULTS_TABLE)
+_RESULTS_KINDS = tuple(kind for _, kind in _RESULTS_TABLE)
+_RESULTS_VALUES = operator.attrgetter(*(attr for attr, _ in _RESULTS_TABLE))
+RESULTS_COLUMNS = ",".join(_RESULTS_NAMES)
+
+
+def _spell(kind, value) -> str:
+    if value is None:  # n1 and n2 outside br
+        return ""
+    return repr(float(value)) if kind is float else str(value)
 
 
 def write_results_csv(rows: Iterable[EnsembleStats], out: TextIO) -> None:
     out.write(RESULTS_COLUMNS + "\n")
     for row in rows:
-        spec = row.spec
-        n1 = "" if spec.n1 is None else str(spec.n1)
-        n2 = "" if spec.n2 is None else str(spec.n2)
-        out.write(
-            ",".join(
-                (
-                    spec.model,
-                    str(spec.n),
-                    n1,
-                    n2,
-                    spec.param_name,
-                    _fmt(spec.param_value),
-                    row.index,
-                    row.policy,
-                    str(row.replicas),
-                    str(row.degenerate),
-                    _fmt(row.mean_k_theory),
-                    _fmt(row.mean_k_empirical),
-                    _fmt(row.mean_ln),
-                    _fmt(row.sem),
-                    _fmt(row.mean_ln_over_n),
-                    str(row.master_seed),
-                )
-            )
-            + "\n"
-        )
+        out.write(",".join(map(_spell, _RESULTS_KINDS, _RESULTS_VALUES(row))) + "\n")
 
 
 def write_results_csv_path(rows: Iterable[EnsembleStats], path) -> None:
@@ -316,38 +320,41 @@ def write_results_csv_path(rows: Iterable[EnsembleStats], path) -> None:
         write_results_csv(rows, fh)
 
 
+# The columns that are EnsembleStats fields; mean_ln_over_n is derived.
+_STATS_FIELDS = {f.name for f in fields(EnsembleStats)}.intersection(_RESULTS_NAMES)
+
+
+def _read_row(line: str) -> EnsembleStats:
+    texts = line.split(",")
+    if len(texts) != len(_RESULTS_TABLE):
+        raise ValueError(f"expected {len(_RESULTS_TABLE)} fields, got {len(texts)}")
+    f = {name: kind(text) for name, kind, text in zip(_RESULTS_NAMES, _RESULTS_KINDS, texts)}
+    param = f["param_name"]
+    if param not in ("p", "r"):
+        raise ValueError(f"unknown param_name {param!r}")
+    spec = ModelSpec(f["model"], f["n"], n1=f["n1"], n2=f["n2"], **{param: f["param_value"]})
+    stats = {name: f[name] for name in _STATS_FIELDS}
+    return EnsembleStats(spec=spec, mean_k_sem=math.nan, **stats)
+
+
 def read_results_csv(src: TextIO) -> list[EnsembleStats]:
+    """Rows of a results CSV, ``mean_k_sem`` (not a column) read as NaN.
+
+    A wrong header or a row that is the wrong width, does not parse or is no
+    valid model point raises ValueError naming its line.
+    """
     header = src.readline().strip()
     if header != RESULTS_COLUMNS:
         raise ValueError(f"unexpected results header: {header!r}")
     rows = []
-    for line in src:
+    for lineno, line in enumerate(src, start=2):
         line = line.strip()
         if not line:
             continue
-        f = line.split(",")
-        model, n = f[0], int(f[1])
-        if model == "br":
-            spec = ModelSpec(model, n, p=float(f[5]), n1=int(f[2]), n2=int(f[3]))
-        elif model == "rg":
-            spec = ModelSpec(model, n, r=float(f[5]))
-        else:
-            spec = ModelSpec(model, n, p=float(f[5]))
-        rows.append(
-            EnsembleStats(
-                spec=spec,
-                index=f[6],
-                policy=f[7],
-                replicas=int(f[8]),
-                degenerate=int(f[9]),
-                mean_k_theory=float(f[10]),
-                mean_k_empirical=float(f[11]),
-                mean_ln=float(f[12]),
-                sem=float(f[13]),
-                master_seed=int(f[15]),
-                mean_k_sem=math.nan,
-            )
-        )
+        try:
+            rows.append(_read_row(line))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return rows
 
 
@@ -388,36 +395,36 @@ class PairDeviation:
 
 @dataclass
 class CollapseReport:
-    """Scaling-collapse comparison of >= 2 curves of mean_ln/n against <k>."""
+    """Scaling-collapse comparison of >= 2 curves of mean_ln/n against <k>.
+
+    ``labels`` holds one label per compared table, in table order.
+    """
 
     index: str
+    labels: tuple[str, ...]
     k_grid: tuple[float, ...]
-    curves: dict[str, tuple[float, ...]]
-    curve_sems: dict[str, tuple[float, ...]]
     pairs: tuple[PairDeviation, ...]
     max_deviation: float
     k_at_max: float
-    dense_threshold: float = DENSE_REGIME_MEAN_DEGREE
-    dense_deviation: float | None = None  # vs the closed form, over k >= threshold
+    dense_deviation: float | None = None  # vs the closed form, over k >= DENSE_REGIME_MEAN_DEGREE
 
     def passed(self, floor: float) -> bool:
         return all(pair.within(floor) for pair in self.pairs)
 
 
 def collapse_check(
-    tables: Sequence[tuple[str, Sequence[EnsembleStats]]],
-    index: str,
-    dense_threshold: float = DENSE_REGIME_MEAN_DEGREE,
+    tables: Sequence[tuple[str, Sequence[EnsembleStats]]], index: str
 ) -> CollapseReport:
     """Interpolate curves onto a shared <k> grid and measure pairwise gaps.
 
     Each table becomes one curve of mean_ln/n against mean_k_theory (linear
-    interpolation, no smoothing).  Requires >= 2 tables, >= 5 points each,
-    and a nonempty overlap of the <k> ranges.
+    interpolation, no smoothing); curves are compared by table position, so
+    equal labels never merge two tables.  Requires >= 2 tables, >= 5 points
+    each, and a nonempty overlap of the <k> ranges.
     """
     if len(tables) < 2:
         raise ValueError("collapse check needs at least two curves")
-    curves = []
+    curves = []  # (k, y, s) per table, in table order, sorted by k
     for label, rows in tables:
         pts = [r for r in rows if r.index == index]
         if not pts:
@@ -428,59 +435,48 @@ def collapse_check(
         y = np.array([r.mean_ln_over_n for r in pts])
         s = np.array([r.sem / r.spec.n for r in pts])
         order = np.argsort(k, kind="stable")
-        curves.append((label, k[order], y[order], s[order]))
+        curves.append((k[order], y[order], s[order]))
 
-    lo = max(c[1][0] for c in curves)
-    hi = min(c[1][-1] for c in curves)
+    lo = max(k[0] for k, _, _ in curves)
+    hi = min(k[-1] for k, _, _ in curves)
     if lo > hi:
         raise ValueError(
             f"insufficient overlap in <k> ranges: max of minima {lo} > min of maxima {hi}"
         )
-    grid = np.unique(np.concatenate([c[1] for c in curves]))
+    grid = np.unique(np.concatenate([k for k, _, _ in curves]))
     grid = grid[(grid >= lo) & (grid <= hi)]
     if grid.size == 0:
         raise ValueError("insufficient overlap in <k> ranges: no shared grid points")
 
-    interp_y = {}
-    interp_s = {}
-    for label, k, y, s in curves:
-        interp_y[label] = np.interp(grid, k, y)
-        interp_s[label] = np.interp(grid, k, s)
-
-    labels = [c[0] for c in curves]
+    labels = tuple(label for label, _ in tables)
+    on_grid = [(np.interp(grid, k, y), np.interp(grid, k, s)) for k, y, s in curves]
     pairs = []
     overall_dev, overall_k = 0.0, float(grid[0])
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            la, lb = labels[a], labels[b]
-            diff = np.abs(interp_y[la] - interp_y[lb])
-            at = int(np.argmax(diff))
-            pooled = float(np.max(np.hypot(interp_s[la], interp_s[lb])))
-            pair = PairDeviation(la, lb, float(diff[at]), float(grid[at]), pooled)
-            pairs.append(pair)
-            if pair.max_abs_deviation >= overall_dev:
-                overall_dev, overall_k = pair.max_abs_deviation, pair.k_at_max
+    for (la, (ya, sa)), (lb, (yb, sb)) in itertools.combinations(zip(labels, on_grid), 2):
+        diff = np.abs(ya - yb)
+        at = int(np.argmax(diff))
+        pooled = float(np.max(np.hypot(sa, sb)))
+        pair = PairDeviation(la, lb, float(diff[at]), float(grid[at]), pooled)
+        pairs.append(pair)
+        if pair.max_abs_deviation >= overall_dev:
+            overall_dev, overall_k = pair.max_abs_deviation, pair.k_at_max
 
     dense_dev = None
-    dense_mask = grid >= dense_threshold
+    dense_mask = grid >= DENSE_REGIME_MEAN_DEGREE
     if dense_mask.any():
         try:
             pred = np.array([scaling_curve(index, float(k)) for k in grid[dense_mask]])
         except UnsupportedIndexError:
             pred = None
         if pred is not None:
-            dense_dev = max(
-                float(np.max(np.abs(interp_y[label][dense_mask] - pred))) for label in labels
-            )
+            dense_dev = max(float(np.max(np.abs(y[dense_mask] - pred))) for y, _ in on_grid)
 
     return CollapseReport(
         index=index,
+        labels=labels,
         k_grid=tuple(float(k) for k in grid),
-        curves={label: tuple(map(float, interp_y[label])) for label in labels},
-        curve_sems={label: tuple(map(float, interp_s[label])) for label in labels},
         pairs=tuple(pairs),
         max_deviation=overall_dev,
         k_at_max=overall_k,
-        dense_threshold=dense_threshold,
         dense_deviation=dense_dev,
     )

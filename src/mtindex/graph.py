@@ -90,13 +90,15 @@ class DegreeSummary:
 def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     """Validate, canonicalize and deduplicate ``edge_list`` into a :class:`Graph`.
 
-    Raises :class:`GraphError` naming the offending pair: the first self-loop
-    or out-of-range endpoint in input order, else the first duplicate in
-    canonical order (detected after canonicalization, so ``(0, 1)`` and
-    ``(1, 0)`` collide).
+    Raises :class:`GraphError` for a vertex count below 0 or beyond int64, and
+    otherwise names the offending pair: the first self-loop or out-of-range
+    endpoint in input order, else the first duplicate in canonical order
+    (detected after canonicalization, so ``(0, 1)`` and ``(1, 0)`` collide).
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
+    if n > np.iinfo(np.int64).max:
+        raise GraphError(f"vertex count {n} is beyond int64")
     try:
         pairs = np.asarray(edge_list, dtype=np.int64)
     except OverflowError:

@@ -251,24 +251,28 @@ def corpus_model_points(
 ) -> list[tuple[ModelSpec, int]]:
     """(model point, replica count) cells of the default verification corpus.
 
-    Per model and size: a 10-value parameter grid, graphs split evenly over
-    the grid.
+    Per model and size: a 10-value parameter grid over which exactly
+    ``graphs_per_size`` graphs are split, the first ``graphs_per_size % 10``
+    values taking one more than the rest.  Every grid value keeps its cell,
+    also with zero replicas, so a cell's position (its point id) depends only
+    on the sizes.
     """
     if graphs_per_size < 1:
         raise ValueError(f"graphs per size must be >= 1, got {graphs_per_size}")
     params = [(i + 1) / 10.0 for i in range(10)]
-    reps = max(1, graphs_per_size // len(params))
+    base, extra = divmod(graphs_per_size, len(params))
+    reps = [base + (i < extra) for i in range(len(params))]
     cells = []
     for n in sizes:
-        for p in params:
-            cells.append((erdos_renyi(n, p), reps))
+        for p, r in zip(params, reps):
+            cells.append((erdos_renyi(n, p), r))
     for n in sizes:
-        for p in params:
-            cells.append((random_geometric(n, p * math.sqrt(2.0)), reps))
+        for p, r in zip(params, reps):
+            cells.append((random_geometric(n, p * math.sqrt(2.0)), r))
     for n in sizes:
         n1 = n // 2
-        for p in params:
-            cells.append((bipartite(n1, n - n1, p), reps))
+        for p, r in zip(params, reps):
+            cells.append((bipartite(n1, n - n1, p), r))
     return cells
 
 

@@ -355,6 +355,18 @@ def _real(value) -> float:
     return float(value)
 
 
+class _FloatLiterals(ast.NodeTransformer):
+    def visit_Constant(self, node):
+        if type(node.value) is int:
+            return ast.copy_location(ast.Constant(float(node.value)), node)
+        return node
+
+
+def with_float_literals(expr: str) -> str:
+    """``expr`` with every int literal written as a float, as the AST walk reads it."""
+    return ast.unparse(_FloatLiterals().visit(ast.parse(expr, mode="eval")))
+
+
 def reference_parse_custom(defs: list[str], arity: str):
     out = []
     names = _CUSTOM_ARGS[arity]

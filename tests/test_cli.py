@@ -15,6 +15,7 @@ from helpers import (
     InterruptedPool,
     custom_expressions,
     reference_parse_custom,
+    with_float_literals,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -105,7 +106,8 @@ def test_index_unknown_name(tmp_path, capsys):
     (b"3 1\n0 0\n", "self-loop"),
     (b"2 1\n0 \xc0\n", "can't decode"),
     (None, "No such file"),
-], ids=["self-loop", "binary", "missing"])
+    (b"1000000000000000000000000000000 1\n0 1\n", "vertex count 10"),
+], ids=["self-loop", "binary", "missing", "n-beyond-int64"])
 def test_index_bad_file_is_a_one_line_error(tmp_path, content, message):
     f = tmp_path / "g.edges"
     if content is not None:
@@ -185,6 +187,42 @@ def test_collapse_bad_header_is_a_one_line_error(tmp_path):
     assert not out.exists()
 
 
+def _er_sweep(path, seed):
+    main(["sweep", "--model", "er", "--n", "60", "--p", "0.04,0.08,0.12,0.16,0.2",
+          "--index", "nk", "--budget", "600", "--seed", str(seed), "--out", str(path)])
+
+
+def test_collapse_compares_same_named_files_as_two_curves(tmp_path, capsys):
+    for name, seed in (("d1", 4), ("d2", 99)):
+        (tmp_path / name).mkdir()
+        _er_sweep(tmp_path / name / "er.csv", seed)
+    (tmp_path / "a.csv").write_bytes((tmp_path / "d1" / "er.csv").read_bytes())
+    (tmp_path / "b.csv").write_bytes((tmp_path / "d2" / "er.csv").read_bytes())
+    capsys.readouterr()
+    _, same, _ = run(capsys, "collapse", str(tmp_path / "d1" / "er.csv"),
+                     str(tmp_path / "d2" / "er.csv"), "--index", "nk")
+    _, distinct, _ = run(capsys, "collapse", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                         "--index", "nk")
+    assert "over 2 curves" in same and "max deviation 0 " not in same
+    assert same == distinct.replace("a.csv", "er.csv").replace("b.csv", "er.csv")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda f: f[:-1], "line 2: expected 16 fields, got 15"),
+    (lambda f: f + ["0"], "line 2: expected 16 fields, got 17"),
+    (lambda f: f[:4] + ["x"] + f[5:], "line 2: unknown param_name 'x'"),
+    (lambda f: ["rg"] + f[1:], "line 2: r must lie in [0, sqrt(2)], got None"),
+], ids=["short", "long", "param-x", "rg-with-p"])
+def test_collapse_bad_row_is_a_one_line_error(tmp_path, capsys, edit, message):
+    csv = tmp_path / "sweep.csv"
+    _er_sweep(csv, 3)
+    header, first, *rest = csv.read_text().splitlines()
+    csv.write_text("\n".join([header, ",".join(edit(first.split(","))), *rest]) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", str(csv), str(csv), "--index", "nk"])
+    assert exc.value.code == f"error: {csv}: {message}"
+
+
 def test_verify_small_corpus(tmp_path, capsys):
     report = tmp_path / "report.csv"
     code, out, _ = run(capsys, "verify", "--seed", "11", "--sizes", "8",
@@ -198,6 +236,15 @@ def test_verify_small_corpus(tmp_path, capsys):
     assert text[0] == "inequality,model,n,param,function,lhs,rhs,slack,holds,hypothesis_ok"
     assert any(ln.startswith("petrovic_sum,counterexample,3,") and ln.endswith("False,False")
                for ln in text)
+
+
+@pytest.mark.parametrize("graphs, checks", [(1, 163), (5, 811)])
+def test_verify_runs_the_requested_number_of_graphs(capsys, graphs, checks):
+    # 3 models x --graphs graphs x 9 functions x 6 checks, plus the counterexample.
+    code, out, _ = run(capsys, "verify", "--seed", "1", "--sizes", "8",
+                       "--graphs", str(graphs))
+    assert code == 0
+    assert out.startswith(f"verify: {checks} checks,")
 
 
 def test_verify_invalid_custom_function_names_it(capsys):
@@ -230,6 +277,24 @@ def test_verify_failing_custom_expression_aborts(capsys, expr, where):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"verification aborted: function 'x' failed at {where}")
+
+
+def test_integer_towers_in_custom_expressions_overflow_at_once():
+    # Int literals would build 9**9**9**9**9 exactly and never finish.
+    src = str(Path(mtindex.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "mtindex.cli", "verify", "--seed", "1", "--sizes", "8",
+            "--graphs", "1", "--custom-vertex", "x=9**9**9**9**9"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("verification aborted: function 'x' failed at degree 1: "
+                                  "(34, 'Numerical result out of range')")
+
+
+def test_custom_literal_beyond_the_float_range_is_a_one_line_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "1", "--custom-vertex", "x=d+1" + "0" * 400])
+    assert exc.value.code == "error: custom function 'x': int too large to convert to float"
 
 
 def test_index_values_equal_the_bulk_path(tmp_path, capsys):
@@ -265,12 +330,14 @@ def _outcome(fn, degrees):
 def _agrees_with_the_reference(expr, arity, degree_args):
     kind = VertexFunction if arity == "vertex" else EdgeFunction
     try:
-        (want,) = reference_parse_custom([f"x={expr}"], arity)
+        reference_parse_custom([f"x={expr}"], arity)
     except SystemExit as exc:
         with pytest.raises(SystemExit) as info:
             cli._parse_custom([f"x={expr}"], kind)
         assert info.value.code == exc.code
         return
+    # The walk reads every literal as a float, so the reference gets float literals.
+    (want,) = reference_parse_custom([f"x={with_float_literals(expr)}"], arity)
     (got,) = cli._parse_custom([f"x={expr}"], kind)
     for degrees in degree_args:
         expected, actual = _outcome(want.fn, degrees), _outcome(got.fn, degrees)

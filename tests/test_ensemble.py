@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import multiprocessing
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from mtindex import ensemble
 from mtindex.ensemble import (
     EnsembleSpec,
+    EnsembleStats,
     collapse_check,
     read_results_csv,
     replicas_for,
@@ -20,8 +22,8 @@ from mtindex.ensemble import (
     sweep,
     write_results_csv,
 )
-from mtindex.indices import EXCLUDE, LOGZERO
-from mtindex.models import bipartite, erdos_renyi, random_geometric
+from mtindex.indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_NAMES
+from mtindex.models import MAX_RADIUS, bipartite, erdos_renyi, random_geometric
 
 SEED = 424242
 
@@ -125,6 +127,42 @@ def test_csv_round_trip():
         assert a.spec == b.spec and a.index == b.index
         assert a.mean_ln == b.mean_ln and a.sem == b.sem
         assert a.degenerate == b.degenerate and a.replicas == b.replicas
+
+
+_SIZES = st.integers(1, 10**6)
+_RESULT_ROWS = st.builds(
+    EnsembleStats,
+    spec=st.one_of(
+        st.builds(erdos_renyi, _SIZES, st.floats(0.0, 1.0)),
+        st.builds(random_geometric, _SIZES, st.floats(0.0, MAX_RADIUS)),
+        st.builds(bipartite, _SIZES, _SIZES, st.floats(0.0, 1.0)),
+    ),
+    index=st.sampled_from(MULTIPLICATIVE_NAMES),
+    policy=st.sampled_from([EXCLUDE, LOGZERO]),
+    replicas=st.integers(1, 10**6),
+    degenerate=st.integers(0, 10**9),
+    mean_k_theory=st.floats(),
+    mean_k_empirical=st.floats(),
+    mean_k_sem=st.floats(),
+    mean_ln=st.floats(),                  # nan and +-inf included
+    sem=st.floats(),
+    master_seed=st.integers(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RESULT_ROWS, max_size=6))
+def test_results_rows_round_trip(rows):
+    written = io.StringIO()
+    write_results_csv(rows, written)
+    back = read_results_csv(io.StringIO(written.getvalue()))
+    rewritten = io.StringIO()
+    write_results_csv(back, rewritten)
+    assert rewritten.getvalue() == written.getvalue()
+    # mean_k_sem is not a column; every other field comes back (repr: NaN equals NaN).
+    assert all(math.isnan(b.mean_k_sem) for b in back)
+    restored = [dataclasses.replace(b, mean_k_sem=a.mean_k_sem) for a, b in zip(rows, back)]
+    assert repr(restored) == repr(rows)
 
 
 def test_rerun_is_byte_identical():

@@ -248,6 +248,16 @@ def _corpus_graphs(master_seed, sizes, graphs_per_size):
             yield spec, generate(spec, SeedDerivation(master_seed, point_id, replica))
 
 
+@pytest.mark.parametrize("graphs", [1, 5, 10, 15, 20, 23])
+def test_corpus_splits_exactly_the_requested_graphs(graphs):
+    cells = corpus_model_points((8, 16), graphs)
+    assert len(cells) == 3 * 2 * 10                 # point ids do not depend on the count
+    for block in range(0, len(cells), 10):          # one (model, size) per 10 cells
+        reps = [r for _, r in cells[block:block + 10]]
+        assert sum(reps) == graphs and max(reps) - min(reps) <= 1
+        assert reps == sorted(reps, reverse=True)
+
+
 def test_custom_functions_run_once_per_distinct_argument_across_the_corpus():
     calls = collections.Counter()
 
