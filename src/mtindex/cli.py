@@ -150,14 +150,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_collapse(args) -> int:
+    names = [Path(path).name for path in args.csvs]
     tables = []
-    for path in args.csvs:
+    for path, name in zip(args.csvs, names):
         try:
             rows = ensemble.read_results_csv_path(path)
         except (ValueError, OSError) as exc:
             raise SystemExit(f"error: {path}: {exc}")
+        # A basename that two inputs share names neither; their paths do.
+        source = name if names.count(name) == 1 else path
         for label, group in ensemble.split_curves(rows):
-            tables.append((f"{Path(path).name}:{label}", group))
+            tables.append((f"{source}:{label}", group))
     report = ensemble.collapse_check(tables, args.index)
 
     lines = [

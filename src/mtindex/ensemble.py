@@ -25,7 +25,7 @@ import numpy as np
 
 from .dense import DENSE_REGIME_MEAN_DEGREE, UnsupportedIndexError, scaling_curve
 from .graph import atomic_write
-from .indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_INDICES, ln_indices_from_arrays
+from .indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_INDICES, ln_indices_of_stack
 from .models import ModelSpec, SeedDerivation, mean_degree, sample_degree_arrays
 
 DEFAULT_BUDGET = 1e5
@@ -91,6 +91,11 @@ class EnsembleStats:
         return self.mean_ln / self.spec.n
 
 
+# Degree entries (n + 2m per replica) sampled before a chunk is evaluated: the
+# histogram and rule calls are paid per chunk, and a chunk's arrays stay small.
+_CHUNK_ENTRIES = 1 << 14
+
+
 def _replica_block(
     point: ModelSpec,
     indices: tuple[str, ...],
@@ -100,27 +105,44 @@ def _replica_block(
     start: int,
     stop: int,
 ):
-    """Evaluate replicas [start, stop); one generated instance serves all indices."""
+    """Evaluate replicas [start, stop); one generated instance serves all indices.
+
+    Replicas are evaluated in chunks of about ``_CHUNK_ENTRIES`` degree
+    entries; each replica's values are those it would have alone.
+    """
     count = stop - start
     values = np.empty((len(indices), count))
     excluded = np.zeros((len(indices), count), dtype=np.int64)
     k_emp = np.empty(count)
-    for j in range(count):
-        replica = start + j
+    chunk, entries, lo = [], 0, start
+    for replica in range(start, stop):
         try:
             rng = SeedDerivation(master_seed, point_id, replica).generator()
             deg, du, dv = sample_degree_arrays(point, rng)
-            results = ln_indices_from_arrays(deg, du, dv, indices, policy)
         except Exception as exc:
-            raise RuntimeError(
-                f"replica failed at seed triple (master_seed={master_seed}, "
-                f"point_id={point_id}, replica_index={replica}): {exc}"
-            ) from exc
-        k_emp[j] = 2.0 * du.shape[0] / point.n
-        for i, res in enumerate(results):
-            values[i, j] = res.value
-            excluded[i, j] = res.excluded
+            raise _replica_error(master_seed, point_id, f"replica_index={replica}", exc) from exc
+        k_emp[replica - start] = 2.0 * du.shape[0] / point.n
+        chunk.append((deg, du, dv))
+        entries += deg.size + 2 * du.size
+        if entries < _CHUNK_ENTRIES and replica + 1 < stop:
+            continue
+        hi = replica + 1
+        try:
+            vals, excl = ln_indices_of_stack(*zip(*chunk), indices, policy)
+        except Exception as exc:
+            where = f"replica_index in [{lo}, {hi})"
+            raise _replica_error(master_seed, point_id, where, exc) from exc
+        values[:, lo - start:hi - start] = vals
+        excluded[:, lo - start:hi - start] = excl
+        chunk, entries, lo = [], 0, hi
     return values, excluded, k_emp
+
+
+def _replica_error(master_seed: int, point_id: int, where: str, exc: Exception) -> RuntimeError:
+    return RuntimeError(
+        f"replica failed at seed triple (master_seed={master_seed}, point_id={point_id}, "
+        f"{where}): {exc}"
+    )
 
 
 def _mean_sem(xs: Sequence[float]) -> tuple[float, float]:

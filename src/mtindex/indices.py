@@ -10,7 +10,10 @@ multiplicative Zagreb index of a 1000-vertex network with mean degree 10 is
 around e^23000), so this module never forms the raw product: it returns
 ``ln X_prod``.  Every index, one graph or many, runs through one evaluator:
 the rule once per distinct degree or degree pair of the graph's histogram,
-one numpy sum of the count-weighted terms.  :func:`exact_ln_oracle` forms
+one numpy sum of the count-weighted terms.  A histogram may stack several
+graphs (the sweep's chunks of replicas); the rule then runs once for all of
+them and each graph's terms are summed as their own contiguous slice, so a
+graph gets the same bits alone or stacked.  :func:`exact_ln_oracle` forms
 the product itself, factor by factor, in 240-bit precision for small graphs
 and is the independent check on that accumulation.
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 from mpmath import mp
@@ -194,15 +197,23 @@ MULTIPLICATIVE_NAMES = tuple(MULTIPLICATIVE_INDICES)
 ADDITIVE_NAMES = tuple(_ADDITIVE)
 
 
-def _distinct_arguments(h: DegreeHistogram, rule: _Rule) -> tuple[tuple, np.ndarray, int]:
-    """Distinct arguments of ``rule`` in ``h`` (ascending degrees ``(d,)`` or
-    lexicographic pairs ``(d_u, d_v)``), their counts, and the isolated
-    vertices skipped (degree 0 is an argument only where the rule is defined)."""
+def _distinct_arguments(
+    h: DegreeHistogram, rule: _Rule, policy: str = EXCLUDE
+) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct arguments of ``rule`` in each graph of ``h`` (ascending degrees
+    ``(d,)`` or lexicographic pairs ``(d_u, d_v)``), graph after graph; their
+    counts; where each graph's arguments end; and the isolated vertices each
+    graph skips (degree 0 is an argument only where the rule is defined).
+    Under ``logzero`` a graph that skips a vertex contributes no argument."""
     if rule.arity == "edge":
-        return h.pairs, h.pair_counts, 0
+        return h.pairs, h.pair_counts, h.pair_ends, np.zeros_like(h.pair_ends)
     start = 0 if rule.defined_at_zero else 1
-    d = np.flatnonzero(h.vertex[start:]) + start
-    return (d,), h.vertex[d], int(h.vertex[:start].sum())
+    skipped = h.vertex[:, :start].sum(axis=1)
+    body = h.vertex[:, start:]
+    if policy == LOGZERO:
+        body = body * (skipped == 0)[:, None]
+    graph, d = np.nonzero(body)
+    return (d + start,), body[graph, d], np.cumsum(np.count_nonzero(body, axis=1)), skipped
 
 
 def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) -> _Rule:
@@ -236,18 +247,27 @@ def _check_policy(policy: str) -> None:
 
 def _evaluate(
     fn: Callable, rule: _Rule, h: DegreeHistogram, policy: str, compensated: bool = False
-) -> tuple[float, int] | None:
-    """Sum ``fn`` (``rule.ln`` or ``rule.value``) over the vertices or edges
-    summarized by ``h``: once per distinct argument, weighted by its count.
+) -> list[tuple[float, int] | None]:
+    """Sum ``fn`` (``rule.ln`` or ``rule.value``) over the vertices or edges of
+    each graph summarized by ``h``: once per distinct argument, weighted by its
+    count, with one call of ``fn`` for all graphs.
 
-    Returns ``(total, excluded)``, or ``None`` when the ``logzero`` policy
-    meets an isolated vertex at which the rule is undefined.
+    Returns ``(total, excluded)`` per graph, or ``None`` where the ``logzero``
+    policy meets an isolated vertex at which the rule is undefined.  A graph's
+    terms are one contiguous slice, so its total has the same bits whether it
+    is summarized alone or stacked with others.
     """
-    args, counts, excluded = _distinct_arguments(h, rule)
-    if excluded and policy == LOGZERO:
-        return None
+    args, counts, ends, skipped = _distinct_arguments(h, rule, policy)
     terms = counts * fn(*args)
-    return (math.fsum(terms) if compensated else float(terms.sum())), excluded
+    out, start = [], 0
+    for end, excluded in zip(ends.tolist(), skipped.tolist()):
+        if excluded and policy == LOGZERO:
+            out.append(None)
+        else:
+            part = terms[start:end]
+            out.append((math.fsum(part) if compensated else float(part.sum()), excluded))
+        start = end
+    return out
 
 
 def ln_multiplicative_index(
@@ -261,7 +281,7 @@ def ln_multiplicative_index(
     """
     _check_policy(isolated_policy)
     rule = _resolve(kind)
-    res = _evaluate(rule.ln, rule, g.histogram, isolated_policy, compensated)
+    (res,) = _evaluate(rule.ln, rule, g.histogram, isolated_policy, compensated)
     return LogIndexValue.log_zero() if res is None else LogIndexValue(*res)
 
 
@@ -277,7 +297,7 @@ def additive_index(
     """
     _check_policy(isolated_policy)
     rule = _resolve(kind, _ADDITIVE)
-    res = _evaluate(rule.value, rule, g.histogram, isolated_policy, compensated)
+    (res,) = _evaluate(rule.value, rule, g.histogram, isolated_policy, compensated)
     return math.inf if res is None else res[0]
 
 
@@ -318,14 +338,39 @@ def ln_indices_from_arrays(
     """Evaluate several indices from degree arrays, as :func:`ln_multiplicative_index` does.
 
     ``deg`` is the full degree sequence; ``du``/``dv`` are edge endpoint
-    degrees in canonical edge order.  This is the ensemble path; it runs the
-    same evaluator on one histogram, so it returns the per-graph function's bits.
+    degrees in canonical edge order.  It runs the same evaluator on one
+    histogram, so it returns the per-graph function's bits.
     """
-    _check_policy(isolated_policy)
-    h = DegreeHistogram.of(deg, du, dv)
-    out = []
+    values, excluded = _ln_indices(DegreeHistogram.of(deg, du, dv), kinds, isolated_policy)
+    return [LogIndexValue(v, e) for v, e in zip(values[:, 0].tolist(), excluded[:, 0].tolist())]
+
+
+def ln_indices_of_stack(
+    degs: Sequence[np.ndarray],
+    dus: Sequence[np.ndarray],
+    dvs: Sequence[np.ndarray],
+    kinds: Sequence[IndexKind],
+    isolated_policy: str = EXCLUDE,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ln_indices_from_arrays` of graph j = ``(degs[j], dus[j], dvs[j])``
+    for every j at once, bit for bit; this is the ensemble path.
+
+    Returns ``(values, excluded)``, each of shape ``(len(kinds), J)``; a
+    log-zero product is ``-inf`` with 0 excluded.  One histogram and one rule
+    call per kind serve all J graphs, so their cost is paid once per stack.
+    """
+    return _ln_indices(DegreeHistogram.stack(degs, dus, dvs), kinds, isolated_policy)
+
+
+def _ln_indices(
+    h: DegreeHistogram, kinds: Iterable[IndexKind], policy: str
+) -> tuple[np.ndarray, np.ndarray]:
+    _check_policy(policy)
+    values, excluded = [], []
     for kind in kinds:
         rule = _resolve(kind)
-        res = _evaluate(rule.ln, rule, h, isolated_policy)
-        out.append(LogIndexValue.log_zero() if res is None else LogIndexValue(*res))
-    return out
+        results = _evaluate(rule.ln, rule, h, policy)
+        values.append([-math.inf if r is None else r[0] for r in results])
+        excluded.append([0 if r is None else r[1] for r in results])
+    shape = (len(values), len(h.pair_ends))
+    return np.array(values).reshape(shape), np.array(excluded, dtype=np.int64).reshape(shape)

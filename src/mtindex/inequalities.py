@@ -121,7 +121,7 @@ class _Prepared:
     def __init__(self, g: Graph, f: FunctionKind, memo: dict | None = None):
         rule = _resolve(f)
         self.name = rule.name
-        args, counts, _ = _distinct_arguments(g.histogram, rule)
+        args, counts, _, _ = _distinct_arguments(g.histogram, rule)
         distinct, counts = list(zip(*(a.tolist() for a in args))), counts.tolist()
         self.k = sum(counts)
         memo = {} if memo is None else memo

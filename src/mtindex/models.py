@@ -21,8 +21,12 @@ Cost of one sample with m edges:
 * ER/BR -- O(C(n, 2)) resp. O(n1*n2) uniform draws in O(block + m) memory.
   Uniforms are drawn in blocks of ``_BLOCK``; each hit's flat pair offset is
   mapped back to (u, v) arithmetically.
-* RG -- O(n + m) expected time and memory: a cell list over cells wider than
-  r, testing only pairs in the same or adjacent cells, then a canonical sort.
+* RG -- O(n + m) expected time and memory: a cell list (Bentley, Stanat &
+  Williams, IPL 6, 1977) over g x g cells at least r + 2^-40 wide, the margin
+  covering every rounding (see ``_cells_per_side``).  Each sorted point has
+  five candidate rows, its own cell and four neighbours; whole rows are tested
+  in blocks of about ``_BLOCK`` candidates laid out by ``np.repeat``, then the
+  edges are sorted canonically.
 
 The edges do not depend on the block size: they equal, array for array, those
 of materialising every candidate pair at once.
@@ -185,13 +189,18 @@ class SeedDerivation:
         return np.random.Generator(np.random.PCG64(self.stream_seed()))
 
 
-# Uniforms drawn per block by the ER/BR samplers and candidate pairs tested per
-# block by the RG sampler; edges do not depend on it.
+# Uniforms drawn per block by the ER/BR samplers, and about the candidate pairs
+# tested per block by the RG sampler (whole rows: fewer than _BLOCK + n); edges
+# do not depend on it.
 _BLOCK = 1 << 16
 
-# RG half stencil: a cell pairs with itself and four of its eight neighbours,
-# so every unordered pair of adjacent cells is visited once.
-_HALF_STENCIL = ((1, -1), (1, 0), (1, 1), (0, 1))
+# RG stencil, (x, y) offsets: a cell pairs with itself and four of its eight
+# neighbours, so every unordered pair of adjacent cells is visited once.
+_STENCIL_X = np.array([0, 1, 1, 1, 0])
+_STENCIL_Y = np.array([0, -1, 0, 1, 1])
+
+# Absolute margin of the RG cell width over r; see _cells_per_side.
+_CELL_MARGIN = 2.0 ** -40
 
 
 def _bernoulli_offsets(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
@@ -231,16 +240,21 @@ def _br_edges(n1: int, n2: int, p: float, rng: np.random.Generator):
 
 
 def _cells_per_side(n: int, r: float) -> int:
-    """Grid side g for the RG cell list.
+    """Grid side g for the RG cell list: the largest g <= isqrt(n) + 1 whose
+    cells are at least r + eps wide (eps = ``_CELL_MARGIN`` = 2^-40), up to
+    rounding.
 
-    g <= 1/r - 1 makes cells at least r/(1-r) wide, a margin over r that
-    rounding in floor(x*g) cannot use up, so two points within distance r are
-    never two cells apart.  The cap isqrt(n) + 1 keeps O(n) cells for tiny r.
+    Each pair within distance r must fall in the same or adjacent cells: its
+    computed cell coordinates floor(x*g) may differ by at most 1, which holds
+    while the products x*g differ by at most 1.  A pair that passes the
+    distance test has |dx| <= r + r*2^-51 + 2^-536 (the last term where squares
+    underflow), each x*g carries at most g*2^-53 of rounding, and the float
+    g = floor(1/(r + eps)) has g*(r + eps) <= 1 + 2^-51.  So the products
+    differ by at most g*r + g*2^-49 <= 1 + 2^-51 - g*(eps - 2^-49) < 1: the
+    margin is 2^9 times the rounding it absorbs.  The cap isqrt(n) + 1 keeps
+    O(n) cells for tiny r, and r + eps >= 2^-40 keeps 1/(r + eps) finite.
     """
-    cap = math.isqrt(n) + 1
-    if r * (cap + 2) <= 1.0:
-        return cap
-    return max(1, min(cap, math.floor(1.0 / r) - 1))
+    return max(1, min(math.isqrt(n) + 1, math.floor(1.0 / (r + _CELL_MARGIN))))
 
 
 def _rg_edges(n: int, r: float, rng: np.random.Generator):
@@ -253,32 +267,36 @@ def _rg_edges(n: int, r: float, rng: np.random.Generator):
     cell_end = np.cumsum(counts)
     cell_start = cell_end - counts
 
-    # Candidate rows in sorted order: point order[s] against the sorted points
-    # first..first+length-1.  In its own cell a point meets only later points.
+    # Candidate row 5*s + t: sorted point s against the sorted points
+    # first..first+length-1 of its stencil cell t, an empty row off the grid.
+    # In its own cell (t = 0) a point meets only later points.
     s = np.arange(n, dtype=np.intp)
-    sx, sy, sc = cx[order], cy[order], cell[order]
-    rows, firsts, lengths = [s], [s + 1], [cell_end[sc] - s - 1]
-    for ox, oy in _HALF_STENCIL:
-        nx, ny = sx + ox, sy + oy
-        ok = (nx < g) & (ny >= 0) & (ny < g)
-        nc = nx[ok] * g + ny[ok]
-        rows.append(s[ok])
-        firsts.append(cell_start[nc])
-        lengths.append(counts[nc])
-    rows, firsts, lengths = (np.concatenate(x) for x in (rows, firsts, lengths))
+    nx = cx[order, None] + _STENCIL_X
+    ny = cy[order, None] + _STENCIL_Y
+    ok = (nx < g) & (ny >= 0) & (ny < g)
+    nc = np.where(ok, nx * g + ny, 0)
+    firsts = cell_start[nc]
+    lengths = np.where(ok, counts[nc], 0)
+    firsts[:, 0] = s + 1
+    lengths[:, 0] = cell_end[nc[:, 0]] - s - 1
+    firsts, lengths = firsts.ravel(), lengths.ravel()
     ends = np.cumsum(lengths)
     row_start = ends - lengths
-    total = int(ends[-1])
 
+    # Blocks of whole rows, each starting at the row that holds candidate
+    # offset 0, _BLOCK, 2*_BLOCK, ..., so a block holds < _BLOCK + n candidates.
+    cuts = np.searchsorted(ends, np.arange(0, int(ends[-1]), _BLOCK), "right")
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]  # a row may hold several such offsets
     # (a-b)**2 == (b-a)**2 exactly, so testing in sorted order matches the
     # canonical dx = pos[u, 0] - pos[v, 0] with u < v bit for bit.
     x, y = pos[order, 0], pos[order, 1]
     rr = r * r
     keys = [np.empty(0, dtype=np.intp)]
-    for lo in range(0, total, _BLOCK):
-        flat = np.arange(lo, min(lo + _BLOCK, total), dtype=np.intp)
-        row, b = _unrank(row_start, firsts, flat)
-        a = rows[row]
+    for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), lengths.size]):
+        size = lengths[lo:hi]
+        a = np.repeat(np.arange(lo, hi) // 5, size)
+        shift = np.repeat(firsts[lo:hi] - row_start[lo:hi], size)
+        b = np.arange(row_start[lo], ends[hi - 1]) + shift
         dx = x[a] - x[b]
         dy = y[a] - y[b]
         hit = dx * dx + dy * dy <= rr

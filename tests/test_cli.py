@@ -204,7 +204,10 @@ def test_collapse_compares_same_named_files_as_two_curves(tmp_path, capsys):
     _, distinct, _ = run(capsys, "collapse", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
                          "--index", "nk")
     assert "over 2 curves" in same and "max deviation 0 " not in same
-    assert same == distinct.replace("a.csv", "er.csv").replace("b.csv", "er.csv")
+    # A shared basename labels each side by its path as given.
+    d1, d2 = str(tmp_path / "d1" / "er.csv"), str(tmp_path / "d2" / "er.csv")
+    assert f"nk,{d1}:er n=60,{d2}:er n=60," in same
+    assert same == distinct.replace("a.csv", d1).replace("b.csv", d2)
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -3,6 +3,7 @@ import io
 import math
 import multiprocessing
 import signal
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -23,7 +24,13 @@ from mtindex.ensemble import (
     write_results_csv,
 )
 from mtindex.indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_NAMES
-from mtindex.models import MAX_RADIUS, bipartite, erdos_renyi, random_geometric
+from mtindex.models import (
+    MAX_RADIUS,
+    bipartite,
+    erdos_renyi,
+    radius_for_mean_degree,
+    random_geometric,
+)
 
 SEED = 424242
 
@@ -267,3 +274,18 @@ def test_pool_workers_ignore_ctrl_c():
     # Only the parent handles Ctrl-C, whatever the start method.
     with ensemble._process_pool(1) as pool:
         assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
+
+
+@pytest.mark.parametrize("point", [erdos_renyi(250, 20.0 / 249),
+                                   random_geometric(250, radius_for_mean_degree(250, 20.0))],
+                         ids=["er", "rg"])
+def test_a_replica_block_evaluates_one_chunk_at_a_time(point):
+    # 400 replicas at <k> = 20 hold ~2.1e6 degree entries, 17 MB as int64; a
+    # block that stacked them all would pass 4 MiB many times over.
+    tracemalloc.start()
+    try:
+        ensemble._replica_block(point, MULTIPLICATIVE_NAMES, EXCLUDE, SEED, 0, 0, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20

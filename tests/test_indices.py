@@ -23,6 +23,7 @@ from mtindex.indices import (
     additive_index,
     exact_ln_oracle,
     ln_indices_from_arrays,
+    ln_indices_of_stack,
     ln_multiplicative_index,
 )
 
@@ -152,6 +153,61 @@ def test_bulk_path_agrees_with_engine(g):
                 assert got.value == ref.value
 
 
+@st.composite
+def replica_lists(draw):
+    """Degree arrays (deg, du, dv) of up to 10 small graphs, plus an edge-less
+    graph and a star whose hub (degree 12..40) has the largest degree of all,
+    each inserted at a drawn position."""
+    cases = draw(st.lists(edge_sets(), max_size=10))
+    hub = draw(st.integers(12, 40))
+    for case in ((draw(st.integers(1, 6)), []), (hub + 1, [(0, v) for v in range(1, hub + 1)])):
+        cases.insert(draw(st.integers(0, len(cases))), case)
+    graphs = [build_graph(*case) for case in cases]
+    return [(g.degrees, *g.edge_degree_pairs().T) for g in graphs]
+
+
+STACK_KINDS = (*MULTIPLICATIVE_NAMES, VertexFunction("succ", lambda d: d + 1.0),
+               EdgeFunction("mean", lambda a, b: (a + b) / 2.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(replica_lists(), st.sets(st.integers(1, 11)), st.sampled_from(POLICIES))
+def test_stacked_evaluation_equals_one_replica_at_a_time(replicas, cuts, policy):
+    # Cut the replicas into consecutive stacks at any points; every replica must
+    # get the bits and the excluded count it gets alone.
+    bounds = [0, *sorted(c for c in cuts if c < len(replicas)), len(replicas)]
+    stacks = [ln_indices_of_stack(*zip(*replicas[lo:hi]), STACK_KINDS, policy)
+              for lo, hi in zip(bounds, bounds[1:])]
+    values = np.concatenate([v for v, _ in stacks], axis=1)
+    excluded = np.concatenate([e for _, e in stacks], axis=1)
+    alone = [ln_indices_from_arrays(*arrays, STACK_KINDS, policy) for arrays in replicas]
+    want_values = np.array([[res.value for res in results] for results in alone]).T
+    want_excluded = [[res.excluded for res in results] for results in alone]
+    assert values.view(np.int64).tolist() == want_values.view(np.int64).tolist()
+    assert excluded.T.tolist() == want_excluded
+
+
+def test_a_logzero_graph_never_runs_the_rule():
+    # Under logzero a graph with an isolated vertex is a zero product at once,
+    # alone or stacked: a rule that fails on its degrees is never called.
+    no_three = VertexFunction("no_three", lambda d: 1.0 if d != 3 else 1 / 0)
+    star = build_graph(5, [(0, 1), (0, 2), (0, 3)])  # hub of degree 3, vertex 4 isolated
+    path = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(EvaluationError, match="no_three"):
+        ln_multiplicative_index(star, no_three, EXCLUDE)
+    assert ln_multiplicative_index(star, no_three, LOGZERO).is_log_zero
+    arrays = [(g.degrees, *g.edge_degree_pairs().T) for g in (star, path)]
+    values, excluded = ln_indices_of_stack(*zip(*arrays), [no_three], LOGZERO)
+    assert values.tolist() == [[-math.inf, 0.0]] and excluded.tolist() == [[0, 0]]
+
+
+def test_a_histogram_key_beyond_int64_is_refused():
+    # K = 2^32 + 1 makes the pair key K*K overflow int64 before any array is built.
+    no_edges = np.array([], dtype=np.int64)
+    with pytest.raises(ValueError, match="overflow an int64 key"):
+        DegreeHistogram.of(np.array([2**32]), no_edges, no_edges)
+
+
 def test_custom_functions():
     square = VertexFunction("deg_squared", lambda d: float(d * d))
     assert ln_multiplicative_index(P3, square).value == pytest.approx(
@@ -187,12 +243,13 @@ def test_distinct_arguments_match_the_two_dimensional_unique(degrees, pairs):
     )
     for rule, elements, excluded in cases:
         want, counts = np.unique(elements, axis=0, return_counts=True)
-        args, got_counts, got_excluded = _distinct_arguments(h, rule)
+        args, got_counts, ends, got_excluded = _distinct_arguments(h, rule)
         got = list(zip(*(a.tolist() for a in args)))
         assert got == [tuple(x) for x in want.tolist()]
         assert all(type(d) is int for x in got for d in x)
         assert got_counts.tolist() == counts.tolist()
-        assert got_excluded == excluded
+        assert ends.tolist() == [len(got)]
+        assert got_excluded.tolist() == [excluded]
 
 
 def test_custom_function_errors_name_the_offender():

@@ -196,6 +196,18 @@ def test_sampler_matches_reference_at_edge_cases(make, n):
         _assert_same_edges(make(n), SeedDerivation(8, 1, replica))
 
 
+@pytest.mark.parametrize("n", [2, 57, 250])
+def test_rg_edges_at_cell_width_boundaries(n):
+    # r = 1/g and its float neighbours put r exactly at, just below and just
+    # above the width of a grid of g cells per side.
+    for g in range(1, 65):
+        r = 1.0 / g
+        for radius in (np.nextafter(r, 0.0), r, np.nextafter(r, 2.0)):
+            spec = random_geometric(n, float(radius))
+            for replica in range(3):
+                _assert_same_edges(spec, SeedDerivation(g, n, replica))
+
+
 @pytest.mark.parametrize("block", [1, 7, 4096])
 @pytest.mark.parametrize(
     "spec",
