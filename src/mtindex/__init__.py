@@ -28,11 +28,9 @@ from .ensemble import (
     write_results_csv_path,
 )
 from .graph import (
-    DegreeSummary,
     Graph,
     GraphError,
     build_graph,
-    degree_summary,
     read_edge_list,
     read_edge_list_path,
     write_edge_list,

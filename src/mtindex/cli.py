@@ -106,11 +106,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_index(args) -> int:
+    for name in args.index:
+        if name not in MULTIPLICATIVE_NAMES and name not in ADDITIVE_NAMES:
+            raise SystemExit(f"error: unknown index {name!r}")
     lines = ["file,index,value_type,value,log_zero,excluded,policy"]
     for path in args.paths:
         try:
             g = read_edge_list_path(path)
-        except (ValueError, OSError) as exc:  # GraphError, undecodable bytes, unreadable path
+        # GraphError, undecodable bytes, unreadable path, a vertex count too large to allocate
+        except (ValueError, OSError, MemoryError) as exc:
             raise SystemExit(f"error: {path}: {exc}")
         for name in args.index:
             if name in MULTIPLICATIVE_NAMES:
@@ -119,11 +123,9 @@ def cmd_index(args) -> int:
                     f"{path},{name},ln_product,{_fmt(res.value)},"
                     f"{res.is_log_zero},{res.excluded},{args.policy}"
                 )
-            elif name in ADDITIVE_NAMES:
+            else:
                 val = additive_index(g, name, args.policy)
                 lines.append(f"{path},{name},sum,{_fmt(val)},False,0,{args.policy}")
-            else:
-                raise SystemExit(f"error: unknown index {name!r}")
     _emit(lines, args.out)
     return 0
 

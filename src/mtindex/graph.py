@@ -5,6 +5,16 @@ canonical pairs ``u < v`` in ascending lexicographic order, so that every
 downstream accumulation visits factors in a fixed, reproducible order;
 ``degrees`` is the ``(n,)`` degree sequence.  Graphs with ``n == 0`` or no
 edges are legal everywhere.
+
+``build_graph`` takes pairs that already satisfy ``0 <= u < v < n`` and ascend
+strictly (compared pair by pair) straight to the graph, as every file
+``write_edge_list`` writes; any other list is validated, sorted and checked for
+duplicates.  ``read_edge_list`` converts a plain text in one numpy pass: ASCII
+digits, spaces, tabs and newlines only, every token at most 18 digits, every
+nonblank line two tokens, and a header ``n m`` with m the number of edge lines.
+Any other text (signs, ``_``, non-ASCII digits, other whitespace, a longer
+token, a wrong token count or m) goes to the line parser, whose values and
+error messages are the reference.
 """
 
 from __future__ import annotations
@@ -100,14 +110,6 @@ class DegreeHistogram(NamedTuple):
         return h
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
-    min_degree: int
-    max_degree: int
-    mean_degree_empirical: float
-    isolated_count: int
-
-
 def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     """Validate, canonicalize and deduplicate ``edge_list`` into a :class:`Graph`.
 
@@ -128,6 +130,9 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise GraphError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    u, v = pairs.T
+    if _is_canonical(n, u, v):
+        return _from_canonical(n, u, v)
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     loop = lo == hi
     bad = loop | (lo < 0) | (hi >= n)
@@ -146,22 +151,18 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:
     return _from_canonical(n, lo, hi)
 
 
+def _is_canonical(n: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether every pair has ``0 <= u < v < n`` and the pairs ascend strictly in
+    lexicographic order, compared pair by pair: a ``u*n + v`` key could overflow."""
+    if not ((u >= 0).all() and (u < v).all() and (v < n).all()):
+        return False
+    return bool(((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all())
+
+
 def _from_canonical(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     # Trusted path: (u, v) already canonical (u < v), sorted, unique.
     edges = np.stack((u, v), axis=1).astype(np.int64, copy=False)
     return Graph(n=n, edges=edges, degrees=np.bincount(edges.ravel(), minlength=n))
-
-
-def degree_summary(g: Graph) -> DegreeSummary:
-    """Min/max/mean degree and isolated-vertex count; zeros for the empty graph."""
-    if g.n == 0:
-        return DegreeSummary(0, 0, 0.0, 0)
-    return DegreeSummary(
-        min_degree=int(g.degrees.min()),
-        max_degree=int(g.degrees.max()),
-        mean_degree_empirical=2.0 * g.m / g.n,
-        isolated_count=int(np.count_nonzero(g.degrees == 0)),
-    )
 
 
 def write_edge_list(g: Graph, out: TextIO) -> None:
@@ -170,13 +171,29 @@ def write_edge_list(g: Graph, out: TextIO) -> None:
     out.write(("%d %d\n" * g.m) % tuple(g.edges.ravel().tolist()))
 
 
+# Byte classes of the plain edge-list text: 0 digit, 1 space or tab, 2 newline, 3 other.
+_BYTE_CLASS = np.full(256, 3, dtype=np.int8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = 0
+_BYTE_CLASS[[ord(" "), ord("\t")]] = 1
+_BYTE_CLASS[ord("\n")] = 2
+# Any token of at most 18 digits fits an int64.
+_MAX_DIGITS = 18
+_POW10 = np.array([10**k for k in range(_MAX_DIGITS)], dtype=np.int64)
+
+
 def read_edge_list(src: TextIO) -> Graph:
     """Parse the edge-list text format, rejecting inconsistent edge counts.
 
-    The edge lines are converted in one numpy call; only if that fails are
-    they parsed one by one, which names the first malformed line.
+    ``src`` is read whole; lines end at each ``\\n``.  A plain text (see
+    :func:`_parse_plain`) is converted in one numpy pass; any other text is
+    parsed line by line, which names the first malformed line.  Both give the
+    same integers, so the same :class:`Graph` or :class:`GraphError`.
     """
-    lines = [ln for ln in (raw.strip() for raw in src) if ln]
+    text = src.read()
+    plain = _parse_plain(text)
+    if plain is not None:
+        return build_graph(*plain)
+    lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
     if not lines:
         raise GraphError("empty edge-list input")
     header = lines[0].split()
@@ -188,12 +205,42 @@ def read_edge_list(src: TextIO) -> Graph:
         raise GraphError(f"non-integer header {lines[0]!r}") from None
     if len(lines) - 1 != m:
         raise GraphError(f"header declares m={m} but {len(lines) - 1} edge lines found")
-    try:
-        # numpy converts each token with int(), as the line parser does.
-        edges = np.array([ln.split() for ln in lines[1:]], dtype=np.int64).reshape(m, 2)
-    except (ValueError, OverflowError):
-        edges = _parse_edge_lines(lines[1:])
-    return build_graph(n, edges)
+    return build_graph(n, _parse_edge_lines(lines[1:]))
+
+
+def _parse_plain(text: str) -> tuple[int, np.ndarray] | None:
+    """``(n, edges)`` of a plain edge list (defined in the module docstring),
+    or None for any other text.
+
+    The bytes are classified by one lookup, tokens found where digit runs
+    start and end, and each token's value summed from its digits times powers
+    of ten.
+    """
+    if not text.isascii():
+        return None
+    byte = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    kind = _BYTE_CLASS.take(byte)
+    if not kind.size or kind.max() > 2:
+        return None
+    digit = kind == 0
+    # Digit runs alternate with the rest, so their edges alternate start, end.
+    bounds = np.flatnonzero(np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
+    starts, ends = bounds[0::2], bounds[1::2]
+    length = ends - starts
+    if not starts.size or starts.size % 2 or length.max() > _MAX_DIGITS:
+        return None
+    # Tokens 2i and 2i+1 share a line; token 2i+2 starts a later one.
+    line = np.cumsum(kind == 2, dtype=np.min_scalar_type(byte.size))[starts]
+    first, second = line[0::2], line[1::2]
+    if not (np.array_equal(first, second) and (first[1:] > second[:-1]).all()):
+        return None
+    m = starts.size // 2 - 1
+    place = np.repeat(ends - 1, length) - np.flatnonzero(digit)
+    value = np.add.reduceat((byte[digit] - np.uint8(ord("0"))) * _POW10[place],
+                            length.cumsum() - length)
+    if value[1] != m:
+        return None
+    return int(value[0]), value[2:].reshape(m, 2)
 
 
 def _parse_edge_lines(lines: list[str]) -> list[tuple[int, int]]:

@@ -102,12 +102,20 @@ def test_index_unknown_name(tmp_path, capsys):
         main(["index", str(f), "--index", "wiener"])
 
 
+def test_index_names_are_checked_before_any_file(tmp_path):
+    bad = tmp_path / "bad.edges"
+    bad.write_text("3 1\n0 0\n")
+    with pytest.raises(SystemExit, match="unknown index 'wiener'"):
+        main(["index", str(bad), str(tmp_path / "missing.edges"), "--index", "nk,wiener"])
+
+
 @pytest.mark.parametrize("content, message", [
     (b"3 1\n0 0\n", "self-loop"),
     (b"2 1\n0 \xc0\n", "can't decode"),
     (None, "No such file"),
     (b"1000000000000000000000000000000 1\n0 1\n", "vertex count 10"),
-], ids=["self-loop", "binary", "missing", "n-beyond-int64"])
+    (b"1000000000000000 1\n0 1\n", "Unable to allocate"),
+], ids=["self-loop", "binary", "missing", "n-beyond-int64", "n-beyond-memory"])
 def test_index_bad_file_is_a_one_line_error(tmp_path, content, message):
     f = tmp_path / "g.edges"
     if content is not None:

@@ -1,16 +1,22 @@
 import io
 
+import numpy as np
 import pytest
 from helpers import edge_list_texts, edge_sets, reference_read_edge_list, reference_write_edge_list
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mtindex import graph
 from mtindex.graph import (
     GraphError,
+    _is_canonical,
     build_graph,
-    degree_summary,
     read_edge_list,
+    read_edge_list_path,
     write_edge_list,
+    write_edge_list_path,
 )
+from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
 
 
 def test_path_graph_degrees():
@@ -46,10 +52,15 @@ def test_out_of_range_endpoint_rejected():
         ([(0, 1), (2, 5), (1, 1)], r"out of range \[0, 3\): \(2, 5\)"),
         ([(0, 1), (1, 1), (2, 5)], r"self-loop \(1, 1\)"),
         ([(1, 2), (2, 1), (1, 0), (0, 1)], r"duplicate edge \(0, 1\)"),
+        ([(0, 1), (0, 1), (1, 2), (1, 2)], r"duplicate edge \(0, 1\)"),
+        ([(0, 1), (1, 1), (2, 2)], r"self-loop \(1, 1\)"),
+        ([(0, 1), (1, 3), (2, 5)], r"out of range \[0, 3\): \(1, 3\)"),
+        ([(-1, 0), (0, 1), (0, 1)], r"out of range \[0, 3\): \(-1, 0\)"),
     ],
 )
 def test_first_of_two_bad_pairs_is_named(pairs, message):
     # Self-loops and range errors in input order; duplicates in canonical order.
+    # The last four lists ascend, so they reach the test for canonical input.
     with pytest.raises(GraphError, match=message):
         build_graph(3, pairs)
 
@@ -59,20 +70,54 @@ def test_empty_graphs_are_legal():
     assert build_graph(5, []).degrees.tolist() == [0] * 5
 
 
-def test_degree_summary_examples():
-    p3 = build_graph(3, [(0, 1), (1, 2)])
-    s = degree_summary(p3)
-    assert (s.min_degree, s.max_degree, s.isolated_count) == (1, 2, 0)
-    assert s.mean_degree_empirical == pytest.approx(4 / 3)
+@given(edge_sets(), st.randoms(use_true_random=False))
+def test_build_graph_ignores_pair_order_and_orientation(case, rnd):
+    n, edges = case
+    canonical = sorted(edges)
+    shuffled = rnd.sample(canonical, len(canonical))
+    swapped = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in shuffled]
+    g = build_graph(n, canonical)
+    assert g.edges.tolist() == [list(pair) for pair in canonical]
+    assert build_graph(n, np.array(canonical, dtype=np.int64).reshape(-1, 2)) == g
+    assert build_graph(n, shuffled) == g
+    assert build_graph(n, swapped) == g
 
-    empty = degree_summary(build_graph(5, []))
-    assert (empty.min_degree, empty.max_degree, empty.mean_degree_empirical,
-            empty.isolated_count) == (0, 0, 0.0, 5)
 
-    k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    s4 = degree_summary(k4)
-    assert (s4.min_degree, s4.max_degree, s4.mean_degree_empirical,
-            s4.isolated_count) == (3, 3, 3.0, 0)
+# Endpoints at the int64 limits, where a u*n + v key would overflow.
+_ENDPOINTS = st.one_of(st.integers(-2, 8),
+                       st.sampled_from([-2**63, 2**31, 2**62 - 1, 2**62, 2**63 - 2, 2**63 - 1]))
+
+
+@given(st.one_of(st.integers(0, 8), st.sampled_from([2**62, 2**63 - 1])),
+       st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), max_size=8))
+def test_canonical_test_accepts_only_canonical_pairs(n, pairs):
+    # Sorted pairs ascend, so only a loop, a reversed or out-of-range pair or
+    # a duplicate can make them non-canonical.
+    pairs = sorted(pairs)
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    want = (all(0 <= a < b < n for a, b in pairs)
+            and all(p < q for p, q in zip(pairs, pairs[1:])))
+    assert _is_canonical(n, u, v) == want
+    assert _is_canonical(n, u[::-1], v[::-1]) == (want and len(pairs) < 2)
+
+
+def _refuse(*args):
+    raise AssertionError("the line parser was called")
+
+
+@pytest.mark.parametrize("g", [
+    generate(erdos_renyi(300, 0.05), SeedDerivation(3)),
+    generate(random_geometric(300, 0.1), SeedDerivation(3)),
+    generate(bipartite(120, 180, 0.05), SeedDerivation(3)),
+    build_graph(10**6, [(0, 999_999), (7, 10), (123_456, 654_321)]),
+    build_graph(7, []),
+    build_graph(0, []),
+], ids=["er", "rg", "br", "wide", "edgeless", "n0"])
+def test_writer_output_is_read_in_one_numpy_pass(g, tmp_path, monkeypatch):
+    monkeypatch.setattr(graph, "_parse_edge_lines", _refuse)
+    path = tmp_path / "g.edges"
+    write_edge_list_path(g, path)
+    assert read_edge_list_path(path) == g
 
 
 @given(edge_sets())
