@@ -8,11 +8,8 @@ sum-vs-product inequalities.
 from .dense import (
     DENSE_REGIME_MEAN_DEGREE,
     UnsupportedIndexError,
-    predict,
     predict_br,
     predict_br_per_vertex,
-    predict_er,
-    predict_rg,
     scaling_curve,
 )
 from .ensemble import (
@@ -46,18 +43,12 @@ from .indices import (
     MULTIPLICATIVE_NAMES,
     VertexFunction,
     additive_index,
-    exact_ln_oracle,
     ln_indices_from_arrays,
     ln_multiplicative_index,
 )
 from .inequalities import (
     BoundsWindow,
     InequalityCheck,
-    check_exp_linear,
-    check_jensen,
-    check_jensen_converse,
-    check_kober,
-    check_petrovic_sum,
     petrovic_counterexample,
     run_all_checks,
     verify_corpus,
@@ -67,7 +58,6 @@ from .models import (
     ModelSpec,
     SeedDerivation,
     bipartite,
-    br_mean_degrees,
     br_probability_for_mean_degree,
     erdos_renyi,
     g_of_r,

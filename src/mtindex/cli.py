@@ -90,6 +90,8 @@ def _point_tag(spec: models.ModelSpec) -> str:
 
 def cmd_generate(args) -> int:
     grid = _build_grid(args)
+    if args.replicas < 1:
+        raise SystemExit(f"error: replicas must be >= 1, got {args.replicas}")
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -201,7 +203,7 @@ def cmd_predict(args) -> int:
     else:
         if args.k is None:
             raise SystemExit("error: er/rg prediction requires --k")
-        value = dense.predict(args.model, args.index, args.k)
+        value = dense.scaling_curve(args.index, args.k)
     print(_fmt(value))
     return 0
 

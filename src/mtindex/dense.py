@@ -25,7 +25,7 @@ class UnsupportedIndexError(ValueError):
 
 
 def scaling_curve(index: str, k: float) -> float:
-    """The universal collapse curve f(<k>): ln X_prod per vertex at mean degree k.
+    """The universal collapse curve f(<k>): ER and RG ln X_prod per vertex at mean degree k.
 
     Defined for the eight scaling indices; the geometric-arithmetic product
     does not scale with mean degree and has no curve here.
@@ -47,17 +47,6 @@ def scaling_curve(index: str, k: float) -> float:
     if index == "idpi":
         return (_LN2 / 2.0) * k - k * math.log(k)
     raise UnsupportedIndexError(f"no dense-limit formula for index {index!r}")
-
-
-def predict_er(index: str, k: float) -> float:
-    """ER dense-limit value of ln X_prod / n at mean degree k = (n-1)p."""
-    return scaling_curve(index, k)
-
-
-# RG shares the ER formula set verbatim; only <d> = (n-1)g(r) differs.
-predict_rg = predict_er
-
-_BR_EDGE_INDICES = ("pi2", "pi1s", "rpi", "hpi", "chipi", "idpi")
 
 
 def predict_br(index: str, d1: float, d2: float) -> float:
@@ -100,19 +89,3 @@ def predict_br_per_vertex(index: str, d1: float, d2: float) -> float:
     """
     return predict_br(index, d1, d2) * (d2 / (d1 + d2))
 
-
-def predict(model: str, index: str, mean_degrees) -> float:
-    """Dispatch on model kind.
-
-    ER/RG take a scalar mean degree and return ln X_prod / n; BR takes the
-    pair (d1, d2) and returns the per-part normalization ln X_prod / n1
-    (use :func:`predict_br_per_vertex` for collapse-plot normalization).
-    """
-    if model == "er":
-        return predict_er(index, mean_degrees)
-    if model == "rg":
-        return predict_rg(index, mean_degrees)
-    if model == "br":
-        d1, d2 = mean_degrees
-        return predict_br(index, d1, d2)
-    raise ValueError(f"unknown model {model!r}")

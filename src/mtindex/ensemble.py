@@ -266,10 +266,12 @@ def sweep(spec: EnsembleSpec) -> list[EnsembleStats]:
     rows: list[EnsembleStats] = []
     executor = previous_handler = None
     interrupts: list = []
+    # Blocks are still split by spec.workers, so the pool size moves no byte.
+    pool_size = min(spec.workers, max(replicas_for(p.n, spec.budget) for p in spec.grid))
     try:
-        if spec.workers > 1:
+        if pool_size > 1:
             previous_handler = _defer_interrupts(interrupts)
-            executor = _process_pool(spec.workers)
+            executor = _process_pool(pool_size)
         for point_id, point in enumerate(spec.grid):
             rows.extend(
                 run_point(

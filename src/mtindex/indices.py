@@ -13,9 +13,7 @@ the rule once per distinct degree or degree pair of the graph's histogram,
 one numpy sum of the count-weighted terms.  A histogram may stack several
 graphs (the sweep's chunks of replicas); the rule then runs once for all of
 them and each graph's terms are summed as their own contiguous slice, so a
-graph gets the same bits alone or stacked.  :func:`exact_ln_oracle` forms
-the product itself, factor by factor, in 240-bit precision for small graphs
-and is the independent check on that accumulation.
+graph gets the same bits alone or stacked.
 
 Error bound.  With unit roundoff u = 2^-53 and gamma_j = j*u / (1 - j*u),
 the computed value S^ of S = sum ln F_i over k factors obeys
@@ -26,13 +24,12 @@ where t_i are the computed log-factors.  The first term bounds the reduction
 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section
 4.2): d terms c_j*t_j over the distinct arguments, each rounded once, and d-1
 additions in any order stay within gamma_d * sum |t_i|; when every count c_j
-is 1, d = k and the terms are exact, else d < k.  ``compensated=True``
-(``math.fsum``) leaves one rounding of the additions, u*|S|.  The second term
-is the error of each log-factor: a built-in forms its log's argument from
-exact integers with at most three rounded operations (3.0001u after the log),
-the log is within one ulp (2u*|t_i|), the scalings by 2 and -1/2 are exact,
-and the 2u*|t_i| left covers the rounding of c_j*t_j under ``compensated``.
-The tests hold every built-in to this bound against the oracle.
+is 1, d = k and the terms are exact, else d < k.  The second term is the
+error of each log-factor: a built-in forms its log's argument from exact
+integers with at most three rounded operations (3.0001u after the log), the
+log is within one ulp (2u*|t_i|), the scalings by 2 and -1/2 are exact, and
+the 2u*|t_i| left is margin.  The tests hold every built-in to this bound
+against a 240-bit oracle that forms the product itself, factor by factor.
 
 Vertex-based products are zero on graphs with isolated vertices.  The
 ``isolated_policy`` argument picks between excluding those vertices from the
@@ -55,9 +52,6 @@ from .graph import DegreeHistogram, Graph
 EXCLUDE = "exclude"
 LOGZERO = "logzero"
 POLICIES = (EXCLUDE, LOGZERO)
-
-# Oracle precision: 240-bit significand, comfortably above the 128-bit floor.
-_ORACLE_PREC = 240
 
 
 class EvaluationError(ValueError):
@@ -246,7 +240,7 @@ def _check_policy(policy: str) -> None:
 
 
 def _evaluate(
-    fn: Callable, rule: _Rule, h: DegreeHistogram, policy: str, compensated: bool = False
+    fn: Callable, rule: _Rule, h: DegreeHistogram, policy: str
 ) -> list[tuple[float, int] | None]:
     """Sum ``fn`` (``rule.ln`` or ``rule.value``) over the vertices or edges of
     each graph summarized by ``h``: once per distinct argument, weighted by its
@@ -264,30 +258,26 @@ def _evaluate(
         if excluded and policy == LOGZERO:
             out.append(None)
         else:
-            part = terms[start:end]
-            out.append((math.fsum(part) if compensated else float(part.sum()), excluded))
+            out.append((float(terms[start:end].sum()), excluded))
         start = end
     return out
 
 
 def ln_multiplicative_index(
-    g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE, compensated: bool = False
+    g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE
 ) -> LogIndexValue:
     """ln of the multiplicative index of ``g``.
 
     The count-weighted ln-factors are summed by numpy (see the module
-    docstring for the error bound); ``compensated=True`` switches the
-    reduction to ``math.fsum``.  An empty product yields ``Finite(0)``.
+    docstring for the error bound).  An empty product yields ``Finite(0)``.
     """
     _check_policy(isolated_policy)
     rule = _resolve(kind)
-    (res,) = _evaluate(rule.ln, rule, g.histogram, isolated_policy, compensated)
+    (res,) = _evaluate(rule.ln, rule, g.histogram, isolated_policy)
     return LogIndexValue.log_zero() if res is None else LogIndexValue(*res)
 
 
-def additive_index(
-    g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE, compensated: bool = False
-) -> float:
+def additive_index(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) -> float:
     """Additive index of ``g``, reduced like :func:`ln_multiplicative_index`.
 
     Isolated vertices: terms that are defined at d=0 (e.g. the first Zagreb
@@ -297,35 +287,8 @@ def additive_index(
     """
     _check_policy(isolated_policy)
     rule = _resolve(kind, _ADDITIVE)
-    (res,) = _evaluate(rule.value, rule, g.histogram, isolated_policy, compensated)
+    (res,) = _evaluate(rule.value, rule, g.histogram, isolated_policy)
     return math.inf if res is None else res[0]
-
-
-def exact_ln_oracle(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) -> LogIndexValue:
-    """Independent oracle: form the product itself in 240-bit arithmetic, log once.
-
-    Restricted to n <= 64; used to bound the log-space accumulation error of
-    :func:`ln_multiplicative_index`.
-    """
-    _check_policy(isolated_policy)
-    if g.n > 64:
-        raise ValueError(f"oracle restricted to n <= 64 graphs, got n={g.n}")
-    rule = _resolve(kind)
-    with mp.workprec(_ORACLE_PREC):
-        product = mp.one
-        excluded = 0
-        if rule.arity == "vertex":
-            for d in g.degrees.tolist():
-                if d == 0:
-                    if isolated_policy == LOGZERO:
-                        return LogIndexValue.log_zero()
-                    excluded += 1
-                    continue
-                product *= rule.mp(d)
-        else:
-            for du, dv in g.edge_degree_pairs().tolist():
-                product *= rule.mp(du, dv)
-        return LogIndexValue(float(mp.log(product)), excluded)
 
 
 def ln_indices_from_arrays(

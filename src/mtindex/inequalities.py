@@ -7,7 +7,8 @@ bounds and overflows doubles already on mid-sized graphs; reported lhs/rhs
 are rounded to floats afterwards (possibly to inf) while ``holds`` is decided
 at full precision.  The six checks read one preparation per (graph,
 function), made from the graph's degree histogram: k, the sums of F and F^2,
-the sum of ln F and its min/max.
+the sum of ln F and its min/max.  A custom function is float-valued, so its
+verdicts are decided in 192 bits on those float values.
 
 :func:`verify_corpus` keeps one memo per function for the length of one
 call: each distinct argument's F and ln F, computed at the working
@@ -51,13 +52,14 @@ RELATIVE_TOL = 1e-9
 
 FunctionKind = Union[str, VertexFunction, EdgeFunction]
 
+# The positions of run_all_checks' result; k factors, X_sum and X_prod over F.
 INEQUALITIES = (
-    "jensen",
-    "jensen_converse",
-    "kober_lower",
-    "kober_upper",
-    "petrovic_sum",
-    "exp_linear",
+    "jensen",            # X_prod^(1/k) <= X_sum/k
+    "jensen_converse",   # X_sum/k <= e^a + e^b - e^(a+b)/X_prod^(1/k), ln F in [a, b]
+    "kober_lower",       # X_sum(F^2) + k(k-1) X_prod^(2/k) <= X_sum^2
+    "kober_upper",       # X_sum^2 <= (k-1) X_sum(F^2) + k X_prod^(2/k)
+    "petrovic_sum",      # X_sum <= X_prod + (k - 1), log-factors of one sign
+    "exp_linear",        # sum ln F + 1 <= X_prod; unconditional
 )
 
 REPORT_COLUMNS = "inequality,model,n,param,function,lhs,rhs,slack,holds,hypothesis_ok"
@@ -142,8 +144,10 @@ def run_all_checks(
 ) -> list[InequalityCheck]:
     """The six checks of ``INEQUALITIES``, in order, from one preparation of (g, f).
 
-    ``window`` is the converse-Jensen window (see :func:`check_jensen_converse`).
-    With no realized values (k == 0) the first four checks are vacuous.
+    ``window`` must bound ln F over the realized degrees for the converse-Jensen
+    check; by default it is the realized min/max envelope, and a window that
+    does not bound them flags that check instead of asserting it.  With no
+    realized values (k == 0) the first four checks are vacuous.
     """
     return _checks(_Prepared(g, f), window)
 
@@ -185,39 +189,6 @@ def _checks(p: _Prepared, window: BoundsWindow | None = None) -> list[Inequality
         checks.append(_finish("petrovic_sum", name, p.sum, product + (k - 1), coherent, note))
         checks.append(_finish("exp_linear", name, p.log_sum + 1, product))
     return checks
-
-
-def check_jensen(g: Graph, f: FunctionKind) -> InequalityCheck:
-    """Geometric mean of the factors <= arithmetic mean: X_prod^(1/k) <= X_sum/k."""
-    return run_all_checks(g, f)[0]
-
-
-def check_jensen_converse(
-    g: Graph, f: FunctionKind, window: BoundsWindow | None = None
-) -> InequalityCheck:
-    """Converse bound X_sum/k <= e^a + e^b - e^(a+b)/X_prod^(1/k).
-
-    ``window`` must bound ln F over the realized degrees; by default it is the
-    realized min/max envelope.  A violated window flags the check instead of
-    asserting it.
-    """
-    return run_all_checks(g, f, window)[1]
-
-
-def check_kober(g: Graph, f: FunctionKind) -> tuple[InequalityCheck, InequalityCheck]:
-    """Two-sided bound linking X_sum over F^2, (X_sum over F)^2, and X_prod^(2/k)."""
-    lower, upper = run_all_checks(g, f)[2:4]
-    return lower, upper
-
-
-def check_petrovic_sum(g: Graph, f: FunctionKind) -> InequalityCheck:
-    """Sum bound X_sum <= X_prod + (k - 1), valid when log-factors share a sign."""
-    return run_all_checks(g, f)[4]
-
-
-def check_exp_linear(g: Graph, f: FunctionKind) -> InequalityCheck:
-    """Tangent-line bound X_prod >= (sum of log-factors) + 1; unconditional."""
-    return run_all_checks(g, f)[5]
 
 
 def petrovic_counterexample() -> tuple[Graph, VertexFunction]:
@@ -281,7 +252,6 @@ def verify_corpus(
     sizes: Sequence[int] = DEFAULT_SIZES,
     graphs_per_size: int = DEFAULT_GRAPHS_PER_SIZE,
     functions: Sequence[FunctionKind] | None = None,
-    include_counterexample: bool = True,
 ) -> list[CorpusCheck]:
     """Run every check over the sampled corpus; deterministic in master_seed."""
     if functions is None:
@@ -294,15 +264,9 @@ def verify_corpus(
             for f, memo in zip(functions, memos):
                 for check in _checks(_Prepared(g, f, memo)):
                     rows.append(CorpusCheck(spec.model, spec.n, spec.param_value, check))
-    if include_counterexample:
-        g, f = petrovic_counterexample()
-        rows.append(CorpusCheck("counterexample", g.n, 0.0, check_petrovic_sum(g, f)))
+    g, f = petrovic_counterexample()
+    rows.append(CorpusCheck("counterexample", g.n, 0.0, run_all_checks(g, f)[4]))
     return rows
-
-
-def all_asserted_hold(rows: Sequence[CorpusCheck]) -> bool:
-    """True when every check whose hypotheses held also holds numerically."""
-    return all(row.check.holds for row in rows if row.check.hypothesis_ok)
 
 
 def write_report_csv(rows: Sequence[CorpusCheck], out: TextIO) -> None:

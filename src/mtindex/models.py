@@ -115,21 +115,13 @@ def g_of_r(r: float) -> float:
 def mean_degree(spec: ModelSpec) -> float:
     """Expected network-level mean degree <k> of a model point.
 
-    ER: (n-1)p.  RG: (n-1)g(r).  BR: 2*n1*n2*p/(n1+n2); the per-set expected
-    degrees are available via :func:`br_mean_degrees`.
+    ER: (n-1)p.  RG: (n-1)g(r).  BR: 2*n1*n2*p/(n1+n2).
     """
     if spec.model == "er":
         return (spec.n - 1) * spec.p
     if spec.model == "rg":
         return (spec.n - 1) * g_of_r(spec.r)
     return 2.0 * spec.n1 * spec.n2 * spec.p / (spec.n1 + spec.n2)
-
-
-def br_mean_degrees(spec: ModelSpec) -> tuple[float, float]:
-    """Expected degrees (<d1>, <d2>) = (n2*p, n1*p) of the two parts."""
-    if spec.model != "br":
-        raise ValueError(f"br_mean_degrees is defined for br specs, got {spec.model!r}")
-    return spec.n2 * spec.p, spec.n1 * spec.p
 
 
 def probability_for_mean_degree(n: int, k: float) -> float:

@@ -9,8 +9,18 @@ import numpy as np
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mtindex.graph import DegreeHistogram, GraphError, build_graph
-from mtindex.indices import LOGZERO, EdgeFunction, VertexFunction, _checked, _resolve
+from mtindex.graph import DegreeHistogram, Graph, GraphError, build_graph
+from mtindex.indices import (
+    EXCLUDE,
+    LOGZERO,
+    EdgeFunction,
+    IndexKind,
+    LogIndexValue,
+    VertexFunction,
+    _check_policy,
+    _checked,
+    _resolve,
+)
 from mtindex.inequalities import _PREC as PREC
 from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
 
@@ -227,8 +237,39 @@ def _evaluate(fn, rule, deg, du, dv, policy, compensated=False):
 
 def reference_evaluate(g, fn, rule, policy, compensated=False):
     """``(total, excluded)`` of ``fn`` summed per vertex or per edge of ``g``,
-    or ``None`` for a log-zero."""
+    or ``None`` for a log-zero; ``compensated`` sums with ``math.fsum``."""
     return _evaluate(fn, rule, *_degree_arrays(g), policy, compensated)
+
+
+# Oracle precision: 240-bit significand, comfortably above the 128-bit floor.
+_ORACLE_PREC = 240
+
+
+def exact_ln_oracle(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) -> LogIndexValue:
+    """Independent oracle: form the product itself in 240-bit arithmetic, log once.
+
+    Restricted to n <= 64; used to bound the log-space accumulation error of
+    :func:`ln_multiplicative_index`.
+    """
+    _check_policy(isolated_policy)
+    if g.n > 64:
+        raise ValueError(f"oracle restricted to n <= 64 graphs, got n={g.n}")
+    rule = _resolve(kind)
+    with mp.workprec(_ORACLE_PREC):
+        product = mp.one
+        excluded = 0
+        if rule.arity == "vertex":
+            for d in g.degrees.tolist():
+                if d == 0:
+                    if isolated_policy == LOGZERO:
+                        return LogIndexValue.log_zero()
+                    excluded += 1
+                    continue
+                product *= rule.mp(d)
+        else:
+            for du, dv in g.edge_degree_pairs().tolist():
+                product *= rule.mp(du, dv)
+        return LogIndexValue(float(mp.log(product)), excluded)
 
 
 def count_histograms(monkeypatch):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mixed_graphs, model_graphs
+from helpers import exact_ln_oracle, mixed_graphs, model_graphs
 from mtindex.cli import main as cli_main
 from mtindex.dense import scaling_curve
 from mtindex.ensemble import EnsembleSpec, collapse_check, split_curves, sweep
@@ -19,11 +19,9 @@ from mtindex.indices import (
     EXCLUDE,
     LOGZERO,
     MULTIPLICATIVE_NAMES,
-    exact_ln_oracle,
     ln_multiplicative_index,
 )
 from mtindex.inequalities import (
-    check_petrovic_sum,
     petrovic_counterexample,
     run_all_checks,
     verify_corpus,
@@ -161,22 +159,27 @@ def test_c03_cross_model_collapse(cross_model_tables):
 
 
 def test_c04_br_reduction_identity():
-    from mtindex.dense import predict_br_per_vertex, predict_er
+    from mtindex.dense import predict_br_per_vertex
     worst = 0.0
     for idx in ("pi2", "pi1s", "rpi", "hpi", "chipi", "idpi"):
         for d in range(1, 51):
             worst = max(worst, abs(predict_br_per_vertex(idx, float(d), float(d))
-                                   - predict_er(idx, float(d))))
+                                   - scaling_curve(idx, float(d))))
     report(4, "BR reduction identity on <d> in {1..50}",
            worst <= 1e-12, f"worst |diff| {worst:.2e}")
 
 
-def test_c05_er_rg_formula_identity():
-    from mtindex.dense import predict_er, predict_rg
+def test_c05_er_rg_formula_identity(capsys):
+    # `predict` serves ER and RG from the one scaling curve.
     worst = 0.0
     for idx in SCALING_INDICES:
         for d in range(1, 51):
-            worst = max(worst, abs(predict_er(idx, float(d)) - predict_rg(idx, float(d))))
+            printed = []
+            for model in ("er", "rg"):
+                assert cli_main(["predict", "--model", model, "--index", idx, "--k", str(d)]) == 0
+                printed.append(float(capsys.readouterr().out))
+            worst = max(worst, abs(printed[0] - printed[1]),
+                        abs(printed[0] - scaling_curve(idx, float(d))))
     report(5, "ER/RG formula identity on <d> in {1..50}",
            worst <= 1e-12, f"worst |diff| {worst:.2e}")
 
@@ -270,7 +273,7 @@ def test_c09_inequality_suite():
                         eq_bad.append(f"{name}/{c.inequality} slack {c.slack:.2e}")
 
     cg, cf = petrovic_counterexample()
-    cx = check_petrovic_sum(cg, cf)
+    cx = run_all_checks(cg, cf)[4]
     counterexample_ok = (not cx.holds) and (not cx.hypothesis_ok)
 
     ok = (not failures and not unconditional_flagged and not eq_bad

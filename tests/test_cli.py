@@ -154,6 +154,30 @@ def test_sweep_determinism_and_workers(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sizes, budget, workers, pool", [
+    ("30", "60", 3, 2),          # two replicas per point: two processes, not three
+    ("30", "30", 3, None),       # one replica per point: no pool
+    ("20,40", "80", 8, 4),       # the largest point (4 replicas at n = 20) sizes it
+    ("30", "300", 3, 3),         # enough replicas for every worker
+])
+def test_sweep_pool_is_sized_by_the_largest_replica_count(tmp_path, monkeypatch, sizes, budget,
+                                                          workers, pool):
+    pools = []
+
+    def make_pool(max_workers, **kwargs):
+        pools.append(max_workers)
+        return InlinePool(cuts=())
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", make_pool)
+    args = ["sweep", "--model", "er", "--n", sizes, "--p", "0.1,0.3", "--index", "nk,pi2",
+            "--budget", budget, "--seed", "5"]
+    one, many = tmp_path / "w1.csv", tmp_path / "wn.csv"
+    assert main([*args, "--workers", "1", "--out", str(one)]) == 0
+    assert main([*args, "--workers", str(workers), "--out", str(many)]) == 0
+    assert pools == ([] if pool is None else [pool])
+    assert many.read_bytes() == one.read_bytes()
+
+
 def test_sweep_budget_must_cover_max_n(capsys):
     with pytest.raises(SystemExit, match="budget"):
         main(["sweep", "--model", "er", "--n", "500", "--p", "0.1",
@@ -429,8 +453,13 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
      "graphs per size must be >= 1, got 0"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "-1"],
      "graphs per size must be >= 1, got -1"),
+    (["generate", "--model", "er", "--n", "10", "--p", "0.5", "--seed", "1", "--replicas", "0"],
+     "replicas must be >= 1, got 0"),
+    (["generate", "--model", "er", "--n", "10", "--p", "0.5", "--seed", "1", "--replicas", "-1"],
+     "replicas must be >= 1, got -1"),
 ], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0",
-        "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative"])
+        "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative",
+        "generate-replicas-0", "generate-replicas-negative"])
 def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:

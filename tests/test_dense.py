@@ -5,42 +5,30 @@ import pytest
 from mtindex.dense import (
     DENSE_REGIME_MEAN_DEGREE,
     UnsupportedIndexError,
-    predict,
     predict_br,
     predict_br_per_vertex,
-    predict_er,
-    predict_rg,
     scaling_curve,
 )
 
-SCALING = ("nk", "pi1", "pi2", "pi1s", "rpi", "hpi", "chipi", "idpi")
-
-
 def test_frozen_examples():
-    assert predict("er", "nk", 10.0) == pytest.approx(math.log(10.0), abs=1e-12)
-    assert predict("er", "chipi", 4.0) == pytest.approx(-3.0 * math.log(2.0), abs=1e-12)
-    assert predict("rg", "idpi", 10.0) == pytest.approx(
+    assert scaling_curve("nk", 10.0) == pytest.approx(math.log(10.0), abs=1e-12)
+    assert scaling_curve("chipi", 4.0) == pytest.approx(-3.0 * math.log(2.0), abs=1e-12)
+    assert scaling_curve("idpi", 10.0) == pytest.approx(
         5.0 * math.log(2.0) - 10.0 * math.log(10.0), abs=1e-12)
-    assert predict("br", "pi2", (6.0, 6.0)) == pytest.approx(12.0 * math.log(6.0), abs=1e-12)
-
-
-def test_er_rg_identity_is_bitwise():
-    for idx in SCALING:
-        for k in [0.5, 1.0, 2.0, 7.3, 10.0, 55.0, 100.0]:
-            assert predict_er(idx, k) == predict_rg(idx, k)
+    assert predict_br("pi2", 6.0, 6.0) == pytest.approx(12.0 * math.log(6.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("idx", ("pi2", "pi1s", "rpi", "hpi", "chipi", "idpi"))
 def test_br_reduces_to_er_at_equal_parts(idx):
     for d in range(1, 51):
         d = float(d)
-        assert abs(predict_br_per_vertex(idx, d, d) - predict_er(idx, d)) <= 1e-12
+        assert abs(predict_br_per_vertex(idx, d, d) - scaling_curve(idx, d)) <= 1e-12
 
 
 def test_br_vertex_indices_only_at_equal_parts():
     assert predict_br("nk", 8.0, 8.0) == pytest.approx(2.0 * math.log(8.0), abs=1e-12)
     assert predict_br_per_vertex("pi1", 8.0, 8.0) == pytest.approx(
-        predict_er("pi1", 8.0), abs=1e-12)
+        scaling_curve("pi1", 8.0), abs=1e-12)
     with pytest.raises(UnsupportedIndexError):
         predict_br("nk", 8.0, 9.0)
 
@@ -70,6 +58,4 @@ def test_errors():
         scaling_curve("gapi", 10.0)
     with pytest.raises(UnsupportedIndexError):
         predict_br("gapi", 5.0, 5.0)
-    with pytest.raises(ValueError):
-        predict("tree", "nk", 10.0)
     assert DENSE_REGIME_MEAN_DEGREE == 10.0

@@ -12,7 +12,6 @@ from mtindex.models import (
     ModelSpec,
     SeedDerivation,
     bipartite,
-    br_mean_degrees,
     erdos_renyi,
     g_of_r,
     generate,
@@ -70,10 +69,7 @@ def test_mean_degree_formulas():
     assert mean_degree(erdos_renyi(101, 0.1)) == pytest.approx(10.0)
     assert mean_degree(random_geometric(2, MAX_RADIUS)) == pytest.approx(1.0)
     spec = bipartite(100, 100, 0.05)
-    assert br_mean_degrees(spec) == (pytest.approx(5.0), pytest.approx(5.0))
     assert mean_degree(spec) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        br_mean_degrees(erdos_renyi(4, 0.5))
 
 
 def test_g_endpoints_and_branch_agreement():
