@@ -3,8 +3,9 @@
 Every randomized command requires an explicit ``--seed``; reruns with
 identical flags (including ``--workers``) produce byte-identical output.
 Out-of-range flags, unreadable inputs, custom expressions outside the grammar,
-bad ``--out`` paths and failed replicas end the command with one ``error:`` line
-(exit status 1); a degree function that fails in ``verify`` exits 2 instead.
+bad ``--out`` paths, failed replicas and allocations that numpy refuses end the
+command with one ``error:`` line (exit status 1); a degree function that fails
+in ``verify`` exits 2 instead.
 An interrupt (Ctrl-C) ends any command with exit status 130 and one line on
 stderr; it leaves no partial output file and no temp file (``generate``
 keeps the edge-list files it finished).
@@ -394,7 +395,8 @@ def main(argv=None) -> int:
     _check_out_dir(getattr(args, "out", None))
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError) as exc:
+    # MemoryError: a per-point array numpy refuses (a vast --budget)
+    except (ValueError, RuntimeError, MemoryError) as exc:
         raise SystemExit(f"error: {exc}")
     except KeyboardInterrupt:
         # Every output file goes through atomic_write, so none is left behind.

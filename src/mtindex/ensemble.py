@@ -1,9 +1,11 @@
 """Seeded replica ensembles over model grids, aggregation, and collapse checks.
 
-Replicas are the unit of parallel work: replica ``i`` of grid point ``j`` is a
-pure function of (master_seed, j, i), so any partition of the replica range
-across workers reproduces the same per-replica values, and the ordered
-reduction below yields bitwise-identical statistics for any worker count.
+Replica ``i`` of grid point ``j`` is a pure function of (master_seed, j, i).
+A point's replicas are cut into contiguous chunks planned from the point alone,
+before anything is sampled, and each chunk is one task, run in this process or
+on the sweep's worker pool.  Any partition of the replica range reproduces the
+same per-replica values, and the exact reduction below yields bitwise-identical
+statistics for any worker count.
 
 Results are written as a flat CSV, one row per (grid point, index), with
 floats serialized via ``repr`` so reruns are byte-identical.
@@ -11,12 +13,14 @@ floats serialized via ``repr`` so reruns are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import os
 import signal
 import threading
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence, TextIO
@@ -91,50 +95,50 @@ class EnsembleStats:
         return self.mean_ln / self.spec.n
 
 
-# Degree entries (n + 2m per replica) sampled before a chunk is evaluated: the
-# histogram and rule calls are paid per chunk, and a chunk's arrays stay small.
+# Expected degree entries (n + 2m per replica) in one chunk: the histogram and
+# rule calls are paid per chunk, and a chunk's arrays stay small.
 _CHUNK_ENTRIES = 1 << 14
 
 
-def _replica_block(
+def _chunks(point: ModelSpec, replicas: int) -> list[tuple[int, int]]:
+    """Contiguous spans [lo, hi) that cover range(replicas), planned before sampling.
+
+    A replica holds n + 2 E[m] = n (1 + <k>) degree entries in expectation;
+    every span but the last holds the fewest replicas whose expected entries
+    reach ``_CHUNK_ENTRIES``.
+    """
+    size = math.ceil(_CHUNK_ENTRIES / (point.n * (1.0 + mean_degree(point))))
+    return [(lo, min(lo + size, replicas)) for lo in range(0, replicas, size)]
+
+
+def _replica_chunk(
     point: ModelSpec,
     indices: tuple[str, ...],
     policy: str,
     master_seed: int,
     point_id: int,
-    start: int,
-    stop: int,
+    lo: int,
+    hi: int,
 ):
-    """Evaluate replicas [start, stop); one generated instance serves all indices.
+    """Sample replicas [lo, hi) and evaluate them as one stack.
 
-    Replicas are evaluated in chunks of about ``_CHUNK_ENTRIES`` degree
-    entries; each replica's values are those it would have alone.
+    One generated instance serves all indices, and each replica's values are
+    those it would have alone.  Returns ``(values, excluded, k_emp)``.
     """
-    count = stop - start
-    values = np.empty((len(indices), count))
-    excluded = np.zeros((len(indices), count), dtype=np.int64)
-    k_emp = np.empty(count)
-    chunk, entries, lo = [], 0, start
-    for replica in range(start, stop):
+    graphs = []
+    for replica in range(lo, hi):
         try:
             rng = SeedDerivation(master_seed, point_id, replica).generator()
-            deg, du, dv = sample_degree_arrays(point, rng)
+            graphs.append(sample_degree_arrays(point, rng))
         except Exception as exc:
             raise _replica_error(master_seed, point_id, f"replica_index={replica}", exc) from exc
-        k_emp[replica - start] = 2.0 * du.shape[0] / point.n
-        chunk.append((deg, du, dv))
-        entries += deg.size + 2 * du.size
-        if entries < _CHUNK_ENTRIES and replica + 1 < stop:
-            continue
-        hi = replica + 1
-        try:
-            vals, excl = ln_indices_of_stack(*zip(*chunk), indices, policy)
-        except Exception as exc:
-            where = f"replica_index in [{lo}, {hi})"
-            raise _replica_error(master_seed, point_id, where, exc) from exc
-        values[:, lo - start:hi - start] = vals
-        excluded[:, lo - start:hi - start] = excl
-        chunk, entries, lo = [], 0, hi
+    degs, dus, dvs = zip(*graphs)
+    k_emp = np.array([2.0 * du.shape[0] / point.n for du in dus])
+    try:
+        values, excluded = ln_indices_of_stack(degs, dus, dvs, indices, policy)
+    except Exception as exc:
+        where = f"replica_index in [{lo}, {hi})"
+        raise _replica_error(master_seed, point_id, where, exc) from exc
     return values, excluded, k_emp
 
 
@@ -165,34 +169,6 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
     )
 
 
-class _InProcess(Executor):
-    """Executor that runs each submitted block at once, in this process."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-def _pool_blocks(pool, args, replicas: int, workers: int) -> list:
-    """Split [0, replicas) into contiguous blocks, run them on ``pool``, keep order."""
-    n_blocks = min(workers, replicas)
-    bounds = [round(b * replicas / n_blocks) for b in range(n_blocks + 1)]
-    spans = list(zip(bounds, bounds[1:]))
-    futures = [pool.submit(_replica_block, *args, lo, hi) for lo, hi in spans]
-    blocks = []
-    for future, (lo, hi) in zip(futures, spans):
-        try:
-            blocks.append(future.result())
-        except BrokenProcessPool as exc:
-            *_, master_seed, point_id = args
-            raise RuntimeError(
-                f"worker process died at seed triple (master_seed={master_seed}, "
-                f"point_id={point_id}, replica_index in [{lo}, {hi})): {exc}"
-            ) from exc
-    return blocks
-
-
 def run_point(
     point: ModelSpec,
     indices: Sequence[str],
@@ -201,23 +177,34 @@ def run_point(
     *,
     point_id: int = 0,
     isolated_policy: str = EXCLUDE,
-    workers: int = 1,
     _executor: Executor | None = None,
 ) -> list[EnsembleStats]:
     """Run one grid point; returns one :class:`EnsembleStats` per index.
 
-    Runs ``min(workers, replicas)`` replica blocks on ``_executor``, else in this process.
+    Each chunk of :func:`_chunks` is one task, run on ``_executor``, else in
+    this process.
     """
     indices = tuple(indices)
-    if replicas < 1 or workers < 1:
-        raise ValueError(f"replica and worker counts must be >= 1, got {replicas}, {workers}")
+    if replicas < 1:
+        raise ValueError(f"replica count must be >= 1, got {replicas}")
+    # Allocated before any chunk is planned or sampled, so a replica count
+    # whose arrays numpy refuses fails at once.
+    values = np.empty((len(indices), replicas))
+    excluded = np.empty((len(indices), replicas), dtype=np.int64)
+    k_emp = np.empty(replicas)
+    spans = _chunks(point, replicas)
     args = (point, indices, isolated_policy, master_seed, point_id)
-    blocks = _pool_blocks(_executor or _InProcess(), args, replicas, workers)
-
-    # Reassemble in ascending replica order regardless of how blocks ran.
-    values = np.concatenate([b[0] for b in blocks], axis=1)
-    excluded = np.concatenate([b[1] for b in blocks], axis=1)
-    k_emp = np.concatenate([b[2] for b in blocks])
+    task = functools.partial(_replica_chunk, *args)
+    results = (map if _executor is None else _executor.map)(task, *zip(*spans))
+    for lo, hi in spans:
+        try:
+            chunk = next(results)
+        except BrokenProcessPool as exc:
+            raise RuntimeError(
+                f"worker process died at seed triple (master_seed={master_seed}, "
+                f"point_id={point_id}, replica_index in [{lo}, {hi})): {exc}"
+            ) from exc
+        values[:, lo:hi], excluded[:, lo:hi], k_emp[lo:hi] = chunk
 
     k_mean, k_sem = _mean_sem(k_emp.tolist())
     k_theory = mean_degree(point)
@@ -266,8 +253,9 @@ def sweep(spec: EnsembleSpec) -> list[EnsembleStats]:
     rows: list[EnsembleStats] = []
     executor = previous_handler = None
     interrupts: list = []
-    # Blocks are still split by spec.workers, so the pool size moves no byte.
-    pool_size = min(spec.workers, max(replicas_for(p.n, spec.budget) for p in spec.grid))
+    # Chunks are planned from each point alone, so the pool size moves no byte.
+    largest = max(replicas_for(p.n, spec.budget) for p in spec.grid)
+    pool_size = min(spec.workers, largest, os.cpu_count() or 1)
     try:
         if pool_size > 1:
             previous_handler = _defer_interrupts(interrupts)
@@ -281,7 +269,6 @@ def sweep(spec: EnsembleSpec) -> list[EnsembleStats]:
                     spec.master_seed,
                     point_id=point_id,
                     isolated_policy=spec.isolated_policy,
-                    workers=spec.workers,
                     _executor=executor,
                 )
             )
@@ -289,7 +276,7 @@ def sweep(spec: EnsembleSpec) -> list[EnsembleStats]:
                 raise KeyboardInterrupt
     finally:
         if executor is not None:
-            # After an interrupt or a failed block, queued blocks are dropped.
+            # After an interrupt or a failed chunk, queued chunks are dropped.
             executor.shutdown(cancel_futures=True)
         if previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)

@@ -2,7 +2,7 @@
 
 import ast
 import math
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -25,8 +25,11 @@ from mtindex.inequalities import _PREC as PREC
 from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
 
 
-class BrokenPool:
-    """Executor stub whose futures fail as if their worker process had died."""
+class BrokenPool(Executor):
+    """Executor stub whose futures fail as if their worker process had died.
+
+    ``Executor.map`` submits through the stub's ``submit``.
+    """
 
     def __init__(self, max_workers=None, initializer=None, initargs=()):
         self.cancel_futures = None
@@ -51,7 +54,7 @@ class InterruptedPool(BrokenPool):
 
 
 class InlinePool(BrokenPool):
-    """Executor stub that runs each submitted replica block in this process,
+    """Executor stub that runs each submitted replica chunk in this process,
     split further at ``cuts``, and joins the pieces in replica order."""
 
     def __init__(self, cuts):

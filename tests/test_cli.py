@@ -159,6 +159,7 @@ def test_sweep_determinism_and_workers(tmp_path, capsys):
     ("30", "30", 3, None),       # one replica per point: no pool
     ("20,40", "80", 8, 4),       # the largest point (4 replicas at n = 20) sizes it
     ("30", "300", 3, 3),         # enough replicas for every worker
+    ("30", "3000", 64, 6),       # more workers and replicas than CPUs: one process per CPU
 ])
 def test_sweep_pool_is_sized_by_the_largest_replica_count(tmp_path, monkeypatch, sizes, budget,
                                                           workers, pool):
@@ -169,6 +170,7 @@ def test_sweep_pool_is_sized_by_the_largest_replica_count(tmp_path, monkeypatch,
         return InlinePool(cuts=())
 
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", make_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
     args = ["sweep", "--model", "er", "--n", sizes, "--p", "0.1,0.3", "--index", "nk,pi2",
             "--budget", budget, "--seed", "5"]
     one, many = tmp_path / "w1.csv", tmp_path / "wn.csv"
@@ -415,8 +417,19 @@ def test_sweep_worker_failure_is_a_one_line_error(tmp_path, monkeypatch):
               "--budget", "400", "--seed", "5", "--workers", "2", "--out", str(out)])
     msg = info.value.code
     assert msg.startswith("error: ") and "\n" not in msg
-    assert "master_seed=5" in msg and "point_id=0" in msg and "[0, 5)" in msg
+    assert "master_seed=5" in msg and "point_id=0" in msg and "[0, 10)" in msg
     assert not out.exists()
+
+
+def test_refused_budget_is_a_one_line_error(tmp_path):
+    # 10^16 replicas need 71 PiB, beyond any 48- or 57-bit address space.
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--model", "er", "--n", "1", "--p", "0.5", "--index", "nk",
+              "--budget", "1e16", "--seed", "1", "--out", str(out)])
+    msg = info.value.code
+    assert msg.startswith("error: ") and "\n" not in msg
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
@@ -576,7 +589,7 @@ def test_interrupted_pool_sweep_cancels_queued_blocks(tmp_path, monkeypatch, cap
 
 
 class CtrlCPool(InlinePool):
-    """Executor stub that runs blocks in this process and sends this process a
+    """Executor stub that runs chunks in this process and sends this process a
     SIGINT at every submit, as a Ctrl-C landing inside the executor would."""
 
     def __init__(self, **kwargs):
@@ -601,8 +614,8 @@ def test_ctrl_c_inside_the_pool_is_raised_between_points(tmp_path, monkeypatch, 
     out = tmp_path / "sweep.csv"
     assert main([*SWEEP, "--workers", "2", "--out", str(out)]) == 130
     assert capsys.readouterr().err == "sweep: interrupted\n"
-    # Both blocks of the first point went out; the second point never started.
-    assert [(pool.submitted, pool.cancel_futures) for pool in pools] == [(2, True)]
+    # The first point's one chunk went out; the second point never started.
+    assert [(pool.submitted, pool.cancel_futures) for pool in pools] == [(1, True)]
     assert signal.getsignal(signal.SIGINT) is before
     assert list(tmp_path.iterdir()) == []
 
@@ -616,9 +629,10 @@ def _children(pid):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the workers via /proc")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the sweep starts no pool on one CPU")
 def test_ctrl_c_on_a_real_pool_sweep_exits_130(tmp_path):
     # A terminal's Ctrl-C goes to the whole process group, workers included.
-    # Many points of one-replica blocks keep the workers mostly idle and the
+    # Many points of one-replica chunks keep the workers mostly idle and the
     # parent mostly inside the executor, where an unhandled interrupt shows.
     out = tmp_path / "sweep.csv"
     p = ",".join(str(round(0.05 + i * 1e-5, 5)) for i in range(3000))

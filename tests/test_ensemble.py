@@ -28,6 +28,7 @@ from mtindex.models import (
     MAX_RADIUS,
     bipartite,
     erdos_renyi,
+    mean_degree,
     radius_for_mean_degree,
     random_geometric,
 )
@@ -80,18 +81,12 @@ def test_self_consistency_across_master_seeds():
     assert abs(a.mean_ln - b.mean_ln) <= 4.0 * math.hypot(a.sem, b.sem)
 
 
-def test_worker_count_does_not_change_results():
-    base = run_point(erdos_renyi(40, 0.3), ["nk", "pi2"], 24, SEED, workers=1)
-    multi = run_point(erdos_renyi(40, 0.3), ["nk", "pi2"], 24, SEED, workers=2)
-    assert base == multi
-
-
 def test_half_pooling_reproduces_full_mean():
     full = run_point(erdos_renyi(30, 0.4), ["pi2"], 20, SEED)[0]
-    from mtindex.ensemble import _replica_block
+    from mtindex.ensemble import _replica_chunk
     spec = erdos_renyi(30, 0.4)
-    lo = _replica_block(spec, ("pi2",), EXCLUDE, SEED, 0, 0, 10)[0][0]
-    hi = _replica_block(spec, ("pi2",), EXCLUDE, SEED, 0, 10, 20)[0][0]
+    lo = _replica_chunk(spec, ("pi2",), EXCLUDE, SEED, 0, 0, 10)[0][0]
+    hi = _replica_chunk(spec, ("pi2",), EXCLUDE, SEED, 0, 10, 20)[0][0]
     pooled = math.fsum(list(lo) + list(hi)) / 20.0
     assert pooled == full.mean_ln
 
@@ -231,28 +226,26 @@ def test_split_curves_groups_by_size():
 
 def test_broken_worker_pool_names_the_seed_triple():
     with pytest.raises(RuntimeError) as info:
-        run_point(erdos_renyi(20, 0.3), ["nk"], 10, 77, point_id=3, workers=2,
-                  _executor=BrokenPool())
+        run_point(erdos_renyi(20, 0.3), ["nk"], 10, 77, point_id=3, _executor=BrokenPool())
     msg = str(info.value)
-    assert "master_seed=77" in msg and "point_id=3" in msg and "[0, 5)" in msg
+    assert "master_seed=77" in msg and "point_id=3" in msg and "[0, 10)" in msg
     assert isinstance(info.value.__cause__, BrokenProcessPool)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_any_contiguous_partition_gives_the_same_stats(data):
-    # The stub runs run_point's blocks in-process, cut again at arbitrary
-    # points, so every partition of [0, replicas) into contiguous blocks occurs.
+    # The stub runs run_point's chunks in-process, cut again at arbitrary
+    # points, so every partition of [0, replicas) into contiguous spans occurs.
     replicas = data.draw(st.integers(1, 24), label="replicas")
-    workers = data.draw(st.integers(1, replicas), label="workers")
     cuts = data.draw(st.sets(st.integers(1, replicas)), label="cuts")
     point = data.draw(st.sampled_from(
         [erdos_renyi(12, 0.2), random_geometric(10, 0.3), bipartite(5, 6, 0.3)]), label="point")
     policy = data.draw(st.sampled_from([EXCLUDE, LOGZERO]), label="policy")
     kwargs = dict(point_id=4, isolated_policy=policy)
     want = run_point(point, ["nk", "pi2", "gapi"], replicas, SEED, **kwargs)
-    got = run_point(point, ["nk", "pi2", "gapi"], replicas, SEED, workers=workers,
-                    _executor=InlinePool(cuts), **kwargs)
+    got = run_point(point, ["nk", "pi2", "gapi"], replicas, SEED, _executor=InlinePool(cuts),
+                    **kwargs)
     assert repr(got) == repr(want)  # repr, so that NaN means equal NaN
 
 
@@ -261,12 +254,7 @@ def test_run_point_without_an_executor_starts_no_process(monkeypatch):
         raise AssertionError("run_point started a process pool")
 
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
-    point = erdos_renyi(30, 0.2)
-    one = run_point(point, ["nk", "pi2"], 9, SEED, workers=1)
-    two = run_point(point, ["nk", "pi2"], 9, SEED, workers=2)
-    assert repr(two) == repr(one)
-    with pytest.raises(ValueError, match="worker counts must be >= 1"):
-        run_point(point, ["nk"], 9, SEED, workers=0)
+    run_point(erdos_renyi(30, 0.2), ["nk", "pi2"], 9, SEED)
     assert multiprocessing.active_children() == []
 
 
@@ -281,11 +269,31 @@ def test_pool_workers_ignore_ctrl_c():
                          ids=["er", "rg"])
 def test_a_replica_block_evaluates_one_chunk_at_a_time(point):
     # 400 replicas at <k> = 20 hold ~2.1e6 degree entries, 17 MB as int64; a
-    # block that stacked them all would pass 4 MiB many times over.
+    # point that stacked them all would pass 4 MiB many times over.
     tracemalloc.start()
     try:
-        ensemble._replica_block(point, MULTIPLICATIVE_NAMES, EXCLUDE, SEED, 0, 0, 400)
+        run_point(point, MULTIPLICATIVE_NAMES, 400, SEED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chunks_are_planned_contiguous_spans_of_bounded_entries(data):
+    n = data.draw(st.integers(1, 3000), label="n")
+    x = data.draw(st.floats(0.0, 1.0), label="p or r")
+    point = data.draw(st.sampled_from(
+        [erdos_renyi(n, x), random_geometric(n, x), bipartite(n, n // 2 + 1, x)]), label="point")
+    replicas = data.draw(st.integers(1, 2000), label="replicas")
+    spans = ensemble._chunks(point, replicas)
+    assert spans[0][0] == 0 and spans[-1][1] == replicas
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert all(lo < hi for lo, hi in spans)
+    size = spans[0][1] - spans[0][0]
+    assert all(hi - lo == size for lo, hi in spans[:-1])
+    assert spans[-1][1] - spans[-1][0] <= size
+    # At most one replica's expected entries past the bound.
+    per_replica = point.n * (1.0 + mean_degree(point))
+    assert size * per_replica < ensemble._CHUNK_ENTRIES + per_replica
