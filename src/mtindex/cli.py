@@ -9,6 +9,12 @@ in ``verify`` exits 2 instead.
 An interrupt (Ctrl-C) ends any command with exit status 130 and one line on
 stderr; it leaves no partial output file and no temp file (``generate``
 keeps the edge-list files it finished).
+
+Each command imports only the modules it runs.  This module loads ``graph``,
+``indices`` and ``models`` (numpy, no mpmath); ``sweep`` and ``collapse``
+import ``ensemble``, and with it the process pool; ``collapse`` and
+``predict`` import ``dense``; only ``verify`` imports ``inequalities``, and
+with it mpmath.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import dense, ensemble, inequalities, models
+from . import models
 from .graph import atomic_write, read_edge_list_path, write_edge_list_path
 from .indices import (
     ADDITIVE_NAMES,
@@ -134,15 +140,18 @@ def cmd_index(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import ensemble
+
     grid = _build_grid(args)
+    budget = ensemble.DEFAULT_BUDGET if args.budget is None else args.budget
     max_n = max(spec.n for spec in grid)
-    if args.budget < max_n:
-        raise SystemExit(f"error: budget {args.budget} must be >= max n {max_n}")
+    if budget < max_n:
+        raise SystemExit(f"error: budget {budget} must be >= max n {max_n}")
     spec = ensemble.EnsembleSpec(
         grid=tuple(grid),
         indices=tuple(args.index),
         master_seed=args.seed,
-        budget=args.budget,
+        budget=budget,
         isolated_policy=args.policy,
         workers=args.workers,
     )
@@ -155,6 +164,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_collapse(args) -> int:
+    from . import dense, ensemble
+
     names = [Path(path).name for path in args.csvs]
     tables = []
     for path, name in zip(args.csvs, names):
@@ -194,6 +205,8 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import dense
+
     if args.model == "br":
         if args.d1 is None or args.d2 is None:
             raise SystemExit("error: br prediction requires --d1 and --d2")
@@ -272,14 +285,18 @@ def _parse_custom(defs: list[str], kind: type):
 
 
 def cmd_verify(args) -> int:
+    from . import inequalities
+
     functions = list(MULTIPLICATIVE_NAMES)
     functions += _parse_custom(args.custom_vertex, VertexFunction)
     functions += _parse_custom(args.custom_edge, EdgeFunction)
     try:
         rows = inequalities.verify_corpus(
             args.seed,
-            sizes=tuple(args.sizes),
-            graphs_per_size=args.graphs,
+            sizes=inequalities.DEFAULT_SIZES if args.sizes is None else tuple(args.sizes),
+            graphs_per_size=(
+                inequalities.DEFAULT_GRAPHS_PER_SIZE if args.graphs is None else args.graphs
+            ),
             functions=functions,
         )
     except EvaluationError as exc:
@@ -331,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True, help="master seed (required)")
         if budgeted:
             p.add_argument("--index", type=lambda s: s.split(","), required=True)
-            p.add_argument("--budget", type=float, default=ensemble.DEFAULT_BUDGET)
+            p.add_argument("--budget", type=float, default=None)
             p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("generate", help="write edge-list files for sampled instances")
@@ -380,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numeric inequality verification over a graph corpus")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--sizes", type=_int_list, default=list(inequalities.DEFAULT_SIZES))
-    p.add_argument("--graphs", type=int, default=inequalities.DEFAULT_GRAPHS_PER_SIZE)
+    p.add_argument("--sizes", type=_int_list, default=None)
+    p.add_argument("--graphs", type=int, default=None)
     p.add_argument("--custom-vertex", action="append", default=[], metavar="NAME=EXPR")
     p.add_argument("--custom-edge", action="append", default=[], metavar="NAME=EXPR")
     p.add_argument("--out", default=None, help="report CSV path")

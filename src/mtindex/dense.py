@@ -6,8 +6,9 @@ families share one formula set (only the definition of <d> differs between
 the models); bipartite networks have their own two-degree forms, normalized
 per part size, which reduce to the ER set at equal part sizes.
 
-Predictions are defined for every mean degree > 0 but are only expected to
-describe ensemble data from :data:`DENSE_REGIME_MEAN_DEGREE` upward.
+Predictions are defined for every finite mean degree > 0 but are only
+expected to describe ensemble data from :data:`DENSE_REGIME_MEAN_DEGREE`
+upward.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ def scaling_curve(index: str, k: float) -> float:
     Defined for the eight scaling indices; the geometric-arithmetic product
     does not scale with mean degree and has no curve here.
     """
-    if k <= 0.0:
-        raise ValueError(f"mean degree must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"mean degree must be finite and positive, got {k}")
     if index == "nk":
         return math.log(k)
     if index == "pi1":
@@ -56,8 +57,8 @@ def predict_br(index: str, d1: float, d2: float) -> float:
     Only the six edge-based indices have bipartite forms; the two vertex-based
     ones are covered solely through the equal-parts reuse of the ER formulas.
     """
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise ValueError(f"mean degrees must be positive, got ({d1}, {d2})")
+    if not (0.0 < d1 < math.inf and 0.0 < d2 < math.inf):
+        raise ValueError(f"mean degrees must be finite and positive, got ({d1}, {d2})")
     if index == "pi2":
         return d1 * (math.log(d1) + math.log(d2))
     if index == "pi1s":

@@ -36,6 +36,11 @@ Vertex-based products are zero on graphs with isolated vertices.  The
 product (reporting how many were skipped) and returning an explicit log-zero
 sentinel; edge-based indices are unaffected since edge endpoints always have
 degree >= 1.
+
+Imports.  This module needs numpy and :mod:`mtindex.graph` only.  A
+multiplicative rule's exact form ``mp(ctx, *degrees)`` takes its mpmath
+context from the caller, so mpmath loads only where the exact forms run:
+:mod:`mtindex.inequalities` (192-bit verdicts) and the tests' 240-bit oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
-from mpmath import mp
 
 from .graph import DegreeHistogram, Graph
 
@@ -127,48 +131,44 @@ class _Rule:
     name: str
     arity: str                          # "vertex" | "edge"
     ln: Callable | None = None          # ln F over int64 degree arrays
-    mp: Callable | None = None          # F in mpmath working precision, from Python ints
+    mp: Callable | None = None          # (ctx, *ints) -> F in the mpmath context ctx
     value: Callable | None = None       # F over int64 degree arrays
     defined_at_zero: bool = False       # isolated vertices add F(0), whatever the policy
-
-
-def _mpf(x) -> mp.mpf:
-    return mp.mpf(int(x))
 
 
 MULTIPLICATIVE_INDICES: dict[str, _Rule] = {
     b.name: b
     for b in (
-        _Rule("nk", "vertex", ln=lambda d: np.log(d), mp=lambda d: _mpf(d)),
-        _Rule("pi1", "vertex", ln=lambda d: 2.0 * np.log(d), mp=lambda d: _mpf(d) ** 2),
-        _Rule("pi2", "edge", ln=lambda a, b: np.log(a * b), mp=lambda a, b: _mpf(a) * b),
-        _Rule("pi1s", "edge", ln=lambda a, b: np.log(a + b), mp=lambda a, b: _mpf(a + b)),
+        _Rule("nk", "vertex", ln=lambda d: np.log(d), mp=lambda mp, d: mp.mpf(d)),
+        _Rule("pi1", "vertex", ln=lambda d: 2.0 * np.log(d), mp=lambda mp, d: mp.mpf(d) ** 2),
+        _Rule("pi2", "edge", ln=lambda a, b: np.log(a * b), mp=lambda mp, a, b: mp.mpf(a) * b),
+        _Rule("pi1s", "edge", ln=lambda a, b: np.log(a + b), mp=lambda mp, a, b: mp.mpf(a + b)),
         _Rule(
             "rpi", "edge",
             ln=lambda a, b: -0.5 * np.log(a * b),
-            mp=lambda a, b: 1 / mp.sqrt(_mpf(a) * b),
+            mp=lambda mp, a, b: 1 / mp.sqrt(mp.mpf(a) * b),
         ),
         _Rule(
             "hpi", "edge",
             ln=lambda a, b: np.log(2.0 / (a + b)),
-            mp=lambda a, b: mp.mpf(2) / (a + b),
+            mp=lambda mp, a, b: mp.mpf(2) / (a + b),
         ),
         _Rule(
             "chipi", "edge",
             ln=lambda a, b: -0.5 * np.log(a + b),
-            mp=lambda a, b: 1 / mp.sqrt(_mpf(a + b)),
+            mp=lambda mp, a, b: 1 / mp.sqrt(mp.mpf(a + b)),
         ),
         _Rule(
             "idpi", "edge",
             ln=lambda a, b: np.log(1.0 / (a * a) + 1.0 / (b * b)),
-            mp=lambda a, b: 1 / _mpf(a) ** 2 + 1 / _mpf(b) ** 2,
+            mp=lambda mp, a, b: 1 / mp.mpf(a) ** 2 + 1 / mp.mpf(b) ** 2,
         ),
         _Rule(
             # Geometric-arithmetic edge rule 2*sqrt(ab)/(a+b); exploratory,
             # no dense-limit counterpart.
             "gapi", "edge",
             ln=lambda a, b: np.log(2.0 * np.sqrt(a * b) / (a + b)),
-            mp=lambda a, b: 2 * mp.sqrt(_mpf(a) * b) / (a + b),
+            mp=lambda mp, a, b: 2 * mp.sqrt(mp.mpf(a) * b) / (a + b),
         ),
     )
 }
@@ -228,7 +228,7 @@ def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) 
             kind.name,
             "vertex" if isinstance(kind, VertexFunction) else "edge",
             ln=lambda *args: np.log(value(*args)),
-            mp=lambda *degrees: mp.mpf(f(*degrees)),
+            mp=lambda mp, *degrees: mp.mpf(f(*degrees)),
             value=value,
         )
     raise TypeError(f"not an index kind: {kind!r}")

@@ -130,7 +130,7 @@ class _Prepared:
         with mp.workprec(_PREC):
             for x in distinct:
                 if x not in memo:
-                    v = rule.mp(*x)
+                    v = rule.mp(mp, *x)
                     memo[x] = (v, mp.log(v))
             values = [memo[x][0] for x in distinct]
             self.logs = [memo[x][1] for x in distinct]

@@ -268,10 +268,10 @@ def exact_ln_oracle(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) -
                         return LogIndexValue.log_zero()
                     excluded += 1
                     continue
-                product *= rule.mp(d)
+                product *= rule.mp(mp, d)
         else:
             for du, dv in g.edge_degree_pairs().tolist():
-                product *= rule.mp(du, dv)
+                product *= rule.mp(mp, du, dv)
         return LogIndexValue(float(mp.log(product)), excluded)
 
 
@@ -347,7 +347,7 @@ class UnmemoizedPrepared:
         distinct, counts = np.unique(args, axis=0, return_counts=True)
         counts = counts.tolist()
         with mp.workprec(PREC):
-            values = [rule.mp(*x) for x in distinct.tolist()]
+            values = [rule.mp(mp, *x) for x in distinct.tolist()]
             self.logs = [mp.log(v) for v in values]
             self.sum = mp.fsum(c * v for c, v in zip(counts, values))
             self.sum_sq = mp.fsum(c * v * v for c, v in zip(counts, values))

@@ -142,6 +142,25 @@ def test_predict_command(capsys):
         main(["predict", "--model", "er", "--index", "gapi", "--k", "10"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "er", "--index", "nk", "--k", "nan"],
+     "mean degree must be finite and positive, got nan"),
+    (["--model", "rg", "--index", "pi2", "--k", "inf"],
+     "mean degree must be finite and positive, got inf"),
+    (["--model", "er", "--index", "nk", "--k", "0"],
+     "mean degree must be finite and positive, got 0.0"),
+    (["--model", "br", "--index", "pi2", "--d1", "inf", "--d2", "6"],
+     "mean degrees must be finite and positive, got (inf, 6.0)"),
+    (["--model", "br", "--index", "hpi", "--d1", "6", "--d2", "nan", "--per-vertex"],
+     "mean degrees must be finite and positive, got (6.0, nan)"),
+], ids=["er-k-nan", "rg-k-inf", "er-k-0", "br-d1-inf", "br-d2-nan-per-vertex"])
+def test_bad_predict_degrees_are_one_line_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(["predict", *argv])
+    assert info.value.code == f"error: {message}"
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_determinism_and_workers(tmp_path, capsys):
     args = ["sweep", "--model", "er", "--n", "40", "--p", "0.1,0.3",
             "--index", "nk,pi2", "--budget", "400", "--seed", "5"]
@@ -411,6 +430,7 @@ def test_custom_edge_walk_matches_the_eval_reference(expr, pairs):
 
 def test_sweep_worker_failure_is_a_one_line_error(tmp_path, monkeypatch):
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     out = tmp_path / "sweep.csv"
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--model", "er", "--n", "40", "--p", "0.1,0.3", "--index", "nk",
@@ -581,6 +601,7 @@ def test_interrupted_pool_sweep_cancels_queued_blocks(tmp_path, monkeypatch, cap
         return pools[-1]
 
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", make_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     out = tmp_path / "sweep.csv"
     assert main([*SWEEP, "--workers", "2", "--out", str(out)]) == 130
     assert capsys.readouterr().err == "sweep: interrupted\n"
@@ -610,6 +631,7 @@ def test_ctrl_c_inside_the_pool_is_raised_between_points(tmp_path, monkeypatch, 
         return pools[-1]
 
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", make_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     before = signal.getsignal(signal.SIGINT)
     out = tmp_path / "sweep.csv"
     assert main([*SWEEP, "--workers", "2", "--out", str(out)]) == 130
