@@ -218,6 +218,8 @@ def cmd_predict(args) -> int:
         if args.k is None:
             raise SystemExit("error: er/rg prediction requires --k")
         value = dense.scaling_curve(args.index, args.k)
+    if not math.isfinite(value):
+        raise ValueError(f"prediction is not finite at these degrees, got {value!r}")
     print(_fmt(value))
     return 0
 

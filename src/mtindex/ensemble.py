@@ -29,7 +29,7 @@ import numpy as np
 
 from .dense import DENSE_REGIME_MEAN_DEGREE, UnsupportedIndexError, scaling_curve
 from .graph import atomic_write
-from .indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_INDICES, ln_indices_of_stack
+from .indices import EXCLUDE, MULTIPLICATIVE_INDICES, ln_indices_of_stack
 from .models import ModelSpec, SeedDerivation, mean_degree, sample_degree_arrays
 
 DEFAULT_BUDGET = 1e5
@@ -213,10 +213,8 @@ def run_point(
     for i, index in enumerate(indices):
         vals = values[i]
         finite = vals[np.isfinite(vals)]
-        if isolated_policy == LOGZERO:
-            degenerate = int(vals.shape[0] - finite.shape[0])
-        else:
-            degenerate = int(excluded[i].sum())
+        # Only logzero gives non-finite values and only exclude skips vertices.
+        degenerate = int(vals.size - finite.size + excluded[i].sum())
         mean_ln, sem = _mean_sem(finite.tolist())
         out.append(
             EnsembleStats(

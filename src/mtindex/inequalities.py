@@ -21,9 +21,10 @@ lhs``; ``holds`` tolerates slack down to ``-1e-9 * max(1, |lhs|, |rhs|)``.
 A check whose side conditions fail is still evaluated but flagged with
 ``hypothesis_ok=False`` so callers can report it without asserting it.
 
-The converse-Jensen window is consumed as a bound on ln F (the exponential
-convexity argument behind the bound applies to the log-factors), with the
-window endpoints exponentiated in the conclusion exactly as stated.  The
+The converse-Jensen bound takes [a, b] as the realized envelope of ln F:
+the least and greatest log-factor over the graph's degrees (the exponential
+convexity argument behind the bound applies to the log-factors), with a
+and b exponentiated in the conclusion exactly as stated.  The
 Petrovic-style sum bound carries an implicit sign-coherence hypothesis: all
 log-factors >= 0 or all <= 0; :func:`petrovic_counterexample` builds a
 mixed-sign instance that genuinely violates the bare inequality.
@@ -66,18 +67,6 @@ REPORT_COLUMNS = "inequality,model,n,param,function,lhs,rhs,slack,holds,hypothes
 
 
 @dataclass(frozen=True)
-class BoundsWindow:
-    """Envelope [a, b] of ln F over a graph's realized degrees."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a > self.b:
-            raise ValueError(f"window requires a <= b, got ({self.a}, {self.b})")
-
-
-@dataclass(frozen=True)
 class InequalityCheck:
     inequality: str
     function: str
@@ -86,10 +75,9 @@ class InequalityCheck:
     slack: float
     holds: bool
     hypothesis_ok: bool
-    note: str = ""
 
 
-def _finish(inequality, name, lhs, rhs, hypothesis_ok=True, note=""):
+def _finish(inequality, name, lhs, rhs, hypothesis_ok=True):
     slack = rhs - lhs
     tol = RELATIVE_TOL * max(mp.one, abs(lhs), abs(rhs))
     return InequalityCheck(
@@ -100,12 +88,7 @@ def _finish(inequality, name, lhs, rhs, hypothesis_ok=True, note=""):
         slack=float(slack),
         holds=bool(slack >= -tol),
         hypothesis_ok=hypothesis_ok,
-        note=note,
     )
-
-
-def _vacuous(inequality, name):
-    return InequalityCheck(inequality, name, 0.0, 0.0, 0.0, True, True, "vacuous: no realized values")
 
 
 class _Prepared:
@@ -139,54 +122,38 @@ class _Prepared:
             self.log_sum = mp.fsum(c * x for c, x in zip(counts, self.logs))
 
 
-def run_all_checks(
-    g: Graph, f: FunctionKind, window: BoundsWindow | None = None
-) -> list[InequalityCheck]:
+def run_all_checks(g: Graph, f: FunctionKind) -> list[InequalityCheck]:
     """The six checks of ``INEQUALITIES``, in order, from one preparation of (g, f).
 
-    ``window`` must bound ln F over the realized degrees for the converse-Jensen
-    check; by default it is the realized min/max envelope, and a window that
-    does not bound them flags that check instead of asserting it.  With no
-    realized values (k == 0) the first four checks are vacuous.
+    With no realized values (k == 0) the first four checks are vacuous:
+    lhs = rhs = 0.
     """
-    return _checks(_Prepared(g, f), window)
+    return _checks(_Prepared(g, f))
 
 
-def _checks(p: _Prepared, window: BoundsWindow | None = None) -> list[InequalityCheck]:
+def _checks(p: _Prepared) -> list[InequalityCheck]:
     """:func:`run_all_checks` on the preparation ``p``."""
     k, name = p.k, p.name
     with mp.workprec(_PREC):
         eps = mp.mpf("1e-12")
         if k == 0:
-            checks = [_vacuous(inequality, name) for inequality in INEQUALITIES[:4]]
+            checks = [_finish(ineq, name, mp.zero, mp.zero) for ineq in INEQUALITIES[:4]]
             coherent = True
         else:
-            lo, hi = min(p.logs), max(p.logs)
-            if window is None:
-                a, b = lo, hi
-                window_ok, window_note = True, ""
-            else:
-                a, b = mp.mpf(window.a), mp.mpf(window.b)
-                reach = eps * max(mp.one, abs(a), abs(b))
-                window_ok = bool(a <= lo + reach and hi <= b + reach)
-                window_note = "" if window_ok else (
-                    f"window [{float(a)}, {float(b)}] does not bound realized ln F "
-                    f"range [{float(lo)}, {float(hi)}]"
-                )
+            a, b = min(p.logs), max(p.logs)
             mean = p.sum / k
             converse = mp.exp(a) + mp.exp(b) - mp.exp(a + b) * mp.exp(-p.log_sum / k)
             gm_sq = mp.exp(2 * p.log_sum / k)
             square = p.sum * p.sum
             checks = [
                 _finish("jensen", name, mp.exp(p.log_sum / k), mean),
-                _finish("jensen_converse", name, mean, converse, window_ok, window_note),
+                _finish("jensen_converse", name, mean, converse),
                 _finish("kober_lower", name, p.sum_sq + k * (k - 1) * gm_sq, square),
                 _finish("kober_upper", name, square, (k - 1) * p.sum_sq + k * gm_sq),
             ]
-            coherent = bool(lo >= -eps) or bool(hi <= eps)
+            coherent = bool(a >= -eps) or bool(b <= eps)
         product = mp.exp(p.log_sum)
-        note = "" if coherent else "mixed-sign log-factors: hypothesis violated"
-        checks.append(_finish("petrovic_sum", name, p.sum, product + (k - 1), coherent, note))
+        checks.append(_finish("petrovic_sum", name, p.sum, product + (k - 1), coherent))
         checks.append(_finish("exp_linear", name, p.log_sum + 1, product))
     return checks
 
@@ -228,23 +195,19 @@ def corpus_model_points(
     also with zero replicas, so a cell's position (its point id) depends only
     on the sizes.
     """
+    if not sizes:
+        raise ValueError("sizes must list at least one graph size")
     if graphs_per_size < 1:
         raise ValueError(f"graphs per size must be >= 1, got {graphs_per_size}")
     params = [(i + 1) / 10.0 for i in range(10)]
     base, extra = divmod(graphs_per_size, len(params))
     reps = [base + (i < extra) for i in range(len(params))]
-    cells = []
-    for n in sizes:
-        for p, r in zip(params, reps):
-            cells.append((erdos_renyi(n, p), r))
-    for n in sizes:
-        for p, r in zip(params, reps):
-            cells.append((random_geometric(n, p * math.sqrt(2.0)), r))
-    for n in sizes:
-        n1 = n // 2
-        for p, r in zip(params, reps):
-            cells.append((bipartite(n1, n - n1, p), r))
-    return cells
+    makers = (
+        erdos_renyi,
+        lambda n, p: random_geometric(n, p * math.sqrt(2.0)),
+        lambda n, p: bipartite(n // 2, n - n // 2, p),
+    )
+    return [(make(n, p), r) for make in makers for n in sizes for p, r in zip(params, reps)]
 
 
 def verify_corpus(

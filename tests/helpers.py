@@ -275,6 +275,25 @@ def exact_ln_oracle(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) -
         return LogIndexValue(float(mp.log(product)), excluded)
 
 
+U = 2.0 ** -53      # unit roundoff of a double
+
+
+def gamma(j):
+    return j * U / (1.0 - j * U)
+
+
+def stated_ln_bound(g: Graph, kind: str) -> float:
+    """The bound that the indices module docstring states on the error of
+    ``ln_multiplicative_index(g, kind)`` (exclude policy), gamma_(k-1) * sum |t_i|
+    + 4u * sum (1 + |t_i|), from the built-in's computed log-factors t_i."""
+    rule = _resolve(kind)
+    deg = g.degrees
+    args = (deg[deg > 0],) if rule.arity == "vertex" else tuple(g.edge_degree_pairs().T)
+    abs_terms = np.abs(rule.ln(*args))
+    k, total = abs_terms.size, float(abs_terms.sum())
+    return gamma(max(k - 1, 0)) * total + 4.0 * U * (k + total)
+
+
 def count_histograms(monkeypatch):
     """A list that gains one entry each time a degree histogram is built."""
     built = []

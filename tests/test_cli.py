@@ -153,7 +153,17 @@ def test_predict_command(capsys):
      "mean degrees must be finite and positive, got (inf, 6.0)"),
     (["--model", "br", "--index", "hpi", "--d1", "6", "--d2", "nan", "--per-vertex"],
      "mean degrees must be finite and positive, got (6.0, nan)"),
-], ids=["er-k-nan", "rg-k-inf", "er-k-0", "br-d1-inf", "br-d2-nan-per-vertex"])
+    # Finite degrees whose prediction overflows.
+    (["--model", "er", "--index", "pi2", "--k", "1e308"],
+     "prediction is not finite at these degrees, got inf"),
+    (["--model", "er", "--index", "idpi", "--k", "1e308"],
+     "prediction is not finite at these degrees, got -inf"),
+    (["--model", "br", "--index", "hpi", "--d1", "1e308", "--d2", "1e308"],
+     "prediction is not finite at these degrees, got -inf"),
+    (["--model", "br", "--index", "pi2", "--d1", "1e308", "--d2", "1e308", "--per-vertex"],
+     "prediction is not finite at these degrees, got nan"),
+], ids=["er-k-nan", "rg-k-inf", "er-k-0", "br-d1-inf", "br-d2-nan-per-vertex",
+        "er-pi2-overflow", "er-idpi-overflow", "br-hpi-overflow", "br-pi2-per-vertex-overflow"])
 def test_bad_predict_degrees_are_one_line_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         main(["predict", *argv])
@@ -486,13 +496,16 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
      "graphs per size must be >= 1, got 0"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "-1"],
      "graphs per size must be >= 1, got -1"),
+    (["verify", "--seed", "1", "--sizes", ""], "sizes must list at least one graph size"),
+    (["verify", "--seed", "1", "--sizes", ","], "sizes must list at least one graph size"),
     (["generate", "--model", "er", "--n", "10", "--p", "0.5", "--seed", "1", "--replicas", "0"],
      "replicas must be >= 1, got 0"),
     (["generate", "--model", "er", "--n", "10", "--p", "0.5", "--seed", "1", "--replicas", "-1"],
      "replicas must be >= 1, got -1"),
 ], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0",
         "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative",
-        "generate-replicas-0", "generate-replicas-negative"])
+        "verify-sizes-empty", "verify-sizes-comma", "generate-replicas-0",
+        "generate-replicas-negative"])
 def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:

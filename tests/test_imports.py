@@ -28,8 +28,8 @@ EXPORTS = {
     "indices": ["ADDITIVE_NAMES", "EXCLUDE", "EdgeFunction", "EvaluationError", "LOGZERO",
                 "LogIndexValue", "MULTIPLICATIVE_NAMES", "VertexFunction", "additive_index",
                 "ln_indices_from_arrays", "ln_multiplicative_index"],
-    "inequalities": ["BoundsWindow", "InequalityCheck", "petrovic_counterexample",
-                     "run_all_checks", "verify_corpus"],
+    "inequalities": ["InequalityCheck", "petrovic_counterexample", "run_all_checks",
+                     "verify_corpus"],
     "models": ["MAX_RADIUS", "ModelSpec", "SeedDerivation", "bipartite",
                "br_probability_for_mean_degree", "erdos_renyi", "g_of_r", "generate",
                "mean_degree", "probability_for_mean_degree", "radius_for_mean_degree",

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    U,
     count_histograms,
     edge_sets,
     exact_ln_oracle,
+    gamma,
     mixed_graphs,
     reference_evaluate,
+    stated_ln_bound,
 )
 from mtindex.graph import DegreeHistogram, build_graph
 from mtindex.indices import (
@@ -293,27 +296,14 @@ def test_compensated_summation_agrees(g):
     assert comp == pytest.approx(additive_index(g, "m2"), abs=1e-12 * max(g.m, 1))
 
 
-U = 2.0 ** -53
-
-
-def _gamma(j):
-    return j * U / (1.0 - j * U)
-
-
 @pytest.mark.parametrize("g", list(mixed_graphs(4242, 40)), ids=lambda g: f"n{g.n}m{g.m}")
 def test_log_sum_within_stated_error_bound(g):
     # The bound in the indices module docstring, plus the oracle's own final
     # rounding to double (u * |S|).
-    deg = g.degrees
     for kind in MULTIPLICATIVE_NAMES:
-        rule = MULTIPLICATIVE_INDICES[kind]
-        args = (deg[deg > 0],) if rule.arity == "vertex" else tuple(g.edge_degree_pairs().T)
-        abs_terms = np.abs(rule.ln(*args))
-        k, total = abs_terms.size, float(abs_terms.sum())
-        per_term = 4.0 * U * (k + total)
         ref = exact_ln_oracle(g, kind).value
         got = ln_multiplicative_index(g, kind).value
-        assert abs(got - ref) <= _gamma(max(k - 1, 0)) * total + per_term + U * abs(ref)
+        assert abs(got - ref) <= stated_ln_bound(g, kind) + U * abs(ref)
 
 
 @settings(max_examples=150)
@@ -347,7 +337,7 @@ def test_weighted_sums_equal_the_per_element_reference(case):
             elif ref is None:
                 assert got == math.inf
                 continue
-            bound = per_term + U * abs(ref[0]) + _gamma(max(k - 1, 0)) * total
+            bound = per_term + U * abs(ref[0]) + gamma(max(k - 1, 0)) * total
             assert abs(got - ref[0]) <= 2.0 * bound, (name, policy)
 
 

@@ -17,7 +17,6 @@ from mtindex.graph import build_graph
 from mtindex.indices import MULTIPLICATIVE_NAMES, EdgeFunction, VertexFunction
 from mtindex.inequalities import (
     INEQUALITIES,
-    BoundsWindow,
     corpus_model_points,
     petrovic_counterexample,
     run_all_checks,
@@ -31,9 +30,9 @@ K4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 DEGREE = VertexFunction("degree", float)
 
 
-def check(inequality, g, f, window=None):
+def check(inequality, g, f):
     """The entry of ``run_all_checks`` that ``INEQUALITIES`` names ``inequality``."""
-    return run_all_checks(g, f, window)[INEQUALITIES.index(inequality)]
+    return run_all_checks(g, f)[INEQUALITIES.index(inequality)]
 
 
 def test_jensen_regular_graph_equality():
@@ -52,23 +51,19 @@ def test_jensen_p3_hand_values():
 
 
 def test_jensen_converse_degenerate_window():
-    c = check("jensen_converse", K4, DEGREE, BoundsWindow(math.log(3.0), math.log(3.0)))
+    # ln F is ln 3 at every vertex: the window is [ln 3, ln 3].
+    c = check("jensen_converse", K4, DEGREE)
     assert c.lhs == pytest.approx(3.0, abs=1e-9)
     assert c.rhs == pytest.approx(3.0, abs=1e-9)
     assert c.holds and c.hypothesis_ok
 
 
 def test_jensen_converse_p3_hand_values():
-    c = check("jensen_converse", P3, DEGREE, BoundsWindow(0.0, math.log(2.0)))
+    # Degrees 1, 2, 1: the window is [0, ln 2].
+    c = check("jensen_converse", P3, DEGREE)
     assert c.lhs == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert c.rhs == pytest.approx(3.0 - 2.0 ** (2.0 / 3.0), abs=1e-12)
     assert c.holds and c.hypothesis_ok
-
-
-def test_jensen_converse_window_violation_flagged():
-    c = check("jensen_converse", P3, DEGREE, BoundsWindow(0.0, 0.5))  # ln 2 > 0.5
-    assert not c.hypothesis_ok
-    assert "does not bound" in c.note
 
 
 def test_kober_k4_equality():
@@ -107,7 +102,6 @@ def test_petrovic_counterexample_detected():
     assert c.rhs == pytest.approx(math.exp(-3.0) + 2.0, rel=1e-9)
     assert not c.holds
     assert not c.hypothesis_ok
-    assert "mixed-sign" in c.note
 
 
 def test_exp_linear():
@@ -122,9 +116,11 @@ def test_exp_linear():
 
 def test_vacuous_checks_on_empty_graphs():
     g = build_graph(3, [])
-    for c in run_all_checks(g, "pi2"):
+    checks = run_all_checks(g, "pi2")
+    for c in checks:
         assert c.holds and c.hypothesis_ok
-    assert check("jensen", g, "pi2").note.startswith("vacuous")
+    for c in checks[:4]:        # no realized values: lhs = rhs = 0
+        assert (c.lhs, c.rhs, c.slack) == (0.0, 0.0, 0.0)
 
 
 def test_overflowing_products_still_compare():
@@ -202,17 +198,15 @@ def test_verdicts_match_the_per_element_reference_on_any_graph(case):
                 assert x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y)), (c, r)
 
 
-# (graph, function, window, whether the window bounds the realized ln F)
 PREPARATION_CASES = [
-    pytest.param(K4, DEGREE, BoundsWindow(math.log(3.0), math.log(3.0)), True, id="k4-window-holds"),
-    pytest.param(K4, DEGREE, BoundsWindow(0.0, 0.5), False, id="k4-window-violated"),
-    pytest.param(build_graph(3, []), "pi2", None, True, id="empty"),
-    pytest.param(*petrovic_counterexample(), None, True, id="counterexample"),
+    pytest.param(K4, DEGREE, id="k4-window-holds"),
+    pytest.param(build_graph(3, []), "pi2", id="empty"),
+    pytest.param(*petrovic_counterexample(), id="counterexample"),
 ]
 
 
-@pytest.mark.parametrize("g, f, window, window_ok", PREPARATION_CASES)
-def test_run_all_checks_prepares_once(monkeypatch, g, f, window, window_ok):
+@pytest.mark.parametrize("g, f", PREPARATION_CASES)
+def test_run_all_checks_prepares_once(monkeypatch, g, f):
     built = []
 
     class CountingPrepared(inequalities._Prepared):
@@ -221,10 +215,10 @@ def test_run_all_checks_prepares_once(monkeypatch, g, f, window, window_ok):
             super().__init__(g, f)
 
     monkeypatch.setattr(inequalities, "_Prepared", CountingPrepared)
-    checks = run_all_checks(g, f, window)
+    checks = run_all_checks(g, f)
     assert len(built) == 1
     assert [c.inequality for c in checks] == list(INEQUALITIES)
-    assert checks[1].hypothesis_ok == window_ok
+    assert checks[1].hypothesis_ok
 
 
 def _corpus_graphs(master_seed, sizes, graphs_per_size):
