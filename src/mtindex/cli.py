@@ -166,6 +166,8 @@ def cmd_sweep(args) -> int:
 def cmd_collapse(args) -> int:
     from . import dense, ensemble
 
+    if not 0.0 <= args.tolerance < math.inf:
+        raise SystemExit(f"error: tolerance must be finite and >= 0, got {args.tolerance}")
     names = [Path(path).name for path in args.csvs]
     tables = []
     for path, name in zip(args.csvs, names):

@@ -1,84 +1,81 @@
-"""Closed-form dense-limit predictions for mean log-indices.
+"""Dense-limit predictions for mean log-indices, from each rule's own ln F.
 
-In the dense regime every degree concentrates at the mean degree, which turns
-each multiplicative index into a closed form in <d> alone.  The ER and RG
-families share one formula set (only the definition of <d> differs between
-the models); bipartite networks have their own two-degree forms, normalized
-per part size, which reduce to the ER set at equal part sizes.
+In the dense regime every degree sits at its mean, so an index is its rule's
+ln F at the mean degrees, once per factor.  Per vertex of ER or RG at mean
+degree k (one curve; only the definition of k differs), a vertex rule gives
+ln F(k) and an edge rule, over nk/2 edges, 0.5*k*ln F(k, k).  Per part-1
+vertex of BR with part degrees (d1, d2) = (n2*p, n1*p), an edge rule gives
+d1*ln F(d1, d2), as the n1*d1 edges each join degrees d1 and d2; a vertex
+rule is defined only at d1 == d2, as twice the ER value.
 
-Predictions are defined for every finite mean degree > 0 but are only
-expected to describe ensemble data from :data:`DENSE_REGIME_MEAN_DEGREE`
-upward.
+The rules run in doubles on the degrees themselves, so outside k in
+[~1.5e-154, ~1.3e154], where k*k leaves the normal double range, a
+prediction loses precision or is not finite.  Predictions are only expected
+to describe ensemble data from :data:`DENSE_REGIME_MEAN_DEGREE` upward.
 """
 
 from __future__ import annotations
 
 import math
 
-# Mean degree from which the closed forms track ensemble averages well.
-DENSE_REGIME_MEAN_DEGREE = 10.0
+import numpy as np
 
-_LN2 = math.log(2.0)
+from .indices import MULTIPLICATIVE_INDICES, _Rule
+
+# Mean degree from which the dense limits track ensemble averages well.
+DENSE_REGIME_MEAN_DEGREE = 10.0
 
 
 class UnsupportedIndexError(ValueError):
     """No dense-limit formula exists for this (model, index) pair."""
 
 
+def _dense_rule(index: str) -> _Rule:
+    rule = MULTIPLICATIVE_INDICES.get(index)
+    if rule is None or not rule.dense_limit:
+        raise UnsupportedIndexError(f"no dense-limit formula for index {index!r}")
+    return rule
+
+
+def _ln(rule: _Rule, *degrees: float) -> float:
+    # Degrees out of the double range overflow to a non-finite result, not a warning.
+    with np.errstate(all="ignore"):
+        return float(rule.ln(*map(np.float64, degrees)))
+
+
 def scaling_curve(index: str, k: float) -> float:
     """The universal collapse curve f(<k>): ER and RG ln X_prod per vertex at mean degree k.
 
     Defined for the eight scaling indices; the geometric-arithmetic product
-    does not scale with mean degree and has no curve here.
+    is 1 at equal degrees, so only the spread of degrees moves its mean and
+    it has no curve here.
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"mean degree must be finite and positive, got {k}")
-    if index == "nk":
-        return math.log(k)
-    if index == "pi1":
-        return 2.0 * math.log(k)
-    if index == "pi2":
-        return k * math.log(k)
-    if index == "pi1s":
-        return 0.5 * k * math.log(2.0 * k)
-    if index in ("rpi", "hpi"):
-        return -0.5 * k * math.log(k)
-    if index == "chipi":
-        return -(_LN2 / 4.0) * k - 0.25 * k * math.log(k)
-    if index == "idpi":
-        return (_LN2 / 2.0) * k - k * math.log(k)
-    raise UnsupportedIndexError(f"no dense-limit formula for index {index!r}")
+    rule = _dense_rule(index)
+    if rule.arity == "vertex":
+        return _ln(rule, k)
+    return 0.5 * k * _ln(rule, k, k)
 
 
 def predict_br(index: str, d1: float, d2: float) -> float:
     """BR dense-limit value of ln X_prod / n1, from part degrees (d1, d2) = (n2*p, n1*p).
 
     Normalizing by n2 instead is the same formula with d1 and d2 swapped.
-    Only the six edge-based indices have bipartite forms; the two vertex-based
-    ones are covered solely through the equal-parts reuse of the ER formulas.
+    Edge-based indices have bipartite forms; the vertex-based ones are
+    covered solely through the equal-parts reuse of the ER curve.
     """
     if not (0.0 < d1 < math.inf and 0.0 < d2 < math.inf):
         raise ValueError(f"mean degrees must be finite and positive, got ({d1}, {d2})")
-    if index == "pi2":
-        return d1 * (math.log(d1) + math.log(d2))
-    if index == "pi1s":
-        return d1 * math.log(d1 + d2)
-    if index == "rpi":
-        return -0.5 * d1 * (math.log(d1) + math.log(d2))
-    if index == "hpi":
-        return d1 * (_LN2 - math.log(d1 + d2))
-    if index == "chipi":
-        return -0.5 * d1 * math.log(d1 + d2)
-    if index == "idpi":
-        return d1 * math.log(1.0 / (d1 * d1) + 1.0 / (d2 * d2))
-    if index in ("nk", "pi1"):
-        if d1 != d2:
-            raise UnsupportedIndexError(
-                f"no bipartite dense-limit formula for {index!r}; "
-                "only the equal-part-size reuse of the ER formula is defined"
-            )
-        return 2.0 * scaling_curve(index, d1)
-    raise UnsupportedIndexError(f"no dense-limit formula for index {index!r}")
+    rule = _dense_rule(index)
+    if rule.arity == "edge":
+        return d1 * _ln(rule, d1, d2)
+    if d1 != d2:
+        raise UnsupportedIndexError(
+            f"no bipartite dense-limit formula for {index!r}; "
+            "only the equal-part-size reuse of the ER formula is defined"
+        )
+    return 2.0 * scaling_curve(index, d1)
 
 
 def predict_br_per_vertex(index: str, d1: float, d2: float) -> float:
@@ -89,4 +86,3 @@ def predict_br_per_vertex(index: str, d1: float, d2: float) -> float:
     curve at the same mean degree.
     """
     return predict_br(index, d1, d2) * (d2 / (d1 + d2))
-

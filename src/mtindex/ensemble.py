@@ -57,6 +57,8 @@ class EnsembleSpec:
         for name in self.indices:
             if name not in MULTIPLICATIVE_INDICES:
                 raise ValueError(f"unknown multiplicative index {name!r}")
+        if len(set(self.indices)) < len(self.indices):
+            raise ValueError(f"index set repeats a name: {','.join(self.indices)}")
         kinds = {spec.model for spec in self.grid}
         if len(kinds) > 1:
             raise ValueError(f"grid mixes model kinds {sorted(kinds)}")
@@ -429,7 +431,7 @@ def collapse_check(
     Each table becomes one curve of mean_ln/n against mean_k_theory (linear
     interpolation, no smoothing); curves are compared by table position, so
     equal labels never merge two tables.  Requires >= 2 tables, >= 5 points
-    each, and a nonempty overlap of the <k> ranges.
+    each at distinct <k>, and a nonempty overlap of the <k> ranges.
     """
     if len(tables) < 2:
         raise ValueError("collapse check needs at least two curves")
@@ -441,6 +443,8 @@ def collapse_check(
         if len(pts) < 5:
             raise ValueError(f"table {label!r} has {len(pts)} points for {index!r}, needs >= 5")
         k = np.array([r.mean_k_theory for r in pts])
+        if np.unique(k).size < k.size:
+            raise ValueError(f"table {label!r} repeats a <k> for {index!r}")
         y = np.array([r.mean_ln_over_n for r in pts])
         s = np.array([r.sem / r.spec.n for r in pts])
         order = np.argsort(k, kind="stable")

@@ -134,6 +134,7 @@ class _Rule:
     mp: Callable | None = None          # (ctx, *ints) -> F in the mpmath context ctx
     value: Callable | None = None       # F over int64 degree arrays
     defined_at_zero: bool = False       # isolated vertices add F(0), whatever the policy
+    dense_limit: bool = True            # ln F at the mean degrees predicts the mean (dense.py)
 
 
 MULTIPLICATIVE_INDICES: dict[str, _Rule] = {
@@ -164,11 +165,12 @@ MULTIPLICATIVE_INDICES: dict[str, _Rule] = {
             mp=lambda mp, a, b: 1 / mp.mpf(a) ** 2 + 1 / mp.mpf(b) ** 2,
         ),
         _Rule(
-            # Geometric-arithmetic edge rule 2*sqrt(ab)/(a+b); exploratory,
-            # no dense-limit counterpart.
+            # Geometric-arithmetic edge rule 2*sqrt(ab)/(a+b); exploratory.  It
+            # is 1 at equal degrees, so only their spread moves its mean.
             "gapi", "edge",
             ln=lambda a, b: np.log(2.0 * np.sqrt(a * b) / (a + b)),
             mp=lambda mp, a, b: 2 * mp.sqrt(mp.mpf(a) * b) / (a + b),
+            dense_limit=False,
         ),
     )
 }

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO, Union
+from typing import Sequence, TextIO
 
 from mpmath import mp
 
 from .graph import Graph, build_graph
 from .indices import (
-    EdgeFunction,
+    IndexKind,
     MULTIPLICATIVE_INDICES,
     VertexFunction,
     _distinct_arguments,
@@ -50,8 +50,6 @@ from .models import ModelSpec, SeedDerivation, bipartite, erdos_renyi, generate,
 
 _PREC = 192          # bits; well above the 128-bit floor the bounds need
 RELATIVE_TOL = 1e-9
-
-FunctionKind = Union[str, VertexFunction, EdgeFunction]
 
 # The positions of run_all_checks' result; k factors, X_sum and X_prod over F.
 INEQUALITIES = (
@@ -103,7 +101,7 @@ class _Prepared:
     dict for every graph evaluates each argument once.
     """
 
-    def __init__(self, g: Graph, f: FunctionKind, memo: dict | None = None):
+    def __init__(self, g: Graph, f: IndexKind, memo: dict | None = None):
         rule = _resolve(f)
         self.name = rule.name
         args, counts, _, _ = _distinct_arguments(g.histogram, rule)
@@ -122,7 +120,7 @@ class _Prepared:
             self.log_sum = mp.fsum(c * x for c, x in zip(counts, self.logs))
 
 
-def run_all_checks(g: Graph, f: FunctionKind) -> list[InequalityCheck]:
+def run_all_checks(g: Graph, f: IndexKind) -> list[InequalityCheck]:
     """The six checks of ``INEQUALITIES``, in order, from one preparation of (g, f).
 
     With no realized values (k == 0) the first four checks are vacuous:
@@ -214,7 +212,7 @@ def verify_corpus(
     master_seed: int,
     sizes: Sequence[int] = DEFAULT_SIZES,
     graphs_per_size: int = DEFAULT_GRAPHS_PER_SIZE,
-    functions: Sequence[FunctionKind] | None = None,
+    functions: Sequence[IndexKind] | None = None,
 ) -> list[CorpusCheck]:
     """Run every check over the sampled corpus; deterministic in master_seed."""
     if functions is None:

@@ -24,9 +24,9 @@ Cost of one sample with m edges:
 * RG -- O(n + m) expected time and memory: a cell list (Bentley, Stanat &
   Williams, IPL 6, 1977) over g x g cells at least r + 2^-40 wide, the margin
   covering every rounding (see ``_cells_per_side``).  Each sorted point has
-  five candidate rows, its own cell and four neighbours; whole rows are tested
-  in blocks of about ``_BLOCK`` candidates laid out by ``np.repeat``, then the
-  edges are sorted canonically.
+  two candidate runs of the cell order, one in its own column of cells and one
+  in the next; whole runs are tested in blocks of about ``_BLOCK`` candidates
+  laid out by ``np.repeat``, then the edges are sorted canonically.
 
 The edges do not depend on the block size: they equal, array for array, those
 of materialising every candidate pair at once.
@@ -186,11 +186,6 @@ class SeedDerivation:
 # do not depend on it.
 _BLOCK = 1 << 16
 
-# RG stencil, (x, y) offsets: a cell pairs with itself and four of its eight
-# neighbours, so every unordered pair of adjacent cells is visited once.
-_STENCIL_X = np.array([0, 1, 1, 1, 0])
-_STENCIL_Y = np.array([0, -1, 0, 1, 1])
-
 # Absolute margin of the RG cell width over r; see _cells_per_side.
 _CELL_MARGIN = 2.0 ** -40
 
@@ -255,23 +250,19 @@ def _rg_edges(n: int, r: float, rng: np.random.Generator):
     cx, cy = np.minimum((pos * g).astype(np.intp), g - 1).T
     cell = cx * g + cy
     order = np.argsort(cell, kind="stable")
-    counts = np.bincount(cell, minlength=g * g)
+    # Column x = g holds no point: its cells close the runs of the last column.
+    counts = np.bincount(cell, minlength=(g + 1) * g)
     cell_end = np.cumsum(counts)
     cell_start = cell_end - counts
 
-    # Candidate row 5*s + t: sorted point s against the sorted points
-    # first..first+length-1 of its stencil cell t, an empty row off the grid.
-    # In its own cell (t = 0) a point meets only later points.
-    s = np.arange(n, dtype=np.intp)
-    nx = cx[order, None] + _STENCIL_X
-    ny = cy[order, None] + _STENCIL_Y
-    ok = (nx < g) & (ny >= 0) & (ny < g)
-    nc = np.where(ok, nx * g + ny, 0)
-    firsts = cell_start[nc]
-    lengths = np.where(ok, counts[nc], 0)
-    firsts[:, 0] = s + 1
-    lengths[:, 0] = cell_end[nc[:, 0]] - s - 1
-    firsts, lengths = firsts.ravel(), lengths.ravel()
+    # Cell (x, y) has id x*g + y, so the sorted points of cells (x, y-1..y+1)
+    # are consecutive.  Candidate row 2*s: sorted point s against the later
+    # points of its own cell and of (x, y+1); row 2*s + 1: against the points
+    # of (x+1, y-1..y+1).  Every pair of adjacent cells is visited once.
+    own = cell[order]
+    up, down = own + (cy[order] < g - 1), own - (cy[order] > 0)
+    firsts = np.stack([np.arange(1, n + 1), cell_start[down + g]], axis=1).ravel()
+    lengths = np.stack([cell_end[up], cell_end[up + g]], axis=1).ravel() - firsts
     ends = np.cumsum(lengths)
     row_start = ends - lengths
 
@@ -286,7 +277,7 @@ def _rg_edges(n: int, r: float, rng: np.random.Generator):
     keys = [np.empty(0, dtype=np.intp)]
     for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), lengths.size]):
         size = lengths[lo:hi]
-        a = np.repeat(np.arange(lo, hi) // 5, size)
+        a = np.repeat(np.arange(lo, hi) // 2, size)
         shift = np.repeat(firsts[lo:hi] - row_start[lo:hi], size)
         b = np.arange(row_start[lo], ends[hi - 1]) + shift
         dx = x[a] - x[b]

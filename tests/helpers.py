@@ -275,6 +275,45 @@ def exact_ln_oracle(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) -
         return LogIndexValue(float(mp.log(product)), excluded)
 
 
+def _binomial_pmf(trials, p):
+    """(support, P(Bin(trials, p) = d) on it) for 0 < p < 1: the pmf from
+    ``math.lgamma`` in log space, truncated where it underflows to 0."""
+    d = np.arange(trials + 1)
+    log_choose = [math.lgamma(trials + 1) - math.lgamma(x + 1) - math.lgamma(trials - x + 1)
+                  for x in range(trials + 1)]
+    pmf = np.exp(np.array(log_choose) + d * math.log(p) + (trials - d) * math.log1p(-p))
+    return d[pmf > 0.0], pmf[pmf > 0.0]
+
+
+def exact_mean_ln(spec, name):
+    """E[ln X_prod] of the built-in ``name`` over ER or BR model ``spec``,
+    isolated vertices excluded, exact at finite n.
+
+    A vertex degree is Bin(n-1, p) in ER and Bin(n2, p) resp. Bin(n1, p) in the
+    two parts of BR.  Given an edge, its ends' other degrees are independent
+    Bin(n-2, p) in ER and Bin(n2-1, p), Bin(n1-1, p) in BR, since the other
+    pairs at the two ends are disjoint (Bollobas, *Random Graphs*, 2nd ed., ch. 3).
+    """
+    rule = _resolve(name)
+    p = spec.p
+    if rule.arity == "vertex":
+        parts = ([(spec.n, spec.n - 1)] if spec.model == "er"
+                 else [(spec.n1, spec.n2), (spec.n2, spec.n1)])
+        total = 0.0
+        for count, trials in parts:
+            d, pmf = _binomial_pmf(trials, p)
+            total += count * math.fsum((pmf[d > 0] * rule.ln(d[d > 0])).tolist())
+        return total
+    if spec.model == "er":
+        edges = math.comb(spec.n, 2) * p
+        x, px = y, py = _binomial_pmf(spec.n - 2, p)
+    else:
+        edges = spec.n1 * spec.n2 * p
+        (x, px), (y, py) = _binomial_pmf(spec.n2 - 1, p), _binomial_pmf(spec.n1 - 1, p)
+    ln_f = rule.ln(1 + x[:, None], 1 + y[None, :])
+    return edges * math.fsum((np.outer(px, py) * ln_f).ravel().tolist())
+
+
 U = 2.0 ** -53      # unit roundoff of a double
 
 

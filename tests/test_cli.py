@@ -273,6 +273,32 @@ def test_collapse_compares_same_named_files_as_two_curves(tmp_path, capsys):
     assert same == distinct.replace("a.csv", d1).replace("b.csv", d2)
 
 
+@pytest.mark.parametrize("floor", ["nan", "inf", "-inf", "-1"])
+def test_collapse_refuses_a_tolerance_floor_that_is_not_finite_and_nonnegative(tmp_path, floor):
+    # The inputs do not exist: the floor is refused before any CSV is read.
+    missing = str(tmp_path / "missing.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", missing, missing, "--index", "nk", f"--tolerance={floor}"])
+    assert exc.value.code == f"error: tolerance must be finite and >= 0, got {float(floor)}"
+
+
+def test_repeated_rows_do_not_make_up_collapse_points(tmp_path, capsys):
+    # Three points written twice are still three points.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--model", "er", "--n", "60", "--p", "0.04,0.08,0.12",
+              "--index", "nk,nk", "--budget", "600", "--seed", "1"])
+    assert exc.value.code == "error: index set repeats a name: nk,nk"
+    csv = tmp_path / "er.csv"
+    main(["sweep", "--model", "er", "--n", "60", "--p", "0.04,0.08,0.12", "--index", "nk",
+          "--budget", "600", "--seed", "1", "--out", str(csv)])
+    header, *rows = csv.read_text().splitlines()
+    twice = tmp_path / "twice.csv"
+    twice.write_text("\n".join([header, *rows, *rows]) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", str(twice), str(csv), "--index", "nk"])
+    assert exc.value.code == "error: table 'twice.csv:er n=60' repeats a <k> for 'nk'"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda f: f[:-1], "line 2: expected 16 fields, got 15"),
     (lambda f: f + ["0"], "line 2: expected 16 fields, got 17"),

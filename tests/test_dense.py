@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from mpmath import mp
 
 from mtindex.dense import (
     DENSE_REGIME_MEAN_DEGREE,
@@ -9,6 +11,10 @@ from mtindex.dense import (
     predict_br_per_vertex,
     scaling_curve,
 )
+from mtindex.indices import MULTIPLICATIVE_INDICES
+
+# The indices whose mean scales with <k>: every built-in but gapi.
+SCALING = [name for name, rule in MULTIPLICATIVE_INDICES.items() if rule.dense_limit]
 
 def test_frozen_examples():
     assert scaling_curve("nk", 10.0) == pytest.approx(math.log(10.0), abs=1e-12)
@@ -59,3 +65,39 @@ def test_errors():
     with pytest.raises(UnsupportedIndexError):
         predict_br("gapi", 5.0, 5.0)
     assert DENSE_REGIME_MEAN_DEGREE == 10.0
+
+
+def test_unsupported_names_share_one_message():
+    for name in ("gapi", "m1", "nope"):
+        message = f"no dense-limit formula for index {name!r}"
+        with pytest.raises(UnsupportedIndexError, match=message):
+            scaling_curve(name, 10.0)
+        with pytest.raises(UnsupportedIndexError, match=message):
+            predict_br(name, 5.0, 5.0)
+    assert SCALING == ["nk", "pi1", "pi2", "pi1s", "rpi", "hpi", "chipi", "idpi"]
+
+
+def _close(value, exact):
+    return abs(value - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
+
+
+@pytest.mark.parametrize("name", SCALING)
+def test_dense_limits_match_the_rule_in_200_bits(name):
+    # The mean-field forms of the module docstring, from the exact rule:
+    # ER/RG ln F(k) or (k/2) ln F(k, k), BR d1 ln F(d1, d2) or 2 ln F(d).
+    rule = MULTIPLICATIVE_INDICES[name]
+    degrees = np.geomspace(1e-3, 1e3, 61).tolist()
+    with mp.workprec(200):
+        def ln_f(*d):
+            return mp.log(rule.mp(mp, *map(mp.mpf, d)))
+
+        for k in degrees:
+            exact = ln_f(k) if rule.arity == "vertex" else mp.mpf(k) / 2 * ln_f(k, k)
+            assert _close(scaling_curve(name, k), exact), k
+        pairs = [(d, d) for d in degrees] if rule.arity == "vertex" else [
+            (d1, d2) for d1 in degrees[::3] for d2 in degrees[::3]]
+        for d1, d2 in pairs:
+            exact = 2 * ln_f(d1) if rule.arity == "vertex" else d1 * ln_f(d1, d2)
+            assert _close(predict_br(name, d1, d2), exact), (d1, d2)
+            per_vertex = exact * d2 / (mp.mpf(d1) + d2)
+            assert _close(predict_br_per_vertex(name, d1, d2), per_vertex), (d1, d2)

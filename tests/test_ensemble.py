@@ -7,7 +7,7 @@ import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
-from helpers import BrokenPool, InlinePool
+from helpers import BrokenPool, InlinePool, exact_mean_ln
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +27,10 @@ from mtindex.indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_NAMES
 from mtindex.models import (
     MAX_RADIUS,
     bipartite,
+    br_probability_for_mean_degree,
     erdos_renyi,
     mean_degree,
+    probability_for_mean_degree,
     radius_for_mean_degree,
     random_geometric,
 )
@@ -111,6 +113,8 @@ def test_sweep_rejects_mixed_models_and_empty_grid():
                      indices=("nk",), master_seed=1)
     with pytest.raises(ValueError):
         EnsembleSpec(grid=(), indices=("nk",), master_seed=1)
+    with pytest.raises(ValueError, match="repeats a name: nk,pi2,nk"):
+        EnsembleSpec(grid=(erdos_renyi(10, 0.1),), indices=("nk", "pi2", "nk"), master_seed=1)
 
 
 def test_csv_round_trip():
@@ -208,6 +212,8 @@ def test_collapse_errors():
     short = rows[:3]
     with pytest.raises(ValueError, match=">= 5"):
         collapse_check([("a", short), ("b", short)], "nk")
+    with pytest.raises(ValueError, match="table 'b' repeats a <k> for 'nk'"):
+        collapse_check([("a", rows), ("b", short + short)], "nk")
     far = sweep(EnsembleSpec(
         grid=tuple(erdos_renyi(50, k / 49.0) for k in (20, 25, 30, 35, 40)),
         indices=("nk",), master_seed=SEED, budget=100))
@@ -297,3 +303,28 @@ def test_chunks_are_planned_contiguous_spans_of_bounded_entries(data):
     # At most one replica's expected entries past the bound.
     per_replica = point.n * (1.0 + mean_degree(point))
     assert size * per_replica < ensemble._CHUNK_ENTRIES + per_replica
+
+
+# ER and BR grids of 250 vertices each, 400 replicas per point (budget 10^5).
+ORACLE_GRIDS = {
+    "er": [erdos_renyi(250, probability_for_mean_degree(250, k)) for k in range(2, 21, 2)],
+    "br-balanced": [bipartite(125, 125, br_probability_for_mean_degree(125, 125, k))
+                    for k in (2, 5, 8, 12, 20)],
+    "br-unbalanced": [bipartite(50, 200, br_probability_for_mean_degree(50, 200, k))
+                      for k in (2, 5, 8, 12, 20)],
+}
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
+def test_sweep_means_match_the_exact_finite_n_expectation(grid):
+    # The seed and the |z| <= 5 threshold are fixed in advance; under normality
+    # the family-wise false-alarm rate over the 180 rows is about 1e-4.
+    rows = sweep(EnsembleSpec(grid=tuple(ORACLE_GRIDS[grid]), indices=MULTIPLICATIVE_NAMES,
+                              master_seed=SEED))
+    assert len(rows) == len(ORACLE_GRIDS[grid]) * len(MULTIPLICATIVE_NAMES)
+    for row in rows:
+        assert row.replicas == 400
+        z = (row.mean_ln - exact_mean_ln(row.spec, row.index)) / row.sem
+        assert abs(z) <= 5.0, (row.spec, row.index, z)
+        z_k = (row.mean_k_empirical - row.mean_k_theory) / row.mean_k_sem
+        assert abs(z_k) <= 5.0, (row.spec, z_k)
