@@ -9,9 +9,9 @@ d1*ln F(d1, d2), as the n1*d1 edges each join degrees d1 and d2; a vertex
 rule is defined only at d1 == d2, as twice the ER value.
 
 The rules run in doubles on the degrees themselves, so outside k in
-[~1.5e-154, ~1.3e154], where k*k leaves the normal double range, a
-prediction loses precision or is not finite.  Predictions are only expected
-to describe ensemble data from :data:`DENSE_REGIME_MEAN_DEGREE` upward.
+[~1.5e-154, ~1.3e154], where k*k leaves the normal double range, a rule that
+forms k*k underflows (a ValueError) or is not finite.  Predictions are only
+expected to describe ensemble data from :data:`DENSE_REGIME_MEAN_DEGREE` upward.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .indices import MULTIPLICATIVE_INDICES, _Rule
+from .indices import MULTIPLICATIVE_INDICES, _Rule, _where
 
 # Mean degree from which the dense limits track ensemble averages well.
 DENSE_REGIME_MEAN_DEGREE = 10.0
@@ -38,9 +38,13 @@ def _dense_rule(index: str) -> _Rule:
 
 
 def _ln(rule: _Rule, *degrees: float) -> float:
-    # Degrees out of the double range overflow to a non-finite result, not a warning.
-    with np.errstate(all="ignore"):
-        return float(rule.ln(*map(np.float64, degrees)))
+    # An overflow gives a non-finite result, not a warning; a subnormal
+    # intermediate would lose precision unseen, so it is an error.
+    with np.errstate(all="ignore", under="raise"):
+        try:
+            return float(rule.ln(*map(np.float64, degrees)))
+        except FloatingPointError:
+            raise ValueError(f"prediction underflows at {_where(degrees)}") from None
 
 
 def scaling_curve(index: str, k: float) -> float:

@@ -22,7 +22,7 @@ import signal
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -59,6 +59,11 @@ class EnsembleSpec:
                 raise ValueError(f"unknown multiplicative index {name!r}")
         if len(set(self.indices)) < len(self.indices):
             raise ValueError(f"index set repeats a name: {','.join(self.indices)}")
+        for i, spec in enumerate(self.grid):
+            if spec in self.grid[:i]:
+                size = f"n={spec.n}" if spec.n1 is None else f"n1={spec.n1} n2={spec.n2}"
+                raise ValueError(f"grid repeats a point: {spec.model} {size} "
+                                 f"{spec.param_name}={spec.param_value!r}")
         kinds = {spec.model for spec in self.grid}
         if len(kinds) > 1:
             raise ValueError(f"grid mixes model kinds {sorted(kinds)}")
@@ -303,6 +308,7 @@ _RESULTS_TABLE = (
     ("degenerate", int),
     ("mean_k_theory", float),
     ("mean_k_empirical", float),
+    ("mean_k_sem", float),
     ("mean_ln", float),
     ("sem", float),
     ("mean_ln_over_n", float),
@@ -331,25 +337,22 @@ def write_results_csv_path(rows: Iterable[EnsembleStats], path) -> None:
         write_results_csv(rows, fh)
 
 
-# The columns that are EnsembleStats fields; mean_ln_over_n is derived.
-_STATS_FIELDS = {f.name for f in fields(EnsembleStats)}.intersection(_RESULTS_NAMES)
-
-
 def _read_row(line: str) -> EnsembleStats:
     texts = line.split(",")
     if len(texts) != len(_RESULTS_TABLE):
         raise ValueError(f"expected {len(_RESULTS_TABLE)} fields, got {len(texts)}")
     f = {name: kind(text) for name, kind, text in zip(_RESULTS_NAMES, _RESULTS_KINDS, texts)}
-    param = f["param_name"]
+    param = f.pop("param_name")
     if param not in ("p", "r"):
         raise ValueError(f"unknown param_name {param!r}")
-    spec = ModelSpec(f["model"], f["n"], n1=f["n1"], n2=f["n2"], **{param: f["param_value"]})
-    stats = {name: f[name] for name in _STATS_FIELDS}
-    return EnsembleStats(spec=spec, mean_k_sem=math.nan, **stats)
+    spec = ModelSpec(f.pop("model"), f.pop("n"), n1=f.pop("n1"), n2=f.pop("n2"),
+                     **{param: f.pop("param_value")})
+    del f["mean_ln_over_n"]  # derived from mean_ln and n
+    return EnsembleStats(spec=spec, **f)
 
 
 def read_results_csv(src: TextIO) -> list[EnsembleStats]:
-    """Rows of a results CSV, ``mean_k_sem`` (not a column) read as NaN.
+    """Rows of a results CSV.
 
     A wrong header or a row that is the wrong width, does not parse or is no
     valid model point raises ValueError naming its line.

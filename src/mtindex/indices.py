@@ -25,11 +25,11 @@ where t_i are the computed log-factors.  The first term bounds the reduction
 4.2): d terms c_j*t_j over the distinct arguments, each rounded once, and d-1
 additions in any order stay within gamma_d * sum |t_i|; when every count c_j
 is 1, d = k and the terms are exact, else d < k.  The second term is the
-error of each log-factor: a built-in forms its log's argument from exact
-integers with at most three rounded operations (3.0001u after the log), the
-log is within one ulp (2u*|t_i|), the scalings by 2 and -1/2 are exact, and
-the 2u*|t_i| left is margin.  The tests hold every built-in to this bound
-against a 240-bit oracle that forms the product itself, factor by factor.
+error of each log-factor: a built-in forms F from exact integers (degrees
+up to 2^26) with at most three rounded operations (3.0001u after the log),
+then one log, within one ulp (2u*|t_i|); the u + 2u*|t_i| left is margin.
+The tests hold every built-in to this bound against a 240-bit oracle that
+forms the product itself, factor by factor, and each log-factor alone.
 
 Vertex-based products are zero on graphs with isolated vertices.  The
 ``isolated_policy`` argument picks between excluding those vertices from the
@@ -38,15 +38,15 @@ sentinel; edge-based indices are unaffected since edge endpoints always have
 degree >= 1.
 
 Imports.  This module needs numpy and :mod:`mtindex.graph` only.  A
-multiplicative rule's exact form ``mp(ctx, *degrees)`` takes its mpmath
-context from the caller, so mpmath loads only where the exact forms run:
+rule's exact form ``mp(ctx, *degrees)`` takes its mpmath context from the
+caller, so mpmath loads only where the exact forms run:
 :mod:`mtindex.inequalities` (192-bit verdicts) and the tests' 240-bit oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -124,68 +124,68 @@ def _where(degrees: tuple[int, ...]) -> str:
 class _Rule:
     """One degree rule F: F_V(d) when ``arity`` is "vertex", F_E(d_u, d_v) when "edge".
 
-    Multiplicative built-ins carry ``ln`` and ``mp``, additive built-ins carry
-    ``value``, and custom functions carry all three.
+    ``F(sqrt, *degrees)`` is written once for every number type it runs on:
+    int64 or float64 degree arrays with ``np.sqrt``, and mpmath numbers with
+    the context's ``sqrt``.  Its forms derive from it: ``value`` and ``ln``
+    (F and ln F over degree arrays) and ``mp(ctx, *degrees)`` (F in ``ctx``).
     """
 
     name: str
     arity: str                          # "vertex" | "edge"
-    ln: Callable | None = None          # ln F over int64 degree arrays
-    mp: Callable | None = None          # (ctx, *ints) -> F in the mpmath context ctx
-    value: Callable | None = None       # F over int64 degree arrays
+    F: Callable
     defined_at_zero: bool = False       # isolated vertices add F(0), whatever the policy
     dense_limit: bool = True            # ln F at the mean degrees predicts the mean (dense.py)
+
+    def value(self, *degrees: np.ndarray) -> np.ndarray:
+        return self.F(np.sqrt, *degrees)
+
+    def ln(self, *degrees: np.ndarray) -> np.ndarray:
+        return np.log(self.value(*degrees))
+
+    def mp(self, ctx, *degrees):
+        return self.F(ctx.sqrt, *map(ctx.mpf, degrees))
+
+
+class _Custom(_Rule):
+    """A :class:`VertexFunction` or :class:`EdgeFunction`: ``F(*degrees)`` is the
+    user's function, checked, called once per distinct argument with ints."""
+
+    def value(self, *degrees: np.ndarray) -> np.ndarray:
+        return np.array([self.F(*x) for x in zip(*(a.tolist() for a in degrees))])
+
+    def mp(self, ctx, *degrees):
+        return ctx.mpf(self.F(*degrees))
 
 
 MULTIPLICATIVE_INDICES: dict[str, _Rule] = {
     b.name: b
     for b in (
-        _Rule("nk", "vertex", ln=lambda d: np.log(d), mp=lambda mp, d: mp.mpf(d)),
-        _Rule("pi1", "vertex", ln=lambda d: 2.0 * np.log(d), mp=lambda mp, d: mp.mpf(d) ** 2),
-        _Rule("pi2", "edge", ln=lambda a, b: np.log(a * b), mp=lambda mp, a, b: mp.mpf(a) * b),
-        _Rule("pi1s", "edge", ln=lambda a, b: np.log(a + b), mp=lambda mp, a, b: mp.mpf(a + b)),
-        _Rule(
-            "rpi", "edge",
-            ln=lambda a, b: -0.5 * np.log(a * b),
-            mp=lambda mp, a, b: 1 / mp.sqrt(mp.mpf(a) * b),
-        ),
-        _Rule(
-            "hpi", "edge",
-            ln=lambda a, b: np.log(2.0 / (a + b)),
-            mp=lambda mp, a, b: mp.mpf(2) / (a + b),
-        ),
-        _Rule(
-            "chipi", "edge",
-            ln=lambda a, b: -0.5 * np.log(a + b),
-            mp=lambda mp, a, b: 1 / mp.sqrt(mp.mpf(a + b)),
-        ),
-        _Rule(
-            "idpi", "edge",
-            ln=lambda a, b: np.log(1.0 / (a * a) + 1.0 / (b * b)),
-            mp=lambda mp, a, b: 1 / mp.mpf(a) ** 2 + 1 / mp.mpf(b) ** 2,
-        ),
-        _Rule(
-            # Geometric-arithmetic edge rule 2*sqrt(ab)/(a+b); exploratory.  It
-            # is 1 at equal degrees, so only their spread moves its mean.
-            "gapi", "edge",
-            ln=lambda a, b: np.log(2.0 * np.sqrt(a * b) / (a + b)),
-            mp=lambda mp, a, b: 2 * mp.sqrt(mp.mpf(a) * b) / (a + b),
-            dense_limit=False,
-        ),
+        _Rule("nk", "vertex", lambda sqrt, d: d),
+        # 1.0 * makes F a float on int64 degrees, so the additive m1, m2 sum floats.
+        _Rule("pi1", "vertex", lambda sqrt, d: 1.0 * d * d),
+        _Rule("pi2", "edge", lambda sqrt, a, b: 1.0 * a * b),
+        _Rule("pi1s", "edge", lambda sqrt, a, b: a + b),
+        _Rule("rpi", "edge", lambda sqrt, a, b: 1 / sqrt(a * b)),
+        _Rule("hpi", "edge", lambda sqrt, a, b: 2 / (a + b)),
+        _Rule("chipi", "edge", lambda sqrt, a, b: 1 / sqrt(a + b)),
+        _Rule("idpi", "edge", lambda sqrt, a, b: 1 / (a * a) + 1 / (b * b)),
+        # Geometric-arithmetic edge rule; exploratory.  It is 1 at equal
+        # degrees, so only their spread moves its mean.
+        _Rule("gapi", "edge", lambda sqrt, a, b: 2 * sqrt(a * b) / (a + b), dense_limit=False),
     )
 }
 
-# Additive built-ins: the term F itself.  Terms undefined at d=0 leave
-# isolated vertices to the policy.
+# Additive built-ins: sums of the F of pi1, pi2, rpi, hpi and chipi, and of 1/d.
+# Terms undefined at d=0 leave isolated vertices to the policy.
 _ADDITIVE: dict[str, _Rule] = {
     b.name: b
     for b in (
-        _Rule("m1", "vertex", value=lambda d: 1.0 * d * d, defined_at_zero=True),
-        _Rule("m2", "edge", value=lambda a, b: 1.0 * a * b),
-        _Rule("r", "edge", value=lambda a, b: (a * b) ** -0.5),
-        _Rule("h", "edge", value=lambda a, b: 2.0 / (a + b)),
-        _Rule("chi", "edge", value=lambda a, b: (a + b) ** -0.5),
-        _Rule("id", "vertex", value=lambda d: 1.0 / d),
+        replace(MULTIPLICATIVE_INDICES["pi1"], name="m1", defined_at_zero=True),
+        replace(MULTIPLICATIVE_INDICES["pi2"], name="m2"),
+        replace(MULTIPLICATIVE_INDICES["rpi"], name="r"),
+        replace(MULTIPLICATIVE_INDICES["hpi"], name="h"),
+        replace(MULTIPLICATIVE_INDICES["chipi"], name="chi"),
+        _Rule("id", "vertex", lambda sqrt, d: 1.0 / d),
     )
 }
 
@@ -221,18 +221,8 @@ def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) 
             family = "additive" if table is _ADDITIVE else "multiplicative"
             raise KeyError(f"unknown {family} index {kind!r}") from None
     if isinstance(kind, (VertexFunction, EdgeFunction)):
-        f = _checked(kind.fn, kind.name)
-
-        def value(*args: np.ndarray) -> np.ndarray:
-            return np.array([f(*x) for x in zip(*(a.tolist() for a in args))])
-
-        return _Rule(
-            kind.name,
-            "vertex" if isinstance(kind, VertexFunction) else "edge",
-            ln=lambda *args: np.log(value(*args)),
-            mp=lambda mp, *degrees: mp.mpf(f(*degrees)),
-            value=value,
-        )
+        arity = "vertex" if isinstance(kind, VertexFunction) else "edge"
+        return _Custom(kind.name, arity, _checked(kind.fn, kind.name))
     raise TypeError(f"not an index kind: {kind!r}")
 
 

@@ -132,6 +132,9 @@ def test_predict_command(capsys):
     code, out, _ = run(capsys, "predict", "--model", "er", "--index", "nk", "--k", "10")
     assert code == 0
     assert float(out.strip()) == pytest.approx(math.log(10.0), abs=1e-12)
+    # ln k itself forms no product, so no degree is too small for it.
+    code, out, _ = run(capsys, "predict", "--model", "er", "--index", "nk", "--k", "1e-300")
+    assert float(out.strip()) == math.log(1e-300)
     code, out, _ = run(capsys, "predict", "--model", "br", "--index", "pi2",
                        "--d1", "6", "--d2", "6")
     assert float(out.strip()) == pytest.approx(12.0 * math.log(6.0), abs=1e-12)
@@ -162,8 +165,16 @@ def test_predict_command(capsys):
      "prediction is not finite at these degrees, got -inf"),
     (["--model", "br", "--index", "pi2", "--d1", "1e308", "--d2", "1e308", "--per-vertex"],
      "prediction is not finite at these degrees, got nan"),
+    # Finite degrees whose product k*k is subnormal.
+    (["--model", "er", "--index", "pi2", "--k", "1e-160"],
+     "prediction underflows at degrees (1e-160, 1e-160)"),
+    (["--model", "rg", "--index", "pi1", "--k", "1e-160"],
+     "prediction underflows at degree 1e-160"),
+    (["--model", "br", "--index", "rpi", "--d1", "1e-160", "--d2", "1e-170"],
+     "prediction underflows at degrees (1e-160, 1e-170)"),
 ], ids=["er-k-nan", "rg-k-inf", "er-k-0", "br-d1-inf", "br-d2-nan-per-vertex",
-        "er-pi2-overflow", "er-idpi-overflow", "br-hpi-overflow", "br-pi2-per-vertex-overflow"])
+        "er-pi2-overflow", "er-idpi-overflow", "br-hpi-overflow", "br-pi2-per-vertex-overflow",
+        "er-pi2-underflow", "rg-pi1-underflow", "br-rpi-underflow"])
 def test_bad_predict_degrees_are_one_line_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         main(["predict", *argv])
@@ -300,8 +311,8 @@ def test_repeated_rows_do_not_make_up_collapse_points(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda f: f[:-1], "line 2: expected 16 fields, got 15"),
-    (lambda f: f + ["0"], "line 2: expected 16 fields, got 17"),
+    (lambda f: f[:-1], "line 2: expected 17 fields, got 16"),
+    (lambda f: f + ["0"], "line 2: expected 17 fields, got 18"),
     (lambda f: f[:4] + ["x"] + f[5:], "line 2: unknown param_name 'x'"),
     (lambda f: ["rg"] + f[1:], "line 2: r must lie in [0, sqrt(2)], got None"),
 ], ids=["short", "long", "param-x", "rg-with-p"])
@@ -528,10 +539,14 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
      "replicas must be >= 1, got 0"),
     (["generate", "--model", "er", "--n", "10", "--p", "0.5", "--seed", "1", "--replicas", "-1"],
      "replicas must be >= 1, got -1"),
+    (["sweep", "--model", "er", "--n", "30", "--p", "0.1,0.1", "--index", "nk", "--budget", "60",
+      "--seed", "1"], "grid repeats a point: er n=30 p=0.1"),
+    (["sweep", "--model", "br", "--n1", "10,10", "--n2", "20,20", "--p", "0.3", "--index", "nk",
+      "--seed", "1"], "grid repeats a point: br n1=10 n2=20 p=0.3"),
 ], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0",
         "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative",
         "verify-sizes-empty", "verify-sizes-comma", "generate-replicas-0",
-        "generate-replicas-negative"])
+        "generate-replicas-negative", "sweep-er-repeated-point", "sweep-br-repeated-point"])
 def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:

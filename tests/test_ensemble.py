@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import multiprocessing
@@ -165,10 +164,8 @@ def test_results_rows_round_trip(rows):
     rewritten = io.StringIO()
     write_results_csv(back, rewritten)
     assert rewritten.getvalue() == written.getvalue()
-    # mean_k_sem is not a column; every other field comes back (repr: NaN equals NaN).
-    assert all(math.isnan(b.mean_k_sem) for b in back)
-    restored = [dataclasses.replace(b, mean_k_sem=a.mean_k_sem) for a, b in zip(rows, back)]
-    assert repr(restored) == repr(rows)
+    # Every field comes back (repr: NaN equals NaN).
+    assert repr(back) == repr(rows)
 
 
 def test_rerun_is_byte_identical():

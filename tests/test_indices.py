@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from helpers import (
+    _ORACLE_PREC,
     U,
     count_histograms,
     edge_sets,
@@ -304,6 +306,21 @@ def test_log_sum_within_stated_error_bound(g):
         ref = exact_ln_oracle(g, kind).value
         got = ln_multiplicative_index(g, kind).value
         assert abs(got - ref) <= stated_ln_bound(g, kind) + U * abs(ref)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 2**26), st.integers(1, 2**26))
+@example(1, 2**26)
+@example(2**26, 2**26)
+def test_each_log_factor_within_its_stated_term(a, b):
+    # The per-factor term of the module docstring's bound, 4u * (1 + |t|),
+    # at degrees far beyond the n <= 64 graphs of the product oracle.
+    with mp.workprec(_ORACLE_PREC):
+        for rule in MULTIPLICATIVE_INDICES.values():
+            degrees = (a,) if rule.arity == "vertex" else (a, b)
+            t = float(rule.ln(*(np.array([d]) for d in degrees))[0])
+            exact = mp.log(rule.mp(mp, *degrees))
+            assert abs(t - exact) <= 4.0 * U * (1.0 + abs(t)), (rule.name, degrees)
 
 
 @settings(max_examples=150)

@@ -185,12 +185,12 @@ _SWEEPS = {
 }
 
 _SWEEP_DIGESTS = {
-    ("er", "exclude"): "8b21f21dfd77513c7b55c77d6f9e70500276f4b5b2a9a25addb2f25577e5973a",
-    ("er", "logzero"): "82110e180c757ce1dabb508885e9f04823857c8652645086b012b535bcd6d576",
-    ("rg", "exclude"): "3919cd2bac736cf7d67ce8380e798859ea8df04bb2bb1af825530ecbb007789e",
-    ("rg", "logzero"): "0da8a8acefe9ed4f0c5e02d7bdeef1dd23f3f4741ecf5837528e209848877d7f",
-    ("br", "exclude"): "cfbe2800b940f8b4a60a3fb8e265c94f7e9097ca995213076d75e8a158883074",
-    ("br", "logzero"): "66bcb4c2aae0458edddaf10bf5faaba98696eb64ea0c11619f929b6ad589ed13",
+    ("er", "exclude"): "3c428d566336a7a537f6da7929237fc8a46153ce7ba8847945f31c4fe3744d3e",
+    ("er", "logzero"): "a72cfb06e23f51b19574664365db8309c20fae3c716639c1cc394d327a41f92d",
+    ("rg", "exclude"): "fcdff1a5eec7c69b7d8f72ae017afff8b1ce71bd4d5d267c07526b2752928cee",
+    ("rg", "logzero"): "9d7da6def10e969f5d027276d525854f10d7eb048590ec90c7a8f76d2f817ce1",
+    ("br", "exclude"): "9f63756286ca57c1979154efdcfaa56b631e9ea19e44f33ce29df8ce39100073",
+    ("br", "logzero"): "4004be2e28eb107570c957896f9f7e2ac0261a5744996824ca181a59e6b06cb9",
 }
 
 
