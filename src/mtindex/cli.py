@@ -26,6 +26,7 @@ import operator
 import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import models
 from .graph import atomic_write, read_edge_list_path, write_edge_list_path
@@ -273,12 +274,21 @@ def _custom_closure(node: ast.AST, args: dict[str, int]):
     raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
-def _parse_custom(defs: list[str], kind: type):
+def _parse_custom(defs: list[str], kind: type, taken: Sequence[str] = MULTIPLICATIVE_NAMES):
+    """The ``NAME=EXPR`` definitions as functions of ``kind``.  Each NAME is a
+    field of the verify report that tells its rows apart, so it must be
+    nonempty, hold no comma or line break, and repeat no name in ``taken`` or
+    before it in ``defs``."""
     out = []
     for item in defs:
         if "=" not in item:
             raise SystemExit(f"error: custom function must be NAME=EXPR, got {item!r}")
         name, expr = item.split("=", 1)
+        if "," in name or name.splitlines() != [name]:
+            raise SystemExit(f"error: custom function name {name!r} must be nonempty,"
+                             " with no comma or line break")
+        if name in taken or name in (f.name for f in out):
+            raise SystemExit(f"error: custom function name {name!r} repeats a function name")
         try:
             closure = _custom_closure(ast.parse(expr, mode="eval").body, _CUSTOM_ARGS[kind])
         except (SyntaxError, ValueError, OverflowError) as exc:
@@ -291,9 +301,10 @@ def _parse_custom(defs: list[str], kind: type):
 def cmd_verify(args) -> int:
     from . import inequalities
 
-    functions = list(MULTIPLICATIVE_NAMES)
-    functions += _parse_custom(args.custom_vertex, VertexFunction)
-    functions += _parse_custom(args.custom_edge, EdgeFunction)
+    vertex = _parse_custom(args.custom_vertex, VertexFunction)
+    edge = _parse_custom(args.custom_edge, EdgeFunction,
+                         [*MULTIPLICATIVE_NAMES, *(f.name for f in vertex)])
+    functions = [*MULTIPLICATIVE_NAMES, *vertex, *edge]
     try:
         rows = inequalities.verify_corpus(
             args.seed,

@@ -9,7 +9,7 @@ edges are legal everywhere.
 ``build_graph`` takes pairs that already satisfy ``0 <= u < v < n`` and ascend
 strictly (compared pair by pair) straight to the graph, as every file
 ``write_edge_list`` writes; any other list is validated, sorted and checked for
-duplicates.  ``read_edge_list`` converts a plain text in one numpy pass: ASCII
+duplicates.  ``read_edge_list`` converts a plain text with ``np.loadtxt``: ASCII
 digits, spaces, tabs and newlines only, every token at most 18 digits, every
 nonblank line two tokens, and a header ``n m`` with m the number of edge lines.
 Any other text (signs, ``_``, non-ASCII digits, other whitespace, a longer
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, TextIO
@@ -171,21 +172,20 @@ def write_edge_list(g: Graph, out: TextIO) -> None:
     out.write(("%d %d\n" * g.m) % tuple(g.edges.ravel().tolist()))
 
 
-# Byte classes of the plain edge-list text: 0 digit, 1 space or tab, 2 newline, 3 other.
-_BYTE_CLASS = np.full(256, 3, dtype=np.int8)
-_BYTE_CLASS[ord("0"):ord("9") + 1] = 0
-_BYTE_CLASS[[ord(" "), ord("\t")]] = 1
-_BYTE_CLASS[ord("\n")] = 2
-# Any token of at most 18 digits fits an int64.
-_MAX_DIGITS = 18
-_POW10 = np.array([10**k for k in range(_MAX_DIGITS)], dtype=np.int64)
+# Each byte's kind in a plain text: a digit reads b"0", a space or tab b" ",
+# a newline itself and any other byte b"x".
+_PLAIN = bytearray(b"x" * 256)
+_PLAIN[ord("0"):ord("9") + 1] = b"0" * 10
+_PLAIN[ord(" ")] = _PLAIN[ord("\t")] = ord(" ")
+_PLAIN[ord("\n")] = ord("\n")
+_PLAIN = bytes(_PLAIN)
 
 
 def read_edge_list(src: TextIO) -> Graph:
     """Parse the edge-list text format, rejecting inconsistent edge counts.
 
     ``src`` is read whole; lines end at each ``\\n``.  A plain text (see
-    :func:`_parse_plain`) is converted in one numpy pass; any other text is
+    :func:`_parse_plain`) is converted by ``np.loadtxt``; any other text is
     parsed line by line, which names the first malformed line.  Both give the
     same integers, so the same :class:`Graph` or :class:`GraphError`.
     """
@@ -212,35 +212,23 @@ def _parse_plain(text: str) -> tuple[int, np.ndarray] | None:
     """``(n, edges)`` of a plain edge list (defined in the module docstring),
     or None for any other text.
 
-    The bytes are classified by one lookup, tokens found where digit runs
-    start and end, and each token's value summed from its digits times powers
-    of ten.
+    One translation of the bytes checks the alphabet and the token lengths;
+    ``np.loadtxt`` converts the tokens.  At most 18 digits fit an int64, so
+    no token takes loadtxt's float fallback, and a text with a digit is never
+    empty to it.
     """
     if not text.isascii():
         return None
-    byte = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    kind = _BYTE_CLASS.take(byte)
-    if not kind.size or kind.max() > 2:
+    kinds = text.encode("ascii").translate(_PLAIN)
+    if b"x" in kinds or b"0" * 19 in kinds or b"0" not in kinds:
         return None
-    digit = kind == 0
-    # Digit runs alternate with the rest, so their edges alternate start, end.
-    bounds = np.flatnonzero(np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
-    starts, ends = bounds[0::2], bounds[1::2]
-    length = ends - starts
-    if not starts.size or starts.size % 2 or length.max() > _MAX_DIGITS:
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
         return None
-    # Tokens 2i and 2i+1 share a line; token 2i+2 starts a later one.
-    line = np.cumsum(kind == 2, dtype=np.min_scalar_type(byte.size))[starts]
-    first, second = line[0::2], line[1::2]
-    if not (np.array_equal(first, second) and (first[1:] > second[:-1]).all()):
+    if rows.shape[1] != 2 or rows[0, 1] != len(rows) - 1:
         return None
-    m = starts.size // 2 - 1
-    place = np.repeat(ends - 1, length) - np.flatnonzero(digit)
-    value = np.add.reduceat((byte[digit] - np.uint8(ord("0"))) * _POW10[place],
-                            length.cumsum() - length)
-    if value[1] != m:
-        return None
-    return int(value[0]), value[2:].reshape(m, 2)
+    return int(rows[0, 0]), rows[1:]
 
 
 def _parse_edge_lines(lines: list[str]) -> list[tuple[int, int]]:

@@ -126,6 +126,8 @@ def mean_degree(spec: ModelSpec) -> float:
 
 def probability_for_mean_degree(n: int, k: float) -> float:
     """ER probability p with (n-1)p = k."""
+    if n < 2:
+        raise ValueError(f"a mean degree needs size n >= 2, got n={n}")
     if not 0.0 <= k <= n - 1:
         raise ValueError(f"target mean degree {k} outside [0, n-1]")
     return k / (n - 1)
@@ -133,6 +135,8 @@ def probability_for_mean_degree(n: int, k: float) -> float:
 
 def br_probability_for_mean_degree(n1: int, n2: int, k: float) -> float:
     """BR probability p with network mean degree 2*n1*n2*p/(n1+n2) = k."""
+    if n1 < 1 or n2 < 1:
+        raise ValueError(f"br requires positive part sizes, got n1={n1}, n2={n2}")
     p = k * (n1 + n2) / (2.0 * n1 * n2)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"target mean degree {k} unreachable for n1={n1}, n2={n2}")
@@ -141,9 +145,7 @@ def br_probability_for_mean_degree(n1: int, n2: int, k: float) -> float:
 
 def radius_for_mean_degree(n: int, k: float) -> float:
     """RG radius r with (n-1)g(r) = k, by bisection (g is monotone)."""
-    if not 0.0 <= k <= n - 1:
-        raise ValueError(f"target mean degree {k} outside [0, n-1]")
-    target = k / (n - 1)
+    target = probability_for_mean_degree(n, k)
     lo, hi = 0.0, MAX_RADIUS
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -543,10 +543,25 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
       "--seed", "1"], "grid repeats a point: er n=30 p=0.1"),
     (["sweep", "--model", "br", "--n1", "10,10", "--n2", "20,20", "--p", "0.3", "--index", "nk",
       "--seed", "1"], "grid repeats a point: br n1=10 n2=20 p=0.3"),
+    # A custom NAME is the report's function field: one field, naming one function.
+    (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-edge", "a,b=a*b"],
+     "custom function name 'a,b' must be nonempty, with no comma or line break"),
+    (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "=d+1"],
+     "custom function name '' must be nonempty, with no comma or line break"),
+    (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "x\ry=d"],
+     "custom function name 'x\\ry' must be nonempty, with no comma or line break"),
+    (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-edge", "nk=a*b"],
+     "custom function name 'nk' repeats a function name"),
+    (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-edge", "y=a",
+      "--custom-edge", "y=b"], "custom function name 'y' repeats a function name"),
+    (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "y=d",
+      "--custom-edge", "y=a*b"], "custom function name 'y' repeats a function name"),
 ], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0",
         "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative",
         "verify-sizes-empty", "verify-sizes-comma", "generate-replicas-0",
-        "generate-replicas-negative", "sweep-er-repeated-point", "sweep-br-repeated-point"])
+        "generate-replicas-negative", "sweep-er-repeated-point", "sweep-br-repeated-point",
+        "verify-custom-comma", "verify-custom-empty", "verify-custom-line-break",
+        "verify-custom-builtin", "verify-custom-twice", "verify-custom-vertex-and-edge"])
 def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:

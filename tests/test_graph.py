@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from mtindex.graph import (
     write_edge_list,
     write_edge_list_path,
 )
-from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
+from mtindex.models import (
+    SeedDerivation,
+    bipartite,
+    erdos_renyi,
+    generate,
+    probability_for_mean_degree,
+    random_geometric,
+)
 
 
 def test_path_graph_degrees():
@@ -120,6 +128,24 @@ def test_writer_output_is_read_in_one_numpy_pass(g, tmp_path, monkeypatch):
     assert read_edge_list_path(path) == g
 
 
+def test_reader_peak_memory_is_bounded_per_input_byte(tmp_path):
+    # About 1 MB of plain text, read within 12 bytes per input byte.
+    n = 20_000
+    g = generate(erdos_renyi(n, probability_for_mean_degree(n, 10.0)), SeedDerivation(1))
+    path = tmp_path / "g.edges"
+    write_edge_list_path(g, path)
+    size = path.stat().st_size
+    assert size > 10**6
+    tracemalloc.start()
+    try:
+        back = read_edge_list_path(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    assert peak <= 12 * size
+
+
 @given(edge_sets())
 def test_handshake_and_degree_cache(case):
     n, edges = case
@@ -140,6 +166,8 @@ def test_edge_list_round_trip(case):
     write_edge_list(g, buf)
     text = buf.getvalue()
     assert text.splitlines()[0] == f"{n} {len(edges)}"
+    # The writer's texts are plain: none goes to the slower line parser.
+    assert graph._parse_plain(text) is not None
     back = read_edge_list(io.StringIO(text))
     assert back == g
     again = io.StringIO()

@@ -12,6 +12,7 @@ from mtindex.models import (
     ModelSpec,
     SeedDerivation,
     bipartite,
+    br_probability_for_mean_degree,
     erdos_renyi,
     g_of_r,
     generate,
@@ -98,6 +99,19 @@ def test_radius_inversion():
         r = radius_for_mean_degree(n, k)
         assert (n - 1) * g_of_r(r) == pytest.approx(k, abs=1e-9)
     assert probability_for_mean_degree(101, 10.0) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("target, message", [
+    (lambda: probability_for_mean_degree(1, 0.0), "got n=1"),
+    (lambda: probability_for_mean_degree(0, 0.0), "got n=0"),
+    (lambda: radius_for_mean_degree(1, 0.0), "got n=1"),
+    (lambda: br_probability_for_mean_degree(0, 5, 2.0), "got n1=0, n2=5"),
+    (lambda: br_probability_for_mean_degree(5, 0, 0.0), "got n1=5, n2=0"),
+], ids=["er-n1", "er-n0", "rg-n1", "br-n1-0", "br-n2-0"])
+def test_mean_degree_targets_name_a_size_too_small(target, message):
+    # Each once divided by zero: there is no second vertex to be a neighbour.
+    with pytest.raises(ValueError, match=message):
+        target()
 
 
 def test_same_seed_triple_bitwise_reproducible():
