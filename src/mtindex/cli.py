@@ -119,6 +119,12 @@ def cmd_index(args) -> int:
     for name in args.index:
         if name not in MULTIPLICATIVE_NAMES and name not in ADDITIVE_NAMES:
             raise SystemExit(f"error: unknown index {name!r}")
+    if len(set(args.index)) < len(args.index):
+        raise SystemExit(f"error: index set repeats a name: {','.join(args.index)}")
+    # Each path is the file field of its rows, written as it is given.
+    for path in args.paths:
+        if "," in path or path.splitlines() != [path]:
+            raise SystemExit(f"error: input path {path!r} must hold no comma or line break")
     lines = ["file,index,value_type,value,log_zero,excluded,policy"]
     for path in args.paths:
         try:

@@ -12,15 +12,40 @@ Models:
 
 Determinism contract: a replica stream is a pure function of the triple
 (master_seed, point_id, replica_index), mixed through a splitmix64-style
-avalanche into a PCG64 state.  ER/BR spend exactly one uniform draw per
-candidate pair in canonical pair order; RG draws the n (x, y) positions first
-and only then tests distances, so edges never depend on traversal order.
+avalanche into a PCG64 state.  ER/BR spend one uniform draw per edge, plus one
+that runs past the last pair, by geometric skipping over the candidate pairs
+in canonical order; RG draws the n (x, y) positions first and only then tests
+distances, so edges never depend on traversal order.
+
+Geometric skipping (Batagelj & Brandes, *Efficient generation of large random
+networks*, PRE 71, 036113, 2005): each draw U = 1 - ``rng.random()``, in
+(0, 1], gives the skip G = max{j >= 0 : (1 - p)^j >= U} over the reals for the
+float p and U, and the next edge's offset is the previous one + G + 1,
+starting from -1.  So P(G >= j) = (1 - p)^j and each pair is an edge with
+probability p, independently.  G = floor(y) for the real
+y = ln U / ln(1 - p), and the samplers compute y = ``np.log(U)`` /
+``math.log1p(-p)`` in float64 (-p for p < 2^-60, within a relative p/2 of
+ln(1 - p)).  Assuming ``np.log`` and ``math.log1p`` are within 1 ulp, as
+numpy's validation data holds its float64 ``log``, the computed y is within a
+relative 2.5 * 2^-52 of the real one, and ``_SKIP_TOL`` = 2^-49 covers that
+and the rounding of y * (1 -+ 2^-49).  Where both of those have the same floor,
+it is G; where the lower one is >= the number of pairs, the draw runs past the
+last pair.  The rest (a share of about 2^-48 * y of the draws, and every y
+within a few ulp of an integer) are decided exactly by ``_power_at_least``,
+so the edges
+are the same on any machine whose ``log`` meets that accuracy (the filter
+then exact fallback of Shewchuk, *Adaptive precision floating-point
+arithmetic and fast robust geometric predicates*, DCG 18, 1997).  p = 0 and
+p = 1 draw nothing; p near 1 needs nothing special, since ``log1p(-p)`` is the
+log of the exact 1 - p.
 
 Cost of one sample with m edges:
 
-* ER/BR -- O(C(n, 2)) resp. O(n1*n2) uniform draws in O(block + m) memory.
-  Uniforms are drawn in blocks of ``_BLOCK``; each hit's flat pair offset is
-  mapped back to (u, v) arithmetically.
+* ER/BR -- O(n + m) time and memory: m + 1 uniform draws, in a first block
+  of E[m] + 5 sqrt(E[m]) + 2 (at most ``_BLOCK``), then blocks of ``_BLOCK``;
+  each edge's flat pair offset is mapped back to (u, v) arithmetically.  A
+  sample may have at most 2^47 candidate pairs, which keeps y, the skips and
+  the offsets exact in float64 and int64.
 * RG -- O(n + m) expected time and memory: a cell list (Bentley, Stanat &
   Williams, IPL 6, 1977) over g x g cells at least r + 2^-40 wide, the margin
   covering every rounding (see ``_cells_per_side``).  Each sorted point has
@@ -28,8 +53,9 @@ Cost of one sample with m edges:
   in the next; whole runs are tested in blocks of about ``_BLOCK`` candidates
   laid out by ``np.repeat``, then the edges are sorted canonically.
 
-The edges do not depend on the block size: they equal, array for array, those
-of materialising every candidate pair at once.
+The edges do not depend on the block size: ER/BR read the stream in order and
+stop at the first offset past the last pair, and RG's equal, array for array,
+those of materialising every candidate pair at once.
 """
 
 from __future__ import annotations
@@ -183,26 +209,108 @@ class SeedDerivation:
         return np.random.Generator(np.random.PCG64(self.stream_seed()))
 
 
-# Uniforms drawn per block by the ER/BR samplers, and about the candidate pairs
-# tested per block by the RG sampler (whole rows: fewer than _BLOCK + n); edges
-# do not depend on it.
+# Uniforms drawn per block by the ER/BR samplers (after a first block sized for
+# the expected edges), and about the candidate pairs tested per block by the RG
+# sampler (whole rows: fewer than _BLOCK + n); edges do not depend on it.
 _BLOCK = 1 << 16
 
 # Absolute margin of the RG cell width over r; see _cells_per_side.
 _CELL_MARGIN = 2.0 ** -40
 
+# Relative margin of the float skip y; see the module docstring.
+_SKIP_TOL = 2.0 ** -49
+# Candidate pairs of one ER/BR sample at most: y < 2^47 leaves y * (1 -+ _SKIP_TOL)
+# at most one integer apart, and a block's offsets stay below 2^63.
+_MAX_PAIRS = 1 << 47
+
+
+def _fixed_power(q: int, e: int, k: int, prec: int) -> tuple[int, int]:
+    """Integers lo <= (q / 2^e)^k * 2^prec <= hi, for 0 <= q <= 2^e, by binary
+    powering in prec-bit fixed point, each product rounded down for lo and up
+    for hi.  Every factor is at most 1, so each product adds at most one unit
+    to the widths it combines, and hi - lo <= 8k."""
+    if prec >= e:
+        low = high = q << (prec - e)
+    else:
+        low, high = q >> (e - prec), -(-q >> (e - prec))
+    lo = hi = 1 << prec
+    while k:
+        if k & 1:
+            lo, hi = lo * low >> prec, -(-hi * high >> prec)
+        k >>= 1
+        low, high = low * low >> prec, -(-high * high >> prec)
+    return lo, hi
+
+
+def _power_at_least(p: float, k: int, u: float) -> bool:
+    """Whether (1 - p)^k >= u exactly, for floats 0 < p < 1 and 0 < u <= 1.
+
+    With p = a / 2^e and u = c / 2^f, both fractions reduced, ``_fixed_power``
+    brackets (1 - p)^k at prec = f + 128, 2(f + 128), ... bits until the
+    bracket lies on one side of u.  If (1 - p)^k = u, then e*k = f, since
+    2^e - a is odd; at prec >= e*k every product is exact, so the first
+    bracket is the point itself.  Otherwise the two differ by at least
+    2^-(e*k + f), more than the bracket's 8k * 2^-prec once
+    prec > e*k + f + log2(k) + 3, so the doubling ends.  A draw that the
+    samplers defer is left open at the first prec with probability about
+    k * 2^-77, so it costs O(log k) products of a few hundred bits, where the
+    power as an exact integer has e*k bits.
+    """
+    a, b = p.as_integer_ratio()
+    c, d = u.as_integer_ratio()
+    e, f = b.bit_length() - 1, d.bit_length() - 1
+    prec = f + 128
+    while True:
+        lo, hi = _fixed_power(b - a, e, k, prec)
+        target = c << (prec - f)
+        if lo >= target:
+            return True
+        if hi < target:
+            return False
+        prec *= 2
+
+
+def _skips(u: np.ndarray, p: float, total: int) -> np.ndarray:
+    """The skip G of each uniform in ``u`` (module docstring), capped at
+    ``total``, for 0 < p < 1."""
+    log_q = -p if p < 2.0 ** -60 else math.log1p(-p)
+    with np.errstate(over="ignore"):  # y = inf past the end, for subnormal p
+        y = np.log(u) / log_q
+    lo = np.floor(y * (1.0 - _SKIP_TOL))
+    hi = np.floor(y * (1.0 + _SKIP_TOL))
+    # G lies in [lo, hi], and hi <= lo + 1 wherever lo < total.
+    deferred = np.flatnonzero((lo != hi) & (lo < total)).tolist()
+    lo[lo > total] = total
+    skip = lo.astype(np.intp)
+    for i in deferred:
+        top = min(int(hi[i]), total)
+        skip[i] = top if _power_at_least(p, top, float(u[i])) else top - 1
+    return skip
+
 
 def _bernoulli_offsets(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
-    """Offsets in [0, total) whose uniform draw is below p, drawn in blocks.
+    """Offsets in [0, total) of the pairs that are edges, by geometric skipping.
 
     Each double consumes one PCG64 word, so consecutive blocks read the stream
-    exactly as one draw of ``total`` uniforms would.
+    exactly as one draw would, and the offsets end at the first one past the
+    last pair whatever the block size.
     """
-    hits = [np.empty(0, dtype=np.intp)]
-    for lo in range(0, total, _BLOCK):
-        block = rng.random(min(_BLOCK, total - lo))
-        hits.append(np.flatnonzero(block < p) + lo)
-    return np.concatenate(hits)
+    if total > _MAX_PAIRS:
+        raise ValueError(f"{total} candidate pairs exceed the 2^47 of one sample")
+    if p == 1.0:
+        return np.arange(total, dtype=np.intp)
+    if p == 0.0 or total == 0:
+        return np.empty(0, dtype=np.intp)
+    mean = total * p
+    size = min(_BLOCK, int(mean + 5.0 * math.sqrt(mean)) + 2)
+    hits, last = [], -1
+    while True:
+        offsets = last + np.cumsum(_skips(1.0 - rng.random(size), p, total) + 1)
+        end = int(np.searchsorted(offsets, total))
+        hits.append(offsets[:end])
+        if end < size:
+            return np.concatenate(hits)
+        last, size = int(offsets[-1]), _BLOCK
 
 
 def _unrank(row_start: np.ndarray, first: np.ndarray, flat: np.ndarray):
@@ -216,10 +324,11 @@ def _unrank(row_start: np.ndarray, first: np.ndarray, flat: np.ndarray):
 
 
 def _er_edges(n: int, p: float, rng: np.random.Generator):
+    flat = _bernoulli_offsets(rng, n * (n - 1) // 2, p)
     # Row u holds the pairs (u, u+1..n-1); it starts at u*(2n-u-1)/2.
     u = np.arange(n, dtype=np.intp)
     row_start = u * (2 * n - u - 1) // 2
-    return _unrank(row_start, u + 1, _bernoulli_offsets(rng, n * (n - 1) // 2, p))
+    return _unrank(row_start, u + 1, flat)
 
 
 def _br_edges(n1: int, n2: int, p: float, rng: np.random.Generator):

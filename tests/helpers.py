@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mtindex.graph import DegreeHistogram, Graph, GraphError, build_graph
+from mtindex.graph import DegreeHistogram, Graph, GraphError, _from_canonical, build_graph
 from mtindex.indices import (
     EXCLUDE,
     LOGZERO,
@@ -70,15 +70,56 @@ class InlinePool(BrokenPool):
         return future
 
 
+def _at_least(p, j, u):
+    """Whether (1 - p)**j >= u, for floats 0 <= p <= 1 and 0 < u <= 1, in
+    Python integers: first Bernoulli's 1 - j*p <= (1 - p)**j <= 1 / (1 + j*p),
+    then the power itself."""
+    a, b = p.as_integer_ratio()
+    c, d = u.as_integer_ratio()
+    if c * b <= d * (b - j * a):
+        return True
+    if c * (b + j * a) > d * b:
+        return False
+    return (b - a) ** j * d >= c * b ** j
+
+
+def _reference_skip(u, p, cap):
+    """min(cap, max{j >= 0 : (1 - p)**j >= u}), every comparison exact.
+
+    The float estimate of j only says where to start looking."""
+    lu, lq = math.log(u), (math.log1p(-p) if p < 1.0 else -math.inf)
+    j = cap if lu <= cap * lq else min(cap, math.floor(lu / lq))
+    while j > 0 and not _at_least(p, j, u):
+        j -= 1
+    while j < cap and _at_least(p, j + 1, u):
+        j += 1
+    return j
+
+
+def _reference_offsets(rng, total, p):
+    """Offsets of the edges among ``total`` candidate pairs by the definition of
+    geometric skipping: one draw U = 1 - rng.random() at a time, skip
+    G = max{j >= 0 : (1 - p)**j >= U}, next offset = last + G + 1."""
+    offsets, last = [], -1
+    while True:
+        cap = total - 1 - last   # a skip of cap or more runs past the last pair
+        skip = _reference_skip(1.0 - rng.random(), p, cap)
+        if skip >= cap:
+            return np.array(offsets, dtype=np.intp)
+        last += skip + 1
+        offsets.append(last)
+
+
 def reference_edge_arrays(spec, rng):
-    """The original O(n^2) sampler: every candidate pair materialised at once.
+    """ER/BR by the exact definition of their skip stream, each skip decided in
+    Python integers; RG by materialising every candidate pair at once.
 
     The production samplers must return exactly these arrays from the same rng.
     """
     if spec.model == "er":
         iu, ju = np.triu_indices(spec.n, k=1)
-        mask = rng.random(iu.shape[0]) < spec.p
-        return iu[mask], ju[mask]
+        hits = _reference_offsets(rng, iu.size, spec.p)
+        return iu[hits], ju[hits]
     if spec.model == "rg":
         iu, ju = np.triu_indices(spec.n, k=1)
         pos = rng.random((spec.n, 2))
@@ -87,8 +128,8 @@ def reference_edge_arrays(spec, rng):
         mask = dx * dx + dy * dy <= spec.r * spec.r
         return iu[mask], ju[mask]
     # br: candidate pairs (u, n1 + w) in lexicographic order; u < n1 <= v always.
-    mask = rng.random((spec.n1, spec.n2)) < spec.p
-    iu, jw = np.nonzero(mask)
+    iu, jw = np.unravel_index(_reference_offsets(rng, spec.n1 * spec.n2, spec.p),
+                              (spec.n1, spec.n2))
     return iu, jw + spec.n1
 
 
@@ -174,6 +215,25 @@ def edge_sets(draw):
     return n, edges
 
 
+def corpus_graph(spec, seed):
+    """One test-corpus graph from ``seed``'s stream: ER/BR with one uniform per
+    candidate pair in canonical order, an edge where it is below p, and RG by
+    ``generate``.
+
+    The corpora that test indices and inequalities, and the test ids that name
+    their graphs by size, then do not move when the samplers' ER/BR stream does.
+    """
+    if spec.model == "rg":
+        return generate(spec, seed)
+    rng = seed.generator()
+    if spec.model == "er":
+        iu, ju = np.triu_indices(spec.n, k=1)
+        mask = rng.random(iu.size) < spec.p
+        return _from_canonical(spec.n, iu[mask], ju[mask])
+    iu, jw = np.nonzero(rng.random((spec.n1, spec.n2)) < spec.p)
+    return _from_canonical(spec.n, iu, jw + spec.n1)
+
+
 def mixed_graphs(master_seed, count, sizes=(4, 6, 8, 12, 16, 20), params=(0.15, 0.4, 0.8)):
     """Yield ``count`` small graphs cycling through models, sizes and densities."""
     makers = [
@@ -191,7 +251,7 @@ def mixed_graphs(master_seed, count, sizes=(4, 6, 8, 12, 16, 20), params=(0.15, 
                         return
                     spec = make(n, p)
                     point_id = (mi * len(sizes) + si) * len(params) + pi
-                    yield generate(spec, SeedDerivation(master_seed, point_id, replica))
+                    yield corpus_graph(spec, SeedDerivation(master_seed, point_id, replica))
                     produced += 1
         replica += 1
 
@@ -210,8 +270,8 @@ def model_graphs(master_seed, model, count, sizes=(6, 10, 14, 18, 20), params=(0
             for pi, p in enumerate(params):
                 if produced >= count:
                     return
-                spec = make(n, p)
-                yield generate(spec, SeedDerivation(master_seed, si * len(params) + pi, replica))
+                seed = SeedDerivation(master_seed, si * len(params) + pi, replica)
+                yield corpus_graph(make(n, p), seed)
                 produced += 1
         replica += 1
 

@@ -199,7 +199,11 @@ def test_sampler_matches_reference(spec, master, point, replica):
     "make",
     [lambda n: erdos_renyi(n, 0.0), lambda n: erdos_renyi(n, 1.0)]
     + [lambda n, r=r: random_geometric(n, r) for r in (0.0, 1e-9, 0.25, 0.5, 1.0, MAX_RADIUS)]
-    + [lambda n: bipartite(1, n, 0.0), lambda n: bipartite(n, 2, 1.0)],
+    + [lambda n: bipartite(1, n, 0.0), lambda n: bipartite(n, 2, 1.0)]
+    # p near 1, where most skips are 0 and y is below 1, and tiny p, where the
+    # first draw runs past the last pair unless U = 1.
+    + [lambda n, p=p: erdos_renyi(n, p) for p in (1.0 - 2.0 ** -53, 1.0 - 1e-9, 5e-324, 2.0 ** -61)]
+    + [lambda n: bipartite(n, 3, 1.0 - 2.0 ** -53), lambda n: bipartite(2, n, 1e-300)],
 )
 def test_sampler_matches_reference_at_edge_cases(make, n):
     for replica in range(3):
@@ -232,6 +236,20 @@ def test_edges_do_not_depend_on_block_size(monkeypatch, block, spec):
 
 
 @pytest.mark.parametrize(
+    "spec", [erdos_renyi(2**24 + 2, 1e-9), bipartite(2**24, 2**23 + 1, 1e-9)], ids=["er", "br"])
+def test_more_than_2_to_the_47_pairs_is_refused_before_any_allocation(spec):
+    # Beyond 2^47 pairs the float skips and int64 offsets would no longer be exact.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="candidate pairs exceed the 2\\^47 of one sample"):
+            sample_edge_arrays(spec, SeedDerivation(1).generator())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         erdos_renyi(4000, probability_for_mean_degree(4000, 10.0)),
@@ -249,3 +267,98 @@ def test_one_sample_stays_within_16_mib(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+_PREC = 192   # fixed-point bits of the exact tables below
+
+
+def _exact_powers(p):
+    """Integers lo[j] <= (1 - p)**j * 2^_PREC <= hi[j] for j = 0, 1, ... while
+    (1 - p)**j >= 2^-53, one multiplication by 1 - p = q / 2^e at a time, each
+    rounded down for lo and up for hi (so hi - lo <= j)."""
+    a, b = p.as_integer_ratio()
+    q, e = b - a, b.bit_length() - 1
+    lo, hi = [1 << _PREC], [1 << _PREC]
+    while hi[-1] >> (_PREC - 53):
+        lo.append(lo[-1] * q >> e)
+        hi.append(-(-hi[-1] * q >> e))
+    return lo, hi
+
+
+def _grid_thresholds(lo, hi):
+    """F[j] = floor((1 - p)**j * 2^53), so U = c / 2^53 has (1 - p)**j >= U iff c <= F[j]."""
+    f = [x >> (_PREC - 53) for x in lo]
+    assert f == [x >> (_PREC - 53) for x in hi]
+    return np.array(f, dtype=np.int64)
+
+
+def _nearest_to_power(lo, hi, k):
+    """U at the double nearest (1 - p)**k and at the two doubles on each side
+    of it, with the exact skip max{j : (1 - p)**j >= U} of each (k or k - 1)."""
+    x = lo[k] / (1 << _PREC)
+    us = [x]
+    for toward in (0.0, 2.0):
+        u = x
+        for _ in range(2):
+            u = float(np.nextafter(u, toward))
+            us.append(u)
+    out = []
+    for u in us:
+        c, d = u.as_integer_ratio()
+        t = c << (_PREC - (d.bit_length() - 1))
+        assert t <= lo[k] or t > hi[k]
+        out.append((u, k if t <= lo[k] else k - 1))
+    return out
+
+
+def test_filtered_skips_equal_the_exact_definition(monkeypatch):
+    # Over 10^6 draws the float filter with its exact fallback gives the skip
+    # of the definition, taken here from exact tables of (1 - p)^j.  The draws
+    # include every U on the 2^-53 grid next to (1 - p)^k for k spread over the
+    # table, and the doubles next to (1 - p)^k, whose y lies within an ulp or
+    # so of k and which the filter must defer, up to k = 10^5.
+    deferred = []
+    power_at_least = models._power_at_least
+    monkeypatch.setattr(models, "_power_at_least",
+                        lambda p, k, u: deferred.append(k) or power_at_least(p, k, u))
+    rng = np.random.default_rng(19)
+    draws = 0
+    for p in (0.5, 0.75, 0.3, 1.0 - 2.0 ** -53, 0.01, 1e-3, 2e-4):
+        lo, hi = _exact_powers(p)
+        f = _grid_thresholds(lo, hi)
+        ks = np.unique(np.geomspace(1, f.size - 1, 60).astype(int)).tolist()
+        c = np.concatenate([rng.integers(1, 2**53, 150_000, endpoint=True),
+                            (f[ks][:, None] + np.arange(-2, 3)).ravel()])
+        c = c[(c >= 1) & (c <= 2**53)]
+        want = np.searchsorted(-f[1:], -c, side="right")
+        np.testing.assert_array_equal(models._skips(c / 2.0**53, p, models._MAX_PAIRS), want)
+        near = [pair for k in ks for pair in _nearest_to_power(lo, hi, k)]
+        u, want = (np.array(col) for col in zip(*near))
+        np.testing.assert_array_equal(models._skips(u, p, models._MAX_PAIRS), want)
+        draws += c.size + u.size
+    assert draws >= 10**6
+    assert max(deferred) >= 10**5
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 0.25, 0.3, 1e-3, 1.0 - 2.0 ** -53, 2.0 ** -70])
+def test_power_at_least_is_exact(p):
+    # Against the exact integers; U at (1 - p)^k itself where a double holds
+    # it, so equality must read True.
+    a, b = p.as_integer_ratio()
+    for k in range(0, 400, 7):
+        x = (b - a) ** k / b ** k
+        for u in (x, *np.nextafter(x, [0.0, 2.0])):
+            if 0.0 < u <= 1.0:
+                c, d = float(u).as_integer_ratio()
+                assert models._power_at_least(p, k, float(u)) == ((b - a) ** k * d >= c * b ** k)
+
+
+def test_fixed_power_brackets_the_power():
+    # At precisions low enough that every product rounds.
+    for q, e in [(1, 1), (3, 2), (5, 3), (2**20 - 1, 20), (12345, 17)]:
+        for k in range(0, 70, 3):
+            for prec in (8, 16, 40):
+                lo, hi = models._fixed_power(q, e, k, prec)
+                exact = q**k << prec
+                assert lo << (e * k) <= exact <= hi << (e * k)
+                assert hi - lo <= 8 * max(k, 1)

@@ -1,11 +1,16 @@
 """Outputs pinned across commits and library releases.
 
 Exact pins depend only on integer arithmetic, PCG64, IEEE ``+ - * / <=``,
-``math.fsum`` and pure-Python mpmath, so they are the same on every machine.
-A change that moves one updates the pin in the same commit and says which
-output moved.  Bounded pins go through a float64 log, which may differ in
-the last bits between libms; they hold within twice the error bound that
-the code states, so a change that moves one beyond it is an error.
+``math.fsum`` and pure-Python mpmath, and for ER/BR edges on one filtered
+float64 ``log``: each geometric skip is floor(log(U) / log1p(-p)) only where
+that quotient lies farther from an integer than the log's stated 1-ulp error
+can move it, and is decided exactly in Python integers elsewhere (see the
+``models`` docstring).  So they are the same on every machine whose ``log``
+and ``log1p`` meet that bound.  A change that moves one updates the pin in the
+same commit and says which output moved.  Bounded pins go through a float64
+log, which may differ in the last bits between libms; they hold within twice
+the error bound that the code states, so a change that moves one beyond it is
+an error.
 """
 
 import hashlib
@@ -13,14 +18,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import stated_ln_bound
+from helpers import U, stated_ln_bound
 from mtindex.cli import main
+from mtindex.ensemble import read_results_csv_path
 from mtindex.graph import read_edge_list_path
 from mtindex.indices import MULTIPLICATIVE_NAMES, ln_multiplicative_index
 from mtindex.models import (
     SeedDerivation,
     bipartite,
     erdos_renyi,
+    generate,
     random_geometric,
     sample_degree_arrays,
 )
@@ -45,7 +52,7 @@ def test_verify_report(tmp_path, capsys):
     data = out.read_bytes()
     assert data.count(b"\n") == 1622
     assert hashlib.sha256(data).hexdigest() == (
-        "b323bd1dc3d5839f7978f57fb530a921d1a3ab694e573b49a3654f289803e328")
+        "3b6459bfb091404659d3e4a31238e471f90c08b06f8bd33504f224e062041455")
 
 
 def _digest_dir(path):
@@ -73,9 +80,9 @@ def _generate(out, model, capsys):
 
 
 @pytest.mark.parametrize("model, digest", [
-    ("er", "d491619e81b661a98dfcdedc95f115ae5f5e377194f57f976fcf925c374d3eed"),
+    ("er", "fd6ecb2c0cfd4a7d5015d380417a63a3a32fd6bf792808d61696215992359b75"),
     ("rg", "ff3fbff580888cfe01710b2ff5259439836e3c290168fb7a33689274f1f1fd03"),
-    ("br", "b138417d73abf6ab0ad04c0ec5399620b86c9170192cc3af5372de4c16a4ba3e"),
+    ("br", "99353bdd8a4ea67d803745e0bf8a0910b96da94c5c008b7d10aeb81cba993747"),
 ], ids=["er", "rg", "br"])
 def test_generate_edge_lists(tmp_path, capsys, model, digest):
     assert len(_generate(tmp_path, model, capsys)) == 4
@@ -86,18 +93,18 @@ def test_generate_edge_lists(tmp_path, capsys, model, digest):
 # each pinned edge list, in file-name order.
 _GENERATED_LN = {
     "er": [
-        [12.64767680025421, 25.29535360050842, 35.616728781151274, 36.086961007952006,
-         -17.808364390575637, -19.45142867451332, -18.043480503976003, -13.159747426059901,
-         -1.6430642839376857],
-        [30.029600828771652, 60.059201657543305, 107.2771109514197, 90.26609335721572,
-         -53.63855547570985, -56.99502869033834, -45.13304667860786, -62.31469978590194,
-         -3.356473214628488],
-        [84.40113020341052, 168.80226040682103, 778.8565533266997, 516.1428051602444,
-         -389.42827666334983, -394.842048562254, -258.0714025801222, -637.2605202624394,
-         -5.413771898904265],
-        [78.31912344413558, 156.63824688827117, 621.1441900082378, 419.60691313473745,
-         -310.5720950041189, -315.63483605074566, -209.80345656736873, -498.14866672980753,
-         -5.062741046626725],
+        [22.469520363749826, 44.93904072749965, 71.84383224044218, 65.76248767448499,
+         -35.921916120221084, -38.729747632647125, -32.881243837242494, -34.97234285972882,
+         -2.8078315124260333],
+        [20.690183414520334, 41.38036682904067, 60.6842558824411, 54.613190249892405,
+         -30.34212794122055, -31.73933329141422, -27.306595124946206, -32.831228424575635,
+         -1.397205350193669],
+        [80.86879721261616, 161.73759442523232, 650.8570524461613, 435.90731883715347,
+         -325.4285262230807, -327.7763586698019, -217.95365941857673, -533.6916297202108,
+         -2.3478324467212346],
+        [71.16985178544368, 142.33970357088737, 500.57164232804354, 344.1745670288873,
+         -250.2858211640218, -254.7585807366544, -172.08728351444367, -394.68815483376824,
+         -4.472759572632631],
     ],
     "rg": [
         [62.990624007514725, 125.98124801502945, 257.8865534141698, 199.4343395516611,
@@ -114,18 +121,18 @@ _GENERATED_LN = {
          -4.906174094192008],
     ],
     "br": [
-        [6.3561076606958915, 12.712215321391783, 17.682028620967785, 20.184040738658723,
-         -8.841014310483892, -9.786833030259544, -10.092020369329362, -3.9106058044581946,
-         -0.9458187197756509],
-        [14.609335306277664, 29.21867061255533, 42.887998660341516, 41.10556447169744,
-         -21.443999330170758, -23.083737777138865, -20.55278223584872, -19.21281366216888,
-         -1.6397384469681033],
-        [44.32795411586544, 88.65590823173088, 225.54133273790703, 166.02160098745475,
-         -112.77066636895351, -116.80815116769864, -83.01080049372737, -161.63231113810133,
-         -4.0374847987451234],
-        [42.5845682309216, 85.1691364618432, 210.92968593464826, 156.4249131707776,
-         -105.46484296732413, -109.2909048927013, -78.2124565853888, -150.31865270345202,
-         -3.8260619253771693],
+        [10.632773779711947, 21.265547559423894, 25.659996714096334, 28.25494682744654,
+         -12.829998357048163, -13.698856035687689, -14.127473413723271, -7.895412340753705,
+         -0.868857678639523],
+        [9.534161491043838, 19.068322982087675, 27.909337292571564, 29.151034852003175,
+         -13.954668646285782, -15.28809124080427, -14.57551742600159, -9.265697077702013,
+         -1.3334225945184868],
+        [47.65641620918584, 95.31283241837168, 260.69103390295135, 188.57345934014035,
+         -130.34551695147567, -134.50797925646464, -94.28672967007016, -191.47792592441834,
+         -4.162462304988977],
+        [34.80954098178974, 69.61908196357948, 166.30149371422377, 127.20243425643606,
+         -83.15074685711188, -87.69304496451917, -63.601217128218025, -111.09063923570434,
+         -4.542298107407289],
     ],
 }
 
@@ -150,12 +157,12 @@ _DEGREE_POINTS = {
 }
 
 _DEGREE_DIGESTS = {
-    "er": ["fe52561b5ea8802a83380442eeea16c88d4b95176f07d92466f77862c846e760",
-           "15d7f02add699effe32b3ff420b173b702f6796e15453fa5fbec82978229e393"],
+    "er": ["557232d12b21fad45848b6c5e2fa2f685d564504b537332712567f9f723da671",
+           "8865b5d429a433635d958438eef3df854ab4441df5bbf9a5c8f0272cd5ca154a"],
     "rg": ["5131fa985a2d1c96c49ea70a60b019d78dbeb4dde4faa74fdc4521fdcfab8d45",
            "e8f550c40dcee6dda49a9631c2ce060e269d50b320f9c06b0c9669ce4b72993e"],
-    "br": ["69b8e64922257594432c1c9ebebc42fa3a3e47e27b5fe7048d3e2ba54e590b43",
-           "d8d6df250948fda18985aa2e5c21f74ef9fc521bba4a47cd5d86eefa7f262a60"],
+    "br": ["3de9062e9b5698fab3709db739c5eb184494859251471b60198faa6a623dcdc6",
+           "6f2f0fc9996985b09bc822134baa14c131836a73694ae7317a506ad34c78ab0a"],
 }
 
 
@@ -185,12 +192,12 @@ _SWEEPS = {
 }
 
 _SWEEP_DIGESTS = {
-    ("er", "exclude"): "3c428d566336a7a537f6da7929237fc8a46153ce7ba8847945f31c4fe3744d3e",
-    ("er", "logzero"): "a72cfb06e23f51b19574664365db8309c20fae3c716639c1cc394d327a41f92d",
+    ("er", "exclude"): "ff47054b9078fdbcdfb0e88fffebf898121305615b783aa10742c1514a9f305c",
+    ("er", "logzero"): "d5e7711bc10b2c0f9306980df5c347824a0a4e851ac9e90994d87fc7fffd24d1",
     ("rg", "exclude"): "fcdff1a5eec7c69b7d8f72ae017afff8b1ce71bd4d5d267c07526b2752928cee",
     ("rg", "logzero"): "9d7da6def10e969f5d027276d525854f10d7eb048590ec90c7a8f76d2f817ce1",
-    ("br", "exclude"): "9f63756286ca57c1979154efdcfaa56b631e9ea19e44f33ce29df8ce39100073",
-    ("br", "logzero"): "4004be2e28eb107570c957896f9f7e2ac0261a5744996824ca181a59e6b06cb9",
+    ("br", "exclude"): "1fc52c500592a712833083c0295542a28bb3eda4a0764f48157c7e36cd12cdac",
+    ("br", "logzero"): "de67a56fe425ada04fb316ed22e7992eed091d49990882e71802e80cd4c78016",
 }
 
 
@@ -204,3 +211,40 @@ def test_sweep_exact_columns(tmp_path, model, policy):
     keep = [i for i, name in enumerate(rows[0]) if name not in _LOG_COLUMNS]
     text = "\n".join(",".join(row[i] for i in keep) for row in rows) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_DIGESTS[model, policy]
+
+
+_SWEEP_INDICES = ("nk", "pi2", "gapi")
+
+# (mean_ln, sem) of each row of the exclude sweeps above: points outer, the
+# indices nk, pi2, gapi inner.
+_SWEEP_LOG = {
+    "er": [(150.9801526066064, 1.8912533986184665), (492.1202013343663, 8.105675847304958),
+           (-15.551304577035834, 0.2553925500173486), (742.6441777570899, 0.7472757856630634),
+           (15058.618181492751, 59.52118079274351), (-27.15205212794652, 0.3265550700257368)],
+    "rg": [(136.32566160897085, 1.8678927839379054), (425.82170581463134, 9.327000172787137),
+           (-6.23495392162853, 0.09613402803855445), (728.2629013100633, 1.1102147069274422),
+           (14602.86698338646, 104.51540566723895), (-22.232807787875046, 0.3722312413039258)],
+    "br": [(186.1060225987634, 1.8498450423401298), (680.3321095011584, 9.592244977894802),
+           (-20.858385454261576, 0.2809442618758214), (728.2337241606281, 0.7493696068871303),
+           (14424.777962854798, 54.29214965307872), (-71.20022350289071, 0.2788019408260854)],
+}
+
+
+@pytest.mark.parametrize("model", list(_SWEEPS))
+def test_sweep_log_columns(tmp_path, model):
+    # Each replica's ln X here and in the pinned run lies within its stated
+    # bound b of the exact value.  So the means differ by at most 2 mean(b),
+    # and the sems, each |x - mean| / sqrt(R (R - 1)) in the 2-norm, by at most
+    # 2 |b| / sqrt(R (R - 1)); each side also rounds a few times, 8u relative.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *_SWEEPS[model], "--index", ",".join(_SWEEP_INDICES),
+                 "--budget", "12500", "--seed", "7", "--out", str(out)]) == 0
+    rows = read_results_csv_path(out)
+    for i, (row, (mean, sem)) in enumerate(zip(rows, _SWEEP_LOG[model], strict=True)):
+        point_id = i // len(_SWEEP_INDICES)
+        b = np.array([stated_ln_bound(generate(row.spec, SeedDerivation(7, point_id, r)),
+                                      row.index) for r in range(row.replicas)])
+        r = row.replicas
+        assert abs(row.mean_ln - mean) <= 2.0 * b.mean() + 8.0 * U * abs(mean), (i, row.index)
+        assert abs(row.sem - sem) <= (2.0 * np.sqrt((b * b).sum() / (r * (r - 1)))
+                                      + 8.0 * U * sem), (i, row.index)
