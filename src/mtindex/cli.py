@@ -56,7 +56,10 @@ def _fmt(x: float) -> str:
 
 
 def _build_grid(args) -> list[models.ModelSpec]:
-    """Grid in deterministic order: sizes outer, parameter values inner."""
+    """Grid in deterministic order: sizes outer, parameter values inner.
+
+    A point that no replica can sample is refused here, before any work.
+    """
     if args.model == "br":
         if not args.n1 or not args.n2:
             raise SystemExit("error: br requires --n1 and --n2")
@@ -64,20 +67,20 @@ def _build_grid(args) -> list[models.ModelSpec]:
             raise SystemExit("error: --n1 and --n2 lists must have equal length")
         if not args.p:
             raise SystemExit("error: br requires --p")
-        return [
-            models.bipartite(n1, n2, p)
-            for n1, n2 in zip(args.n1, args.n2)
-            for p in args.p
-        ]
-    if not args.n:
+        grid = [models.bipartite(n1, n2, p) for n1, n2 in zip(args.n1, args.n2) for p in args.p]
+    elif not args.n:
         raise SystemExit(f"error: {args.model} requires --n")
-    if args.model == "er":
+    elif args.model == "er":
         if not args.p:
             raise SystemExit("error: er requires --p")
-        return [models.erdos_renyi(n, p) for n in args.n for p in args.p]
-    if not args.r:
+        grid = [models.erdos_renyi(n, p) for n in args.n for p in args.p]
+    elif not args.r:
         raise SystemExit("error: rg requires --r")
-    return [models.random_geometric(n, r) for n in args.n for r in args.r]
+    else:
+        grid = [models.random_geometric(n, r) for n in args.n for r in args.r]
+    for spec in grid:
+        models.check_samplable(spec)
+    return grid
 
 
 def _check_out_dir(out: str | None) -> None:
@@ -101,14 +104,15 @@ def cmd_generate(args) -> int:
     if args.replicas < 1:
         raise SystemExit(f"error: replicas must be >= 1, got {args.replicas}")
     outdir = Path(args.outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
+    # The directory is made once the first graph is sampled, so a failed
+    # sample leaves none behind; a regular file in its place stops us now.
+    if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
         raise SystemExit(f"error: {outdir}: not a directory")
     for point_id, spec in enumerate(grid):
         for replica in range(args.replicas):
             seed = models.SeedDerivation(args.seed, point_id, replica)
             g = models.generate(spec, seed)
+            outdir.mkdir(parents=True, exist_ok=True)
             name = f"{_point_tag(spec)}_s{args.seed}_pt{point_id}_r{replica}.edges"
             write_edge_list_path(g, outdir / name)
             print(outdir / name)

@@ -30,7 +30,7 @@ import numpy as np
 from .dense import DENSE_REGIME_MEAN_DEGREE, UnsupportedIndexError, scaling_curve
 from .graph import atomic_write
 from .indices import EXCLUDE, MULTIPLICATIVE_INDICES, ln_indices_of_stack
-from .models import ModelSpec, SeedDerivation, mean_degree, sample_degree_arrays
+from .models import ModelSpec, SeedDerivation, mean_degree, sample_chunk
 
 DEFAULT_BUDGET = 1e5
 
@@ -61,9 +61,7 @@ class EnsembleSpec:
             raise ValueError(f"index set repeats a name: {','.join(self.indices)}")
         for i, spec in enumerate(self.grid):
             if spec in self.grid[:i]:
-                size = f"n={spec.n}" if spec.n1 is None else f"n1={spec.n1} n2={spec.n2}"
-                raise ValueError(f"grid repeats a point: {spec.model} {size} "
-                                 f"{spec.param_name}={spec.param_value!r}")
+                raise ValueError(f"grid repeats a point: {spec.label}")
         kinds = {spec.model for spec in self.grid}
         if len(kinds) > 1:
             raise ValueError(f"grid mixes model kinds {sorted(kinds)}")
@@ -127,33 +125,22 @@ def _replica_chunk(
     lo: int,
     hi: int,
 ):
-    """Sample replicas [lo, hi) and evaluate them as one stack.
+    """Sample replicas [lo, hi) as one chunk and evaluate them as one stack.
 
     One generated instance serves all indices, and each replica's values are
     those it would have alone.  Returns ``(values, excluded, k_emp)``.
     """
-    graphs = []
-    for replica in range(lo, hi):
-        try:
-            rng = SeedDerivation(master_seed, point_id, replica).generator()
-            graphs.append(sample_degree_arrays(point, rng))
-        except Exception as exc:
-            raise _replica_error(master_seed, point_id, f"replica_index={replica}", exc) from exc
-    degs, dus, dvs = zip(*graphs)
-    k_emp = np.array([2.0 * du.shape[0] / point.n for du in dus])
     try:
-        values, excluded = ln_indices_of_stack(degs, dus, dvs, indices, policy)
+        rngs = [SeedDerivation(master_seed, point_id, r).generator() for r in range(lo, hi)]
+        deg, du, dv, m = sample_chunk(point, rngs)
+        values, excluded = ln_indices_of_stack(
+            deg, du, dv, np.full(hi - lo, point.n), m, indices, policy)
     except Exception as exc:
-        where = f"replica_index in [{lo}, {hi})"
-        raise _replica_error(master_seed, point_id, where, exc) from exc
-    return values, excluded, k_emp
-
-
-def _replica_error(master_seed: int, point_id: int, where: str, exc: Exception) -> RuntimeError:
-    return RuntimeError(
-        f"replica failed at seed triple (master_seed={master_seed}, point_id={point_id}, "
-        f"{where}): {exc}"
-    )
+        raise RuntimeError(
+            f"replica failed at seed triple (master_seed={master_seed}, point_id={point_id}, "
+            f"replica_index in [{lo}, {hi})): {exc}"
+        ) from exc
+    return values, excluded, 2.0 * m / point.n
 
 
 def _mean_sem(xs: Sequence[float]) -> tuple[float, float]:

@@ -74,39 +74,38 @@ class DegreeHistogram(NamedTuple):
     counts the vertices of degree d in graph j (column 0: isolated), and
     ``pair_counts`` the edges of each distinct ordered degree pair in
     ``pairs = (d_u, d_v)``, lexicographic within a graph and graph after graph;
-    graph j's pairs end at ``pair_ends[j]``."""
+    ``pair_graph`` names each pair's graph."""
 
     vertex: np.ndarray
     pairs: tuple[np.ndarray, np.ndarray]
     pair_counts: np.ndarray
-    pair_ends: np.ndarray
+    pair_graph: np.ndarray
 
     @classmethod
     def of(cls, deg: np.ndarray, du: np.ndarray, dv: np.ndarray) -> DegreeHistogram:
         """One graph's, from its degrees and each edge's endpoint degrees."""
-        return cls.stack([deg], [du], [dv])
+        return cls.stack(deg, du, dv, [deg.size], [du.size])
 
     @classmethod
-    def stack(cls, degs: Sequence[np.ndarray], dus: Sequence[np.ndarray],
-              dvs: Sequence[np.ndarray]) -> DegreeHistogram:
-        """Graph j's from ``degs[j]``, ``dus[j]``, ``dvs[j]``, all in one pass;
-        O(n + m) summed over the graphs, read-only."""
-        deg, du, dv = (np.concatenate(a) for a in (degs, dus, dvs))
-        graphs = len(degs)
+    def stack(cls, deg: np.ndarray, du: np.ndarray, dv: np.ndarray,
+              vertices: Sequence[int], edges: Sequence[int]) -> DegreeHistogram:
+        """Graph j's from consecutive slices of the flat arrays: the next
+        ``vertices[j]`` degrees of ``deg`` and the next ``edges[j]`` endpoint
+        degrees of ``du`` and ``dv``.  All in one pass, O(n + m) summed over
+        the graphs; read-only."""
+        graphs = len(vertices)
         base = max((int(a.max()) for a in (deg, du, dv) if a.size), default=0) + 1
         if graphs * base * base > np.iinfo(np.int64).max:
             raise ValueError(f"{graphs} graphs of max degree {base - 1} overflow an int64 key")
         # Ascending keys (j*K + d_u)*K + d_v (K = max degree + 1) run graph
         # after graph, each graph's pairs lexicographic.
         offset = np.arange(graphs) * base
-        vertex = np.bincount(np.repeat(offset, [a.size for a in degs]) + deg,
+        vertex = np.bincount(np.repeat(offset, vertices) + deg,
                              minlength=graphs * base).reshape(graphs, base)
-        keys, counts = np.unique((np.repeat(offset, [a.size for a in dus]) + du) * base + dv,
-                                 return_counts=True)
+        keys, counts = np.unique((np.repeat(offset, edges) + du) * base + dv, return_counts=True)
         graph, pair = np.divmod(keys, base * base)
-        ends = np.searchsorted(graph, np.arange(graphs), "right")
-        h = cls(vertex, tuple(np.divmod(pair, base)), counts, ends)
-        for a in (h.vertex, *h.pairs, h.pair_counts, h.pair_ends):
+        h = cls(vertex, tuple(np.divmod(pair, base)), counts, graph)
+        for a in (h.vertex, *h.pairs, h.pair_counts, h.pair_graph):
             a.setflags(write=False)
         return h
 

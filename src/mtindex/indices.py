@@ -10,9 +10,10 @@ multiplicative Zagreb index of a 1000-vertex network with mean degree 10 is
 around e^23000), so this module never forms the raw product: it returns
 ``ln X_prod``.  Every index, one graph or many, runs through one evaluator:
 the rule once per distinct degree or degree pair of the graph's histogram,
-one numpy sum of the count-weighted terms.  A histogram may stack several
-graphs (the sweep's chunks of replicas); the rule then runs once for all of
-them and each graph's terms are summed as their own contiguous slice, so a
+and the count-weighted terms added one at a time, in order.  A histogram may
+stack several graphs (the sweep's chunks of replicas); the distinct arguments
+are then found once per arity and the rule runs once for all of them, and one
+``np.bincount`` adds each graph's terms, in order, into its own total, so a
 graph gets the same bits alone or stacked.
 
 Error bound.  With unit roundoff u = 2^-53 and gamma_j = j*u / (1 - j*u),
@@ -198,18 +199,19 @@ def _distinct_arguments(
 ) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
     """Distinct arguments of ``rule`` in each graph of ``h`` (ascending degrees
     ``(d,)`` or lexicographic pairs ``(d_u, d_v)``), graph after graph; their
-    counts; where each graph's arguments end; and the isolated vertices each
-    graph skips (degree 0 is an argument only where the rule is defined).
-    Under ``logzero`` a graph that skips a vertex contributes no argument."""
+    counts; the graph of each; and the isolated vertices each graph skips
+    (degree 0 is an argument only where the rule is defined).  Under
+    ``logzero`` a graph that skips a vertex contributes no argument.  They
+    depend on the rule only through its arity and ``defined_at_zero``."""
     if rule.arity == "edge":
-        return h.pairs, h.pair_counts, h.pair_ends, np.zeros_like(h.pair_ends)
+        return h.pairs, h.pair_counts, h.pair_graph, np.zeros(len(h.vertex), dtype=np.int64)
     start = 0 if rule.defined_at_zero else 1
     skipped = h.vertex[:, :start].sum(axis=1)
     body = h.vertex[:, start:]
     if policy == LOGZERO:
         body = body * (skipped == 0)[:, None]
     graph, d = np.nonzero(body)
-    return (d + start,), body[graph, d], np.cumsum(np.count_nonzero(body, axis=1)), skipped
+    return (d + start,), body[graph, d], graph, skipped
 
 
 def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) -> _Rule:
@@ -232,27 +234,25 @@ def _check_policy(policy: str) -> None:
 
 
 def _evaluate(
-    fn: Callable, rule: _Rule, h: DegreeHistogram, policy: str
-) -> list[tuple[float, int] | None]:
-    """Sum ``fn`` (``rule.ln`` or ``rule.value``) over the vertices or edges of
-    each graph summarized by ``h``: once per distinct argument, weighted by its
-    count, with one call of ``fn`` for all graphs.
+    fn: Callable, arguments: tuple, policy: str, zero: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``fn`` (a rule's ``ln`` or ``value``) over the vertices or edges of
+    each graph, from the rule's ``_distinct_arguments``: once per distinct
+    argument, weighted by its count, with one call of ``fn`` for all graphs.
 
-    Returns ``(total, excluded)`` per graph, or ``None`` where the ``logzero``
-    policy meets an isolated vertex at which the rule is undefined.  A graph's
-    terms are one contiguous slice, so its total has the same bits whether it
-    is summarized alone or stacked with others.
+    Returns ``(totals, excluded)``, one entry per graph; where the ``logzero``
+    policy meets an isolated vertex at which the rule is undefined, the total
+    is ``zero`` and none are excluded.  ``np.bincount`` adds each graph's terms
+    one at a time in order, so its total has the same bits whether it is
+    summarized alone or stacked with others.
     """
-    args, counts, ends, skipped = _distinct_arguments(h, rule, policy)
-    terms = counts * fn(*args)
-    out, start = [], 0
-    for end, excluded in zip(ends.tolist(), skipped.tolist()):
-        if excluded and policy == LOGZERO:
-            out.append(None)
-        else:
-            out.append((float(terms[start:end].sum()), excluded))
-        start = end
-    return out
+    args, counts, graph, skipped = arguments
+    totals = np.bincount(graph, weights=counts * fn(*args), minlength=skipped.size)
+    totals = totals.astype(np.float64, copy=False)  # bincount counts in int64 when no term
+    if policy == LOGZERO:
+        totals[skipped > 0] = zero
+        skipped = np.zeros_like(skipped)
+    return totals, skipped
 
 
 def ln_multiplicative_index(
@@ -260,13 +260,14 @@ def ln_multiplicative_index(
 ) -> LogIndexValue:
     """ln of the multiplicative index of ``g``.
 
-    The count-weighted ln-factors are summed by numpy (see the module
+    The count-weighted ln-factors are summed in order (see the module
     docstring for the error bound).  An empty product yields ``Finite(0)``.
     """
     _check_policy(isolated_policy)
     rule = _resolve(kind)
-    (res,) = _evaluate(rule.ln, rule, g.histogram, isolated_policy)
-    return LogIndexValue.log_zero() if res is None else LogIndexValue(*res)
+    arguments = _distinct_arguments(g.histogram, rule, isolated_policy)
+    (value,), (excluded,) = _evaluate(rule.ln, arguments, isolated_policy, -math.inf)
+    return LogIndexValue(float(value), int(excluded))
 
 
 def additive_index(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) -> float:
@@ -279,8 +280,8 @@ def additive_index(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) ->
     """
     _check_policy(isolated_policy)
     rule = _resolve(kind, _ADDITIVE)
-    (res,) = _evaluate(rule.value, rule, g.histogram, isolated_policy)
-    return math.inf if res is None else res[0]
+    arguments = _distinct_arguments(g.histogram, rule, isolated_policy)
+    return float(_evaluate(rule.value, arguments, isolated_policy, math.inf)[0][0])
 
 
 def ln_indices_from_arrays(
@@ -301,31 +302,40 @@ def ln_indices_from_arrays(
 
 
 def ln_indices_of_stack(
-    degs: Sequence[np.ndarray],
-    dus: Sequence[np.ndarray],
-    dvs: Sequence[np.ndarray],
+    deg: np.ndarray,
+    du: np.ndarray,
+    dv: np.ndarray,
+    vertices: Sequence[int],
+    edges: Sequence[int],
     kinds: Sequence[IndexKind],
     isolated_policy: str = EXCLUDE,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ln_indices_from_arrays` of graph j = ``(degs[j], dus[j], dvs[j])``
-    for every j at once, bit for bit; this is the ensemble path.
+    """:func:`ln_indices_from_arrays` of every graph j at once, bit for bit;
+    this is the ensemble path.  Graph j's arrays are consecutive slices of the
+    flat ones: the next ``vertices[j]`` entries of ``deg`` and the next
+    ``edges[j]`` entries of ``du`` and ``dv``.
 
     Returns ``(values, excluded)``, each of shape ``(len(kinds), J)``; a
-    log-zero product is ``-inf`` with 0 excluded.  One histogram and one rule
-    call per kind serve all J graphs, so their cost is paid once per stack.
+    log-zero product is ``-inf`` with 0 excluded.  One histogram, one set of
+    distinct arguments per arity and one rule call per kind serve all J
+    graphs, so their cost is paid once per stack.
     """
-    return _ln_indices(DegreeHistogram.stack(degs, dus, dvs), kinds, isolated_policy)
+    h = DegreeHistogram.stack(deg, du, dv, vertices, edges)
+    return _ln_indices(h, kinds, isolated_policy)
 
 
 def _ln_indices(
     h: DegreeHistogram, kinds: Iterable[IndexKind], policy: str
 ) -> tuple[np.ndarray, np.ndarray]:
     _check_policy(policy)
-    values, excluded = [], []
+    arguments, values, excluded = {}, [], []
     for kind in kinds:
         rule = _resolve(kind)
-        results = _evaluate(rule.ln, rule, h, policy)
-        values.append([-math.inf if r is None else r[0] for r in results])
-        excluded.append([0 if r is None else r[1] for r in results])
-    shape = (len(values), len(h.pair_ends))
+        key = (rule.arity, rule.defined_at_zero)
+        if key not in arguments:
+            arguments[key] = _distinct_arguments(h, rule, policy)
+        total, skipped = _evaluate(rule.ln, arguments[key], policy, -math.inf)
+        values.append(total)
+        excluded.append(skipped)
+    shape = (len(values), len(h.vertex))
     return np.array(values).reshape(shape), np.array(excluded, dtype=np.int64).reshape(shape)

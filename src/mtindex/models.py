@@ -50,8 +50,18 @@ Cost of one sample with m edges:
   Williams, IPL 6, 1977) over g x g cells at least r + 2^-40 wide, the margin
   covering every rounding (see ``_cells_per_side``).  Each sorted point has
   two candidate runs of the cell order, one in its own column of cells and one
-  in the next; whole runs are tested in blocks of about ``_BLOCK`` candidates
-  laid out by ``np.repeat``, then the edges are sorted canonically.
+  in the next; whole runs are tested in blocks of about ``_RG_BLOCK``
+  candidates laid out by ``np.repeat``, then the edges are sorted canonically.
+
+A chunk of J replicas (:func:`sample_chunk`) is sampled in one pass, at the
+numpy call count of one sample: each replica draws from its own generator,
+into its own row of the first ER/BR block or its own n positions, and the
+chunk is then one graph, the disjoint union of its replicas, on J*n vertices
+(replica j's vertex u is j*n + u).  ER/BR skip, cut and unrank every row at
+once; only a replica whose first block holds only edges reads on, alone.  RG
+gives replica j's cells the ids after replica j - 1's, so one sort, one cell
+count and one block loop serve the chunk.  At n = 250 a single sample's time
+goes mostly to the fixed cost of its numpy calls, which a chunk pays once.
 
 The edges do not depend on the block size: ER/BR read the stream in order and
 stop at the first offset past the last pair, and RG's equal, array for array,
@@ -62,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -107,6 +118,12 @@ class ModelSpec:
     @property
     def param_value(self) -> float:
         return self.r if self.model == "rg" else self.p
+
+    @property
+    def label(self) -> str:
+        """The point as messages name it: ``er n=30 p=0.1``, ``br n1=10 n2=20 p=0.3``."""
+        size = f"n={self.n}" if self.n1 is None else f"n1={self.n1} n2={self.n2}"
+        return f"{self.model} {size} {self.param_name}={self.param_value!r}"
 
 
 def erdos_renyi(n: int, p: float) -> ModelSpec:
@@ -209,10 +226,12 @@ class SeedDerivation:
         return np.random.Generator(np.random.PCG64(self.stream_seed()))
 
 
-# Uniforms drawn per block by the ER/BR samplers (after a first block sized for
-# the expected edges), and about the candidate pairs tested per block by the RG
-# sampler (whole rows: fewer than _BLOCK + n); edges do not depend on it.
+# Uniforms drawn per block by the ER/BR samplers, after a first block sized for
+# the expected edges; edges do not depend on it.
 _BLOCK = 1 << 16
+# About the candidate pairs tested per block by the RG sampler (whole rows);
+# edges do not depend on it.
+_RG_BLOCK = 1 << 13
 
 # Absolute margin of the RG cell width over r; see _cells_per_side.
 _CELL_MARGIN = 2.0 ** -40
@@ -288,29 +307,61 @@ def _skips(u: np.ndarray, p: float, total: int) -> np.ndarray:
     return skip
 
 
-def _bernoulli_offsets(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
-    """Offsets in [0, total) of the pairs that are edges, by geometric skipping.
+def check_samplable(spec: ModelSpec) -> None:
+    """Raise ValueError, naming the point, where one ER/BR sample of ``spec``
+    has more than 2^47 candidate pairs, which no replica can draw."""
+    pairs = spec.n1 * spec.n2 if spec.model == "br" else spec.n * (spec.n - 1) // 2
+    if spec.model != "rg" and pairs > _MAX_PAIRS:
+        raise ValueError(f"{spec.label}: {pairs} candidate pairs exceed the 2^47 of one sample")
 
-    Each double consumes one PCG64 word, so consecutive blocks read the stream
-    exactly as one draw would, and the offsets end at the first one past the
-    last pair whatever the block size.
+
+def _bernoulli_offsets(
+    rngs: Sequence[np.random.Generator], total: int, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets in [0, total) of the pairs that are edges, by geometric skipping,
+    replica after replica, and how many each replica holds.
+
+    Replica j reads ``rngs[j]``: it fills row j of one first block, and only a
+    replica whose first block holds no offset past the last pair reads on,
+    alone.  Each double consumes one PCG64 word, so the blocks read a stream
+    exactly as one draw would, and a replica's offsets end at the first one
+    past the last pair whatever the block sizes.
     """
     if total > _MAX_PAIRS:
         raise ValueError(f"{total} candidate pairs exceed the 2^47 of one sample")
     if p == 1.0:
-        return np.arange(total, dtype=np.intp)
+        return np.tile(np.arange(total, dtype=np.intp), len(rngs)), np.full(len(rngs), total)
     if p == 0.0 or total == 0:
-        return np.empty(0, dtype=np.intp)
+        return np.empty(0, dtype=np.intp), np.zeros(len(rngs), dtype=np.intp)
     mean = total * p
-    size = min(_BLOCK, int(mean + 5.0 * math.sqrt(mean)) + 2)
-    hits, last = [], -1
+    u = np.empty((len(rngs), min(_BLOCK, int(mean + 5.0 * math.sqrt(mean)) + 2)))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    np.subtract(1.0, u, out=u)
+    offsets = np.cumsum(_skips(u.ravel(), p, total).reshape(u.shape) + 1, axis=1) - 1
+    inside = offsets < total
+    flat, counts = offsets[inside], inside.sum(axis=1)
+    ran_out = np.flatnonzero(counts == u.shape[1]).tolist()
+    if not ran_out:
+        return flat, counts
+    pieces = np.split(flat, np.cumsum(counts)[:-1])
+    for j in reversed(ran_out):
+        later = _later_offsets(rngs[j], int(offsets[j, -1]), total, p)
+        pieces[j + 1:j + 1] = later
+        counts[j] += sum(block.size for block in later)
+    return np.concatenate(pieces), counts
+
+
+def _later_offsets(rng: np.random.Generator, last: int, total: int, p: float) -> list[np.ndarray]:
+    """The offsets after ``last`` that ``rng`` skips to, in blocks of ``_BLOCK`` draws."""
+    blocks = []
     while True:
-        offsets = last + np.cumsum(_skips(1.0 - rng.random(size), p, total) + 1)
+        offsets = last + np.cumsum(_skips(1.0 - rng.random(_BLOCK), p, total) + 1)
         end = int(np.searchsorted(offsets, total))
-        hits.append(offsets[:end])
-        if end < size:
-            return np.concatenate(hits)
-        last, size = int(offsets[-1]), _BLOCK
+        blocks.append(offsets[:end])
+        if end < _BLOCK:
+            return blocks
+        last = int(offsets[-1])
 
 
 def _unrank(row_start: np.ndarray, first: np.ndarray, flat: np.ndarray):
@@ -323,18 +374,29 @@ def _unrank(row_start: np.ndarray, first: np.ndarray, flat: np.ndarray):
     return row, flat - row_start[row] + first[row]
 
 
-def _er_edges(n: int, p: float, rng: np.random.Generator):
-    flat = _bernoulli_offsets(rng, n * (n - 1) // 2, p)
+def _union(u: np.ndarray, v: np.ndarray, counts: np.ndarray, n: int):
+    """Replica j's next ``counts[j]`` edges (u, v) as the edges (j*n + u, j*n + v)
+    of the disjoint union of the replicas, in place; returns (u, v, counts)."""
+    base = np.repeat(np.arange(counts.size) * n, counts)
+    u += base
+    v += base
+    return u, v, counts
+
+
+def _er_edges(n: int, p: float, rngs: Sequence[np.random.Generator]):
+    flat, counts = _bernoulli_offsets(rngs, n * (n - 1) // 2, p)
     # Row u holds the pairs (u, u+1..n-1); it starts at u*(2n-u-1)/2.
     u = np.arange(n, dtype=np.intp)
     row_start = u * (2 * n - u - 1) // 2
-    return _unrank(row_start, u + 1, flat)
+    return _union(*_unrank(row_start, u + 1, flat), counts, n)
 
 
-def _br_edges(n1: int, n2: int, p: float, rng: np.random.Generator):
+def _br_edges(n1: int, n2: int, p: float, rngs: Sequence[np.random.Generator]):
     # Cross pairs (u, n1 + w) in lexicographic order; u < n1 <= v always.
-    u, w = np.divmod(_bernoulli_offsets(rng, n1 * n2, p), n2)
-    return u, w + n1
+    flat, counts = _bernoulli_offsets(rngs, n1 * n2, p)
+    u, v = np.divmod(flat, n2)
+    v += n1
+    return _union(u, v, counts, n1 + n2)
 
 
 def _cells_per_side(n: int, r: float) -> int:
@@ -355,66 +417,124 @@ def _cells_per_side(n: int, r: float) -> int:
     return max(1, min(math.isqrt(n) + 1, math.floor(1.0 / (r + _CELL_MARGIN))))
 
 
-def _rg_edges(n: int, r: float, rng: np.random.Generator):
-    pos = rng.random((n, 2))
-    g = _cells_per_side(n, r)
-    cx, cy = np.minimum((pos * g).astype(np.intp), g - 1).T
-    cell = cx * g + cy
-    order = np.argsort(cell, kind="stable")
-    # Column x = g holds no point: its cells close the runs of the last column.
-    counts = np.bincount(cell, minlength=(g + 1) * g)
-    cell_end = np.cumsum(counts)
-    cell_start = cell_end - counts
+def _rg_runs(n: int, r: float, rngs: Sequence[np.random.Generator]):
+    """Replica j's n points from ``rngs[j]``, in cell order over the chunk, and
+    each sorted point's two candidate runs: ``(order, x, y, firsts, lengths)``.
 
-    # Cell (x, y) has id x*g + y, so the sorted points of cells (x, y-1..y+1)
-    # are consecutive.  Candidate row 2*s: sorted point s against the later
-    # points of its own cell and of (x, y+1); row 2*s + 1: against the points
-    # of (x+1, y-1..y+1).  Every pair of adjacent cells is visited once.
+    Replica j's cell (x, y) has id j*(g+1)*g + x*g + y, so the sorted points of
+    cells (x, y-1..y+1) are consecutive.  Candidate row 2*s: sorted point s
+    against the later points of its own cell and of (x, y+1); row 2*s + 1:
+    against the points of (x+1, y-1..y+1).  Every pair of adjacent cells is
+    visited once.  Column x = g holds no point: its cells close the runs of the
+    last column within the replica.  Each temporary is freed once used, since
+    a chunk's point arrays are J times those of one sample.
+    """
+    pos = np.empty((len(rngs), n, 2))
+    for rng, points in zip(rngs, pos):
+        rng.random(out=points)
+    pos = pos.reshape(-1, 2)
+    g = _cells_per_side(n, r)
+    cell = (pos * g).astype(np.intp)
+    np.minimum(cell, g - 1, out=cell)
+    below, above = cell[:, 1] > 0, cell[:, 1] < g - 1
+    cell = cell[:, 0] * g + cell[:, 1]
+    cell.reshape(len(rngs), n)[...] += (np.arange(len(rngs)) * ((g + 1) * g))[:, None]
+    order = np.argsort(cell, kind="stable")
+    x, y = pos[order, 0], pos[order, 1]
+    del pos
+    counts = np.bincount(cell, minlength=len(rngs) * (g + 1) * g)
+    cell_end = np.cumsum(counts)
+    cell_start = np.subtract(cell_end, counts, out=counts)
     own = cell[order]
-    up, down = own + (cy[order] < g - 1), own - (cy[order] > 0)
-    firsts = np.stack([np.arange(1, n + 1), cell_start[down + g]], axis=1).ravel()
-    lengths = np.stack([cell_end[up], cell_end[up + g]], axis=1).ravel() - firsts
+    del cell
+    up, down = own + above[order], own - below[order]
+    del own
+    runs = np.empty((x.size, 2), dtype=np.intp)
+    runs[:, 0] = cell_end[up]
+    runs[:, 1] = cell_end[up + g]
+    firsts = np.empty_like(runs)
+    firsts[:, 0] = np.arange(1, x.size + 1)
+    firsts[:, 1] = cell_start[down + g]
+    runs -= firsts
+    return order, x, y, firsts.ravel(), runs.ravel()
+
+
+def _rg_edges(n: int, r: float, rngs: Sequence[np.random.Generator]):
+    order, x, y, firsts, lengths = _rg_runs(n, r, rngs)
     ends = np.cumsum(lengths)
-    row_start = ends - lengths
+    # Each row's shift from its candidate offsets to the sorted points it tests.
+    shifts = firsts
+    shifts -= ends
+    shifts += lengths
 
     # Blocks of whole rows, each starting at the row that holds candidate
-    # offset 0, _BLOCK, 2*_BLOCK, ..., so a block holds < _BLOCK + n candidates.
-    cuts = np.searchsorted(ends, np.arange(0, int(ends[-1]), _BLOCK), "right")
+    # offset 0, _RG_BLOCK, 2*_RG_BLOCK, ..., so a block holds fewer than
+    # _RG_BLOCK + n candidates.
+    cuts = np.searchsorted(ends, np.arange(0, int(ends[-1]), _RG_BLOCK), "right")
     cuts = cuts[np.diff(cuts, prepend=-1) > 0]  # a row may hold several such offsets
     # (a-b)**2 == (b-a)**2 exactly, so testing in sorted order matches the
     # canonical dx = pos[u, 0] - pos[v, 0] with u < v bit for bit.
-    x, y = pos[order, 0], pos[order, 1]
     rr = r * r
+    # Keys u*N + v over the N points of the chunk order the edges replica after
+    # replica, each replica's canonically.
+    points = x.size
     keys = [np.empty(0, dtype=np.intp)]
     for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), lengths.size]):
-        size = lengths[lo:hi]
-        a = np.repeat(np.arange(lo, hi) // 2, size)
-        shift = np.repeat(firsts[lo:hi] - row_start[lo:hi], size)
-        b = np.arange(row_start[lo], ends[hi - 1]) + shift
-        dx = x[a] - x[b]
-        dy = y[a] - y[b]
-        hit = dx * dx + dy * dy <= rr
+        run = lengths[lo:hi]
+        a = np.repeat(np.arange(lo, hi) // 2, run)
+        b = np.repeat(shifts[lo:hi], run)
+        b += np.arange(ends[lo] - run[0], ends[hi - 1])
+        dx = x[a]
+        dx -= x[b]
+        dx *= dx
+        dy = y[a]
+        dy -= y[b]
+        dy *= dy
+        dx += dy
+        hit = dx <= rr
+        del dx, dy
         a, b = order[a[hit]], order[b[hit]]
-        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
-    return np.divmod(np.sort(np.concatenate(keys)), n)
+        keys.append(np.minimum(a, b) * points + np.maximum(a, b))
+    u, v = np.divmod(np.sort(np.concatenate(keys)), points)
+    return u, v, np.diff(np.searchsorted(u, np.arange(len(rngs) + 1) * n))
+
+
+def _edges(spec: ModelSpec, rngs: Sequence[np.random.Generator]):
+    """Edges (u, v) of the disjoint union of one replica per generator, the
+    vertices of replica j being j*n .. j*n + n-1, in canonical order; and each
+    replica's edge count."""
+    if spec.model == "er":
+        return _er_edges(spec.n, spec.p, rngs)
+    if spec.model == "rg":
+        return _rg_edges(spec.n, spec.r, rngs)
+    return _br_edges(spec.n1, spec.n2, spec.p, rngs)
+
+
+def sample_chunk(
+    spec: ModelSpec, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw replica j from ``rngs[j]``, every j at once; return flat arrays
+    ``(deg, du, dv, m)``.  Replica j holds ``m[j]`` edges; its degrees are
+    ``deg[j*n:(j+1)*n]``, and the endpoint degrees of its edges, in canonical
+    order, come after those of replica j - 1 in ``du`` and ``dv``.  Each
+    replica's arrays equal those :func:`sample_degree_arrays` draws alone."""
+    u, v, m = _edges(spec, rngs)
+    size = len(rngs) * spec.n
+    deg = np.bincount(u, minlength=size) + np.bincount(v, minlength=size)
+    return deg, deg[u], deg[v], m
 
 
 def sample_edge_arrays(spec: ModelSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one instance; return edge endpoint arrays (u, v) in canonical order."""
-    if spec.model == "er":
-        return _er_edges(spec.n, spec.p, rng)
-    if spec.model == "rg":
-        return _rg_edges(spec.n, spec.r, rng)
-    return _br_edges(spec.n1, spec.n2, spec.p, rng)
+    u, v, _ = _edges(spec, [rng])
+    return u, v
 
 
 def sample_degree_arrays(
     spec: ModelSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw one instance; return (degrees, d_u per edge, d_v per edge)."""
-    iu, ju = sample_edge_arrays(spec, rng)
-    deg = np.bincount(iu, minlength=spec.n) + np.bincount(ju, minlength=spec.n)
-    return deg, deg[iu], deg[ju]
+    return sample_chunk(spec, [rng])[:3]
 
 
 def generate(spec: ModelSpec, seed: SeedDerivation) -> Graph:

@@ -567,13 +567,22 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
      "input path 'a,b.edges' must hold no comma or line break"),
     (["index", "a\nb.edges", "--index", "nk"],
      "input path 'a\\nb.edges' must hold no comma or line break"),
+    # A point beyond 2^47 candidate pairs is refused as a point, before any replica.
+    (["sweep", "--model", "er", "--n", "16777218", "--p", "1e-9", "--index", "nk", "--seed", "1",
+      "--budget", "16777218"],
+     "er n=16777218 p=1e-09: 140737513521153 candidate pairs exceed the 2^47 of one sample"),
+    (["generate", "--model", "br", "--n1", "16777216", "--n2", "8388609", "--p", "1e-9",
+      "--seed", "1"],
+     "br n1=16777216 n2=8388609 p=1e-09: 140737505132544 candidate pairs exceed the 2^47 of"
+     " one sample"),
 ], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0",
         "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative",
         "verify-sizes-empty", "verify-sizes-comma", "generate-replicas-0",
         "generate-replicas-negative", "sweep-er-repeated-point", "sweep-br-repeated-point",
         "verify-custom-comma", "verify-custom-empty", "verify-custom-line-break",
         "verify-custom-builtin", "verify-custom-twice", "verify-custom-vertex-and-edge",
-        "index-repeated-name", "index-path-comma", "index-path-line-break"])
+        "index-repeated-name", "index-path-comma", "index-path-line-break",
+        "sweep-er-pairs", "generate-br-pairs"])
 def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:
@@ -610,7 +619,7 @@ SWEEP = ["sweep", "--model", "er", "--n", "30", "--p", "0.1,0.3", "--index", "nk
 
 
 @pytest.mark.parametrize("command, module, name", [
-    ("sweep", ensemble, "sample_degree_arrays"),
+    ("sweep", ensemble, "sample_chunk"),
     ("sweep", ensemble, "atomic_write"),
     ("verify", inequalities, "_Prepared"),
     ("verify", cli, "atomic_write"),
@@ -639,8 +648,9 @@ def test_interrupt_exits_130_and_leaves_no_output(tmp_path, monkeypatch, capsys,
     assert main(argv) == 130
     assert capsys.readouterr().err == f"{command}: interrupted\n"
     left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
-    # generate makes its output directory before the first file.
-    assert left == ["in", "in/g.edges"] + (["out"] if command == "generate" else [])
+    # generate makes its output directory once the first graph is sampled.
+    made = command == "generate" and name == "atomic_write"
+    assert left == ["in", "in/g.edges"] + (["out"] if made else [])
 
 
 def _no_work(*args, **kwargs):
@@ -660,6 +670,19 @@ def test_bad_output_path_stops_before_any_work(tmp_path, monkeypatch, argv, modu
         main([*argv, "--out", str(out)])
     assert info.value.code == {"missing": f"error: {out.parent}: no such output directory",
                                "directory": f"error: {out}: is a directory"}[where]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_generate_leaves_no_directory(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("no sample")
+
+    monkeypatch.setattr(models, "generate", fail)
+    out = tmp_path / "graphs" / "er"
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--model", "er", "--n", "10", "--p", "0.5", "--seed", "1",
+              "--out", str(out)])
+    assert info.value.code == "error: no sample"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -268,11 +268,13 @@ def test_pool_workers_ignore_ctrl_c():
 
 
 @pytest.mark.parametrize("point", [erdos_renyi(250, 20.0 / 249),
-                                   random_geometric(250, radius_for_mean_degree(250, 20.0))],
-                         ids=["er", "rg"])
+                                   random_geometric(250, radius_for_mean_degree(250, 20.0)),
+                                   random_geometric(250, radius_for_mean_degree(250, 2.0))],
+                         ids=["er", "rg", "rg-k2"])
 def test_a_replica_block_evaluates_one_chunk_at_a_time(point):
     # 400 replicas at <k> = 20 hold ~2.1e6 degree entries, 17 MB as int64; a
-    # point that stacked them all would pass 4 MiB many times over.
+    # point that stacked them all would pass 4 MiB many times over.  At <k> = 2
+    # a chunk holds the most replicas (22), sampled together.
     tracemalloc.start()
     try:
         run_point(point, MULTIPLICATIVE_NAMES, 400, SEED)

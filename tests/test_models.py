@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import reference_edge_arrays
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mtindex import models
 from mtindex.models import (
@@ -20,6 +20,7 @@ from mtindex.models import (
     probability_for_mean_degree,
     radius_for_mean_degree,
     random_geometric,
+    sample_chunk,
     sample_degree_arrays,
     sample_edge_arrays,
     splitmix64,
@@ -231,8 +232,52 @@ def test_rg_edges_at_cell_width_boundaries(n):
 )
 def test_edges_do_not_depend_on_block_size(monkeypatch, block, spec):
     monkeypatch.setattr(models, "_BLOCK", block)
+    monkeypatch.setattr(models, "_RG_BLOCK", block)
     for replica in range(3):
         _assert_same_edges(spec, SeedDerivation(21, 0, replica))
+
+
+@st.composite
+def chunk_specs(draw):
+    """A model point of n <= 120 whose parameter is often 0 or its largest value."""
+    n = draw(st.integers(1, 120))
+    model = draw(st.sampled_from(("er", "rg", "br")))
+    top = MAX_RADIUS if model == "rg" else 1.0
+    x = draw(st.one_of(st.sampled_from([0.0, top]), st.floats(0.0, top)))
+    if model == "er":
+        return erdos_renyi(n, x)
+    if model == "rg":
+        return random_geometric(n, x)
+    n1 = draw(st.integers(1, max(1, n - 1)))
+    return bipartite(n1, max(1, n - n1), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunk_specs(), st.integers(0, 2**64 - 1), st.integers(0, 50), st.integers(1, 12),
+       st.sampled_from([None, 1, 7]))
+@example(erdos_renyi(1, 0.5), 1, 0, 1, None)
+@example(random_geometric(1, 0.3), 1, 0, 3, None)
+@example(erdos_renyi(40, 0.3), 2, 5, 1, 7)
+def test_a_chunk_equals_its_replicas_sampled_alone(spec, master, lo, size, block):
+    # block: a small _BLOCK makes some replicas read on past their first
+    # block, alone, and a small _RG_BLOCK cuts the RG tests across replicas.
+    replicas = range(lo, lo + size)
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(models, "_BLOCK", block)
+            patch.setattr(models, "_RG_BLOCK", block)
+        deg, du, dv, m = sample_chunk(
+            spec, [SeedDerivation(master, 3, r).generator() for r in replicas])
+    assert m.sum() == du.size == dv.size
+    assert deg.size == size * spec.n
+    ends = np.cumsum(m)
+    for j, r in enumerate(replicas):
+        want = sample_degree_arrays(spec, SeedDerivation(master, 3, r).generator())
+        got = (deg[j * spec.n:(j + 1) * spec.n], du[ends[j] - m[j]:ends[j]],
+               dv[ends[j] - m[j]:ends[j]])
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
 
 @pytest.mark.parametrize(
