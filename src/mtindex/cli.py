@@ -31,7 +31,7 @@ from typing import Sequence
 from . import models
 from .graph import atomic_write, read_edge_list_path, write_edge_list_path
 from .indices import (
-    ADDITIVE_NAMES,
+    BUILT_IN_INDICES,
     EXCLUDE,
     EdgeFunction,
     EvaluationError,
@@ -40,6 +40,7 @@ from .indices import (
     VertexFunction,
     additive_index,
     ln_multiplicative_index,
+    resolve,
 )
 
 
@@ -120,11 +121,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_index(args) -> int:
-    for name in args.index:
-        if name not in MULTIPLICATIVE_NAMES and name not in ADDITIVE_NAMES:
-            raise SystemExit(f"error: unknown index {name!r}")
-    if len(set(args.index)) < len(args.index):
-        raise SystemExit(f"error: index set repeats a name: {','.join(args.index)}")
+    resolve(args.index, BUILT_IN_INDICES)
     # Each path is the file field of its rows, written as it is given.
     for path in args.paths:
         if "," in path or path.splitlines() != [path]:

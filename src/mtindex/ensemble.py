@@ -21,7 +21,6 @@ import os
 import signal
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .dense import DENSE_REGIME_MEAN_DEGREE, UnsupportedIndexError, scaling_curve
 from .graph import atomic_write
-from .indices import EXCLUDE, MULTIPLICATIVE_INDICES, ln_indices_of_stack
+from .indices import EXCLUDE, _check_policy, ln_indices_of_stack, resolve
 from .models import ModelSpec, SeedDerivation, mean_degree, sample_chunk
 
 DEFAULT_BUDGET = 1e5
@@ -54,11 +53,8 @@ class EnsembleSpec:
             raise ValueError("grid must be nonempty")
         if not self.indices:
             raise ValueError("index set must be nonempty")
-        for name in self.indices:
-            if name not in MULTIPLICATIVE_INDICES:
-                raise ValueError(f"unknown multiplicative index {name!r}")
-        if len(set(self.indices)) < len(self.indices):
-            raise ValueError(f"index set repeats a name: {','.join(self.indices)}")
+        resolve(self.indices)
+        _check_policy(self.isolated_policy)
         for i, spec in enumerate(self.grid):
             if spec in self.grid[:i]:
                 raise ValueError(f"grid repeats a point: {spec.label}")
@@ -130,16 +126,10 @@ def _replica_chunk(
     One generated instance serves all indices, and each replica's values are
     those it would have alone.  Returns ``(values, excluded, k_emp)``.
     """
-    try:
-        rngs = [SeedDerivation(master_seed, point_id, r).generator() for r in range(lo, hi)]
-        deg, du, dv, m = sample_chunk(point, rngs)
-        values, excluded = ln_indices_of_stack(
-            deg, du, dv, np.full(hi - lo, point.n), m, indices, policy)
-    except Exception as exc:
-        raise RuntimeError(
-            f"replica failed at seed triple (master_seed={master_seed}, point_id={point_id}, "
-            f"replica_index in [{lo}, {hi})): {exc}"
-        ) from exc
+    rngs = [SeedDerivation(master_seed, point_id, r).generator() for r in range(lo, hi)]
+    deg, du, dv, m = sample_chunk(point, rngs)
+    values, excluded = ln_indices_of_stack(
+        deg, du, dv, np.full(hi - lo, point.n), m, indices, policy)
     return values, excluded, 2.0 * m / point.n
 
 
@@ -191,11 +181,12 @@ def run_point(
     task = functools.partial(_replica_chunk, *args)
     results = (map if _executor is None else _executor.map)(task, *zip(*spans))
     for lo, hi in spans:
+        # A failed chunk and a dead worker (BrokenProcessPool) end alike.
         try:
             chunk = next(results)
-        except BrokenProcessPool as exc:
+        except Exception as exc:
             raise RuntimeError(
-                f"worker process died at seed triple (master_seed={master_seed}, "
+                f"replica failed at seed triple (master_seed={master_seed}, "
                 f"point_id={point_id}, replica_index in [{lo}, {hi})): {exc}"
             ) from exc
         values[:, lo:hi], excluded[:, lo:hi], k_emp[lo:hi] = chunk

@@ -32,6 +32,9 @@ then one log, within one ulp (2u*|t_i|); the u + 2u*|t_i| left is margin.
 The tests hold every built-in to this bound against a 240-bit oracle that
 forms the product itself, factor by factor, and each log-factor alone.
 
+Names.  :func:`resolve`, the one resolver, refuses an unknown or repeated name
+for the evaluators, ``EnsembleSpec``, ``verify_corpus`` and ``mtindex index``.
+
 Vertex-based products are zero on graphs with isolated vertices.  The
 ``isolated_policy`` argument picks between excluding those vertices from the
 product (reporting how many were skipped) and returning an explicit log-zero
@@ -192,6 +195,7 @@ _ADDITIVE: dict[str, _Rule] = {
 
 MULTIPLICATIVE_NAMES = tuple(MULTIPLICATIVE_INDICES)
 ADDITIVE_NAMES = tuple(_ADDITIVE)
+BUILT_IN_INDICES = {**MULTIPLICATIVE_INDICES, **_ADDITIVE}
 
 
 def _distinct_arguments(
@@ -220,12 +224,23 @@ def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) 
         try:
             return table[kind]
         except KeyError:
-            family = "additive" if table is _ADDITIVE else "multiplicative"
-            raise KeyError(f"unknown {family} index {kind!r}") from None
+            family = ("multiplicative " if table is MULTIPLICATIVE_INDICES
+                      else "additive " if table is _ADDITIVE else "")
+            raise ValueError(f"unknown {family}index {kind!r}") from None
     if isinstance(kind, (VertexFunction, EdgeFunction)):
         arity = "vertex" if isinstance(kind, VertexFunction) else "edge"
         return _Custom(kind.name, arity, _checked(kind.fn, kind.name))
     raise TypeError(f"not an index kind: {kind!r}")
+
+
+def resolve(kinds: Iterable[IndexKind], table=MULTIPLICATIVE_INDICES) -> list[_Rule]:
+    """The rule of each kind, in order; raises ValueError for a name not in
+    ``table`` or a name given twice."""
+    rules = [_resolve(kind, table) for kind in kinds]
+    names = [rule.name for rule in rules]
+    if len(set(names)) < len(names):
+        raise ValueError(f"index set repeats a name: {','.join(names)}")
+    return rules
 
 
 def _check_policy(policy: str) -> None:
@@ -263,10 +278,7 @@ def ln_multiplicative_index(
     The count-weighted ln-factors are summed in order (see the module
     docstring for the error bound).  An empty product yields ``Finite(0)``.
     """
-    _check_policy(isolated_policy)
-    rule = _resolve(kind)
-    arguments = _distinct_arguments(g.histogram, rule, isolated_policy)
-    (value,), (excluded,) = _evaluate(rule.ln, arguments, isolated_policy, -math.inf)
+    [[value]], [[excluded]] = _ln_indices(resolve([kind]), g.histogram, isolated_policy)
     return LogIndexValue(float(value), int(excluded))
 
 
@@ -297,7 +309,8 @@ def ln_indices_from_arrays(
     degrees in canonical edge order.  It runs the same evaluator on one
     histogram, so it returns the per-graph function's bits.
     """
-    values, excluded = _ln_indices(DegreeHistogram.of(deg, du, dv), kinds, isolated_policy)
+    values, excluded = _ln_indices(resolve(kinds), DegreeHistogram.of(deg, du, dv),
+                                   isolated_policy)
     return [LogIndexValue(v, e) for v, e in zip(values[:, 0].tolist(), excluded[:, 0].tolist())]
 
 
@@ -320,17 +333,14 @@ def ln_indices_of_stack(
     distinct arguments per arity and one rule call per kind serve all J
     graphs, so their cost is paid once per stack.
     """
-    h = DegreeHistogram.stack(deg, du, dv, vertices, edges)
-    return _ln_indices(h, kinds, isolated_policy)
+    rules = resolve(kinds)
+    return _ln_indices(rules, DegreeHistogram.stack(deg, du, dv, vertices, edges), isolated_policy)
 
 
-def _ln_indices(
-    h: DegreeHistogram, kinds: Iterable[IndexKind], policy: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _ln_indices(rules: list, h: DegreeHistogram, policy: str) -> tuple[np.ndarray, np.ndarray]:
     _check_policy(policy)
     arguments, values, excluded = {}, [], []
-    for kind in kinds:
-        rule = _resolve(kind)
+    for rule in rules:
         key = (rule.arity, rule.defined_at_zero)
         if key not in arguments:
             arguments[key] = _distinct_arguments(h, rule, policy)

@@ -45,6 +45,7 @@ from .indices import (
     VertexFunction,
     _distinct_arguments,
     _resolve,
+    resolve,
 )
 from .models import ModelSpec, SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
 
@@ -214,9 +215,10 @@ def verify_corpus(
     graphs_per_size: int = DEFAULT_GRAPHS_PER_SIZE,
     functions: Sequence[IndexKind] | None = None,
 ) -> list[CorpusCheck]:
-    """Run every check over the sampled corpus; deterministic in master_seed."""
-    if functions is None:
-        functions = list(MULTIPLICATIVE_INDICES)
+    """Run every check over the sampled corpus; deterministic in master_seed.
+    An unknown or repeated function raises ValueError before any sampling."""
+    functions = list(MULTIPLICATIVE_INDICES) if functions is None else functions
+    resolve(functions)
     rows: list[CorpusCheck] = []
     memos = [{} for _ in functions]     # per function, for this call only
     for point_id, (spec, reps) in enumerate(corpus_model_points(sizes, graphs_per_size)):

@@ -28,7 +28,10 @@ from mtindex.indices import (
     MULTIPLICATIVE_NAMES,
     EdgeFunction,
     VertexFunction,
+    additive_index,
     ln_indices_from_arrays,
+    ln_indices_of_stack,
+    ln_multiplicative_index,
 )
 from mtindex.models import SeedDerivation, erdos_renyi, generate
 
@@ -107,6 +110,68 @@ def test_index_names_are_checked_before_any_file(tmp_path):
     bad.write_text("3 1\n0 0\n")
     with pytest.raises(SystemExit, match="unknown index 'wiener'"):
         main(["index", str(bad), str(tmp_path / "missing.edges"), "--index", "nk,wiener"])
+
+
+P3 = graph.build_graph(3, [(0, 1), (1, 2)])
+P3_ARRAYS = (P3.degrees, *P3.edge_degree_pairs().T, [3], [2])
+SWEEP = ["sweep", "--model", "er", "--n", "30", "--p", "0.1", "--budget", "60", "--seed", "1"]
+
+
+def _verify_with_built_ins(monkeypatch, names):
+    """``mtindex verify`` as if ``names`` were its built-in functions."""
+    monkeypatch.setattr(cli, "MULTIPLICATIVE_NAMES", names)
+    main(["verify", "--seed", "1", "--sizes", "8", "--graphs", "1"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda mp, tmp: ensemble.EnsembleSpec(grid=(erdos_renyi(30, 0.1),), indices=("nk", "m1"),
+                                           master_seed=1),
+     "unknown multiplicative index 'm1'"),
+    (lambda mp, tmp: ensemble.EnsembleSpec(grid=(erdos_renyi(30, 0.1),),
+                                           indices=("nk", "pi2", "nk"), master_seed=1),
+     "index set repeats a name: nk,pi2,nk"),
+    (lambda mp, tmp: inequalities.verify_corpus(1, functions=["nk", "wiener"]),
+     "unknown multiplicative index 'wiener'"),
+    (lambda mp, tmp: inequalities.verify_corpus(1, functions=["nk", "nk"]),
+     "index set repeats a name: nk,nk"),
+    (lambda mp, tmp: inequalities.verify_corpus(
+        1, functions=[VertexFunction("v", float), EdgeFunction("v", max)]),
+     "index set repeats a name: v,v"),
+    (lambda mp, tmp: ln_multiplicative_index(P3, "m1"), "unknown multiplicative index 'm1'"),
+    (lambda mp, tmp: additive_index(P3, "nk"), "unknown additive index 'nk'"),
+    (lambda mp, tmp: ln_indices_of_stack(*P3_ARRAYS, ["nk", "wiener"]),
+     "unknown multiplicative index 'wiener'"),
+    (lambda mp, tmp: ln_indices_of_stack(*P3_ARRAYS, ["nk", "pi2", "nk"]),
+     "index set repeats a name: nk,pi2,nk"),
+    (lambda mp, tmp: main([*SWEEP, "--index", "nk,m1"]), "unknown multiplicative index 'm1'"),
+    (lambda mp, tmp: main([*SWEEP, "--index", "hpi,hpi"]), "index set repeats a name: hpi,hpi"),
+    (lambda mp, tmp: main(["index", str(tmp / "missing.edges"), "--index", "nk,wiener"]),
+     "unknown index 'wiener'"),
+    (lambda mp, tmp: main(["index", str(tmp / "missing.edges"), "--index", "nk,m1,nk"]),
+     "index set repeats a name: nk,m1,nk"),
+    (lambda mp, tmp: _verify_with_built_ins(mp, (*MULTIPLICATIVE_NAMES, "wiener")),
+     "unknown multiplicative index 'wiener'"),
+    (lambda mp, tmp: _verify_with_built_ins(mp, (*MULTIPLICATIVE_NAMES, "nk")),
+     f"index set repeats a name: {','.join(MULTIPLICATIVE_NAMES)},nk"),
+], ids=["spec-unknown", "spec-repeated", "verify_corpus-unknown", "verify_corpus-repeated",
+        "verify_corpus-repeated-custom", "ln_multiplicative_index-unknown",
+        "additive_index-unknown", "ln_indices_of_stack-unknown", "ln_indices_of_stack-repeated",
+        "cli-sweep-unknown", "cli-sweep-repeated", "cli-index-unknown", "cli-index-repeated",
+        "cli-verify-unknown", "cli-verify-repeated"])
+def test_an_unknown_or_repeated_index_is_refused_before_any_work(monkeypatch, tmp_path, call,
+                                                                 message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the index set was checked")
+
+    for owner, name in ((inequalities, "generate"), (ensemble, "sample_chunk"),
+                        (cli, "read_edge_list_path"), (graph.DegreeHistogram, "stack")):
+        monkeypatch.setattr(owner, name, no_work)
+    with pytest.raises((ValueError, SystemExit)) as info:
+        call(monkeypatch, tmp_path)
+    if info.type is SystemExit:     # the CLI: one error line, exit status 1
+        assert info.value.code == f"error: {message}"
+    else:
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("content, message", [

@@ -227,12 +227,29 @@ def test_split_curves_groups_by_size():
     assert all(len(grp) == 1 for _, grp in curves)
 
 
-def test_broken_worker_pool_names_the_seed_triple():
+def test_broken_worker_pool_names_the_seed_triple(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         run_point(erdos_renyi(20, 0.3), ["nk"], 10, 77, point_id=3, _executor=BrokenPool())
     msg = str(info.value)
     assert "master_seed=77" in msg and "point_id=3" in msg and "[0, 10)" in msg
     assert isinstance(info.value.__cause__, BrokenProcessPool)
+
+    # A chunk that fails in its own code, in this process, ends the same way.
+    def out_of_memory(point, rngs):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(ensemble, "sample_chunk", out_of_memory)
+    with pytest.raises(RuntimeError) as failed:
+        run_point(erdos_renyi(20, 0.3), ["nk"], 10, 77, point_id=3)
+    prefix = "replica failed at seed triple (master_seed=77, point_id=3, replica_index in [0, 10)): "
+    assert msg.startswith(prefix) and str(failed.value) == prefix + "no room"
+    assert isinstance(failed.value.__cause__, MemoryError)
+
+
+def test_an_unknown_isolated_policy_is_refused_at_construction():
+    with pytest.raises(ValueError, match="unknown isolated policy 'bogus'"):
+        EnsembleSpec(grid=(erdos_renyi(10, 0.1),), indices=("nk",), master_seed=1,
+                     isolated_policy="bogus")
 
 
 @settings(max_examples=40, deadline=None)

@@ -287,9 +287,9 @@ def test_custom_function_errors_name_the_offender():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         ln_multiplicative_index(P3, "wiener")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         additive_index(P3, "nk")
 
 
