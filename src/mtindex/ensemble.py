@@ -166,9 +166,12 @@ def run_point(
     """Run one grid point; returns one :class:`EnsembleStats` per index.
 
     Each chunk of :func:`_chunks` is one task, run on ``_executor``, else in
-    this process.
+    this process.  An unknown or repeated index, or an unknown policy, raises
+    ValueError before any allocation or chunk.
     """
     indices = tuple(indices)
+    resolve(indices)
+    _check_policy(isolated_policy)
     if replicas < 1:
         raise ValueError(f"replica count must be >= 1, got {replicas}")
     # Allocated before any chunk is planned or sampled, so a replica count

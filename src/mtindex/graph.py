@@ -92,22 +92,42 @@ class DegreeHistogram(NamedTuple):
         """Graph j's from consecutive slices of the flat arrays: the next
         ``vertices[j]`` degrees of ``deg`` and the next ``edges[j]`` endpoint
         degrees of ``du`` and ``dv``.  All in one pass, O(n + m) summed over
-        the graphs; read-only."""
+        the graphs; read-only.
+
+        The J*K^2 possible pair keys (K = max degree + 1) are counted by
+        ``np.bincount`` while they number at most 2m + n, and sorted by
+        ``np.unique`` beyond that (a hub's degree makes K^2 large), so memory
+        stays O(n + m) either way; both give the same arrays."""
         graphs = len(vertices)
         base = max((int(a.max()) for a in (deg, du, dv) if a.size), default=0) + 1
         if graphs * base * base > np.iinfo(np.int64).max:
             raise ValueError(f"{graphs} graphs of max degree {base - 1} overflow an int64 key")
-        # Ascending keys (j*K + d_u)*K + d_v (K = max degree + 1) run graph
-        # after graph, each graph's pairs lexicographic.
+        # Ascending keys (j*K + d_u)*K + d_v run graph after graph, each
+        # graph's pairs lexicographic.
         offset = np.arange(graphs) * base
         vertex = np.bincount(np.repeat(offset, vertices) + deg,
                              minlength=graphs * base).reshape(graphs, base)
-        keys, counts = np.unique((np.repeat(offset, edges) + du) * base + dv, return_counts=True)
+        keys = (np.repeat(offset, edges) + du) * base + dv
+        dense = graphs * base * base <= 2 * keys.size + deg.size
+        keys, counts = (_count_by_bincount if dense else _count_by_sort)(keys)
         graph, pair = np.divmod(keys, base * base)
         h = cls(vertex, tuple(np.divmod(pair, base)), counts, graph)
         for a in (h.vertex, *h.pairs, h.pair_counts, h.pair_graph):
             a.setflags(write=False)
         return h
+
+
+def _count_by_bincount(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct nonnegative ``keys``, ascending, and their counts; memory
+    O(max key)."""
+    counts = np.bincount(keys)
+    keys = np.flatnonzero(counts)
+    return keys, counts[keys]
+
+
+def _count_by_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_count_by_bincount`'s arrays by sorting; memory O(len(keys))."""
+    return np.unique(keys, return_counts=True)
 
 
 def build_graph(n: int, edge_list: Sequence[tuple[int, int]]) -> Graph:

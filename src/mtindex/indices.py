@@ -9,12 +9,20 @@ Multiplicative values explode far beyond double range (the second
 multiplicative Zagreb index of a 1000-vertex network with mean degree 10 is
 around e^23000), so this module never forms the raw product: it returns
 ``ln X_prod``.  Every index, one graph or many, runs through one evaluator:
-the rule once per distinct degree or degree pair of the graph's histogram,
-and the count-weighted terms added one at a time, in order.  A histogram may
-stack several graphs (the sweep's chunks of replicas); the distinct arguments
-are then found once per arity and the rule runs once for all of them, and one
+one term per distinct degree or degree pair of the graph's histogram, and the
+count-weighted terms added one at a time, in order.  A histogram may stack
+several graphs (the sweep's chunks of replicas); the distinct arguments are
+then found once per arity and the terms taken once for all of them, and one
 ``np.bincount`` adds each graph's terms, in order, into its own total, so a
 graph gets the same bits alone or stacked.
+
+Terms.  A built-in's ln F comes from its table of ln F at every degree (or
+degree pair) below the largest degree seen, up to ``_TABLE_CAP``; a stack
+with a degree at or above the cap computes ln F at its distinct arguments.
+A custom function is called at those arguments only, never over a table.
+numpy's log and the rules' arithmetic act element by element, so a table
+entry has the bits of ln F at that argument alone, and no value depends on
+where its term came from (the tests check this under both log kernels).
 
 Error bound.  With unit roundoff u = 2^-53 and gamma_j = j*u / (1 - j*u),
 the computed value S^ of S = sum ln F_i over k factors obeys
@@ -149,6 +157,30 @@ class _Rule:
     def mp(self, ctx, *degrees):
         return self.F(ctx.sqrt, *map(ctx.mpf, degrees))
 
+    def terms(self, degrees: tuple[np.ndarray, ...], top: int) -> np.ndarray:
+        """``ln`` at each argument, bit for bit, where no degree reaches
+        ``top``: read from the rule's table while ``top <= _TABLE_CAP``,
+        computed above it."""
+        if top > _TABLE_CAP:
+            return self.ln(*degrees)
+        table = _LN_TABLES.get(self)
+        if table is None or len(table) < top:
+            with np.errstate(divide="ignore", invalid="ignore"):   # F at degree 0
+                table = self.ln(*np.indices((top,) * len(degrees)))
+            _LN_TABLES[self] = table
+        index = degrees[0]
+        for d in degrees[1:]:
+            index = index * len(table) + d
+        return table.ravel().take(index)
+
+
+# One table of ln F per built-in rule per process, over every degree (vertex
+# rules) or degree pair (edge rules) below the largest degree seen, up to
+# _TABLE_CAP, and replaced by a larger one as degrees grow.  An entry depends
+# on the rule alone, so every caller shares it.
+_TABLE_CAP = 64
+_LN_TABLES: dict[_Rule, np.ndarray] = {}
+
 
 class _Custom(_Rule):
     """A :class:`VertexFunction` or :class:`EdgeFunction`: ``F(*degrees)`` is the
@@ -156,6 +188,9 @@ class _Custom(_Rule):
 
     def value(self, *degrees: np.ndarray) -> np.ndarray:
         return np.array([self.F(*x) for x in zip(*(a.tolist() for a in degrees))])
+
+    def terms(self, degrees: tuple[np.ndarray, ...], top: int) -> np.ndarray:
+        return self.ln(*degrees)
 
     def mp(self, ctx, *degrees):
         return ctx.mpf(self.F(*degrees))
@@ -249,11 +284,11 @@ def _check_policy(policy: str) -> None:
 
 
 def _evaluate(
-    fn: Callable, arguments: tuple, policy: str, zero: float
+    terms: np.ndarray, arguments: tuple, policy: str, zero: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``fn`` (a rule's ``ln`` or ``value``) over the vertices or edges of
-    each graph, from the rule's ``_distinct_arguments``: once per distinct
-    argument, weighted by its count, with one call of ``fn`` for all graphs.
+    """Sum a rule's ``terms`` (its ``ln`` or ``value`` at each of its
+    ``_distinct_arguments``) over the vertices or edges of each graph, each
+    term weighted by its argument's count.
 
     Returns ``(totals, excluded)``, one entry per graph; where the ``logzero``
     policy meets an isolated vertex at which the rule is undefined, the total
@@ -261,8 +296,8 @@ def _evaluate(
     one at a time in order, so its total has the same bits whether it is
     summarized alone or stacked with others.
     """
-    args, counts, graph, skipped = arguments
-    totals = np.bincount(graph, weights=counts * fn(*args), minlength=skipped.size)
+    _, counts, graph, skipped = arguments
+    totals = np.bincount(graph, weights=counts * terms, minlength=skipped.size)
     totals = totals.astype(np.float64, copy=False)  # bincount counts in int64 when no term
     if policy == LOGZERO:
         totals[skipped > 0] = zero
@@ -293,7 +328,8 @@ def additive_index(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) ->
     _check_policy(isolated_policy)
     rule = _resolve(kind, _ADDITIVE)
     arguments = _distinct_arguments(g.histogram, rule, isolated_policy)
-    return float(_evaluate(rule.value, arguments, isolated_policy, math.inf)[0][0])
+    terms = rule.value(*arguments[0])
+    return float(_evaluate(terms, arguments, isolated_policy, math.inf)[0][0])
 
 
 def ln_indices_from_arrays(
@@ -339,12 +375,14 @@ def ln_indices_of_stack(
 
 def _ln_indices(rules: list, h: DegreeHistogram, policy: str) -> tuple[np.ndarray, np.ndarray]:
     _check_policy(policy)
+    top = h.vertex.shape[1]     # no degree of the stack reaches it
     arguments, values, excluded = {}, [], []
     for rule in rules:
         key = (rule.arity, rule.defined_at_zero)
         if key not in arguments:
             arguments[key] = _distinct_arguments(h, rule, policy)
-        total, skipped = _evaluate(rule.ln, arguments[key], policy, -math.inf)
+        terms = rule.terms(arguments[key][0], top)
+        total, skipped = _evaluate(terms, arguments[key], policy, -math.inf)
         values.append(total)
         excluded.append(skipped)
     shape = (len(values), len(h.vertex))

@@ -481,19 +481,22 @@ def _rg_edges(n: int, r: float, rngs: Sequence[np.random.Generator]):
     keys = [np.empty(0, dtype=np.intp)]
     for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), lengths.size]):
         run = lengths[lo:hi]
-        a = np.repeat(np.arange(lo, hi) // 2, run)
+        a = np.arange(lo, hi) // 2
+        first = ends[lo] - run[0]
         b = np.repeat(shifts[lo:hi], run)
-        b += np.arange(ends[lo] - run[0], ends[hi - 1])
-        dx = x[a]
+        b += np.arange(first, ends[hi - 1])
+        dx = np.repeat(x[a], run)
         dx -= x[b]
         dx *= dx
-        dy = y[a]
+        dy = np.repeat(y[a], run)
         dy -= y[b]
         dy *= dy
         dx += dy
-        hit = dx <= rr
+        hit = np.flatnonzero(dx <= rr)
         del dx, dy
-        a, b = order[a[hit]], order[b[hit]]
+        # A hit lies in the first row whose run ends past it.
+        a = order[a[np.searchsorted(ends[lo:hi] - first, hit, "right")]]
+        b = order[b[hit]]
         keys.append(np.minimum(a, b) * points + np.maximum(a, b))
     u, v = np.divmod(np.sort(np.concatenate(keys)), points)
     return u, v, np.diff(np.searchsorted(u, np.arange(len(rngs) + 1) * n))

@@ -215,6 +215,15 @@ def edge_sets(draw):
     return n, edges
 
 
+def flat_stack(replicas):
+    """``(deg, du, dv, vertices, edges)`` of ``ln_indices_of_stack`` and
+    ``DegreeHistogram.stack`` for a list of degree arrays (deg, du, dv), one
+    per graph."""
+    degs, dus, dvs = zip(*replicas)
+    return (*(np.concatenate(a) for a in (degs, dus, dvs)),
+            [a.size for a in degs], [a.size for a in dus])
+
+
 def corpus_graph(spec, seed):
     """One test-corpus graph from ``seed``'s stream: ER/BR with one uniform per
     candidate pair in canonical order, an edge where it is below p, and RG by

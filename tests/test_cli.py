@@ -130,6 +130,10 @@ def _verify_with_built_ins(monkeypatch, names):
     (lambda mp, tmp: ensemble.EnsembleSpec(grid=(erdos_renyi(30, 0.1),),
                                            indices=("nk", "pi2", "nk"), master_seed=1),
      "index set repeats a name: nk,pi2,nk"),
+    (lambda mp, tmp: ensemble.run_point(erdos_renyi(20, 0.3), ["wiener"], 10, 1),
+     "unknown multiplicative index 'wiener'"),
+    (lambda mp, tmp: ensemble.run_point(erdos_renyi(20, 0.3), ["nk", "nk"], 10, 1),
+     "index set repeats a name: nk,nk"),
     (lambda mp, tmp: inequalities.verify_corpus(1, functions=["nk", "wiener"]),
      "unknown multiplicative index 'wiener'"),
     (lambda mp, tmp: inequalities.verify_corpus(1, functions=["nk", "nk"]),
@@ -153,7 +157,8 @@ def _verify_with_built_ins(monkeypatch, names):
      "unknown multiplicative index 'wiener'"),
     (lambda mp, tmp: _verify_with_built_ins(mp, (*MULTIPLICATIVE_NAMES, "nk")),
      f"index set repeats a name: {','.join(MULTIPLICATIVE_NAMES)},nk"),
-], ids=["spec-unknown", "spec-repeated", "verify_corpus-unknown", "verify_corpus-repeated",
+], ids=["spec-unknown", "spec-repeated", "run_point-unknown", "run_point-repeated",
+        "verify_corpus-unknown", "verify_corpus-repeated",
         "verify_corpus-repeated-custom", "ln_multiplicative_index-unknown",
         "additive_index-unknown", "ln_indices_of_stack-unknown", "ln_indices_of_stack-repeated",
         "cli-sweep-unknown", "cli-sweep-repeated", "cli-index-unknown", "cli-index-repeated",

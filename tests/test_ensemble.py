@@ -246,10 +246,14 @@ def test_broken_worker_pool_names_the_seed_triple(monkeypatch):
     assert isinstance(failed.value.__cause__, MemoryError)
 
 
-def test_an_unknown_isolated_policy_is_refused_at_construction():
+def test_an_unknown_isolated_policy_is_refused_at_construction(monkeypatch):
     with pytest.raises(ValueError, match="unknown isolated policy 'bogus'"):
         EnsembleSpec(grid=(erdos_renyi(10, 0.1),), indices=("nk",), master_seed=1,
                      isolated_policy="bogus")
+    # run_point refuses it before any chunk is sampled, not as a failed replica.
+    monkeypatch.setattr(ensemble, "sample_chunk", None)
+    with pytest.raises(ValueError, match="unknown isolated policy 'bogus'"):
+        run_point(erdos_renyi(10, 0.1), ["nk"], 10, 1, isolated_policy="bogus")
 
 
 @settings(max_examples=40, deadline=None)

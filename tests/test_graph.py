@@ -3,7 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import edge_list_texts, edge_sets, reference_read_edge_list, reference_write_edge_list
+from helpers import (
+    edge_list_texts,
+    edge_sets,
+    flat_stack,
+    reference_read_edge_list,
+    reference_write_edge_list,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +150,47 @@ def test_reader_peak_memory_is_bounded_per_input_byte(tmp_path):
         tracemalloc.stop()
     assert back == g
     assert peak <= 12 * size
+
+
+@given(st.lists(st.one_of(st.sampled_from([(0, []), (1, [])]), edge_sets()),
+                min_size=1, max_size=12))
+def test_both_pair_counters_give_the_same_histogram(cases):
+    # Empty graphs, isolated vertices and J = 1..12; each counter is forced in
+    # turn, and the one the size rule picks must agree with both.
+    graphs = [build_graph(n, edges) for n, edges in cases]
+    arrays = flat_stack([(g.degrees, *g.edge_degree_pairs().T) for g in graphs])
+    histograms = [graph.DegreeHistogram.stack(*arrays)]
+    for counter in (graph._count_by_bincount, graph._count_by_sort):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "_count_by_bincount", counter)
+            patch.setattr(graph, "_count_by_sort", counter)
+            histograms.append(graph.DegreeHistogram.stack(*arrays))
+    picked, *forced = ([h.vertex, *h.pairs, h.pair_counts, h.pair_graph] for h in histograms)
+    for got in forced:
+        for a, b in zip(got, picked):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def test_a_hub_histogram_is_counted_by_sorting_in_linear_memory(monkeypatch):
+    # A star's K^2 = 10^10 possible pair keys would take 80 GB to count by
+    # bincount; sorting its n - 1 keys stays within 40 bytes per vertex and edge.
+    def refuse(keys):
+        raise AssertionError("a hub's pair keys were counted by bincount")
+
+    monkeypatch.setattr(graph, "_count_by_bincount", refuse)
+    n = 10**5
+    star = build_graph(n, np.stack((np.zeros(n - 1, dtype=np.int64), np.arange(1, n)), axis=1))
+    arrays = flat_stack([(star.degrees, *star.edge_degree_pairs().T)])
+    tracemalloc.start()
+    try:
+        h = graph.DegreeHistogram.stack(*arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.pairs[0].tolist() == [n - 1] and h.pairs[1].tolist() == [1]
+    assert h.pair_counts.tolist() == [n - 1]
+    assert peak <= 40 * (n + star.m)
 
 
 @given(edge_sets())

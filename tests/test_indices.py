@@ -12,11 +12,13 @@ from helpers import (
     count_histograms,
     edge_sets,
     exact_ln_oracle,
+    flat_stack,
     gamma,
     mixed_graphs,
     reference_evaluate,
     stated_ln_bound,
 )
+from mtindex import indices
 from mtindex.graph import DegreeHistogram, build_graph
 from mtindex.indices import (
     ADDITIVE_NAMES,
@@ -30,6 +32,7 @@ from mtindex.indices import (
     MULTIPLICATIVE_NAMES,
     VertexFunction,
     _ADDITIVE,
+    _TABLE_CAP,
     _distinct_arguments,
     additive_index,
     ln_indices_from_arrays,
@@ -176,14 +179,6 @@ def replica_lists(draw):
     return [(g.degrees, *g.edge_degree_pairs().T) for g in graphs]
 
 
-def flat_stack(replicas):
-    """``(deg, du, dv, vertices, edges)`` of ``ln_indices_of_stack`` for a list
-    of degree arrays (deg, du, dv), one per graph."""
-    degs, dus, dvs = zip(*replicas)
-    return (*(np.concatenate(a) for a in (degs, dus, dvs)),
-            [a.size for a in degs], [a.size for a in dus])
-
-
 STACK_KINDS = (*MULTIPLICATIVE_NAMES, VertexFunction("succ", lambda d: d + 1.0),
                EdgeFunction("mean", lambda a, b: (a + b) / 2.0))
 
@@ -244,6 +239,34 @@ def test_custom_functions_run_once_per_distinct_argument():
     calls.clear()
     additive_index(C5, fe)
     assert calls == [(2, 2)]
+
+
+def test_a_custom_function_is_called_only_at_the_graph_degrees():
+    # No table is built for a custom rule: 1/(d - 1) never meets degree 1 on C5.
+    pole = VertexFunction("pole", lambda d: 1.0 / (d - 1))
+    edge_pole = EdgeFunction("edge_pole", lambda a, b: 1.0 / (a + b - 2))
+    assert ln_multiplicative_index(C5, pole).value == 0.0
+    values, _ = ln_indices_of_stack(C5.degrees, *C5.edge_degree_pairs().T, [5], [5],
+                                    [pole, edge_pole])
+    assert values.tolist() == [[0.0], [5 * math.log(0.5)]]
+
+
+@pytest.mark.parametrize("name", MULTIPLICATIVE_NAMES)
+def test_table_terms_equal_the_rule_bit_for_bit(monkeypatch, name):
+    # Every degree (pair) in 1.._TABLE_CAP-1 read from a table built small,
+    # grown, then read for a stack of smaller degrees, against ln F of that
+    # argument alone; above the cap, ln F.
+    monkeypatch.setattr(indices, "_LN_TABLES", {})
+    rule = MULTIPLICATIVE_INDICES[name]
+    arity = 1 if rule.arity == "vertex" else 2
+    for top in (5, _TABLE_CAP, 5):
+        args = tuple(np.indices((top - 1,) * arity).reshape(arity, -1) + 1)
+        got = rule.terms(args, top)
+        want = np.concatenate([rule.ln(*(a[i:i + 1] for a in args)) for i in range(args[0].size)])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    above = tuple(a + 1 for a in args)
+    assert rule.terms(above, _TABLE_CAP + 1).view(np.int64).tolist() == \
+        rule.ln(*above).view(np.int64).tolist()
 
 
 @given(st.lists(st.integers(0, 40), max_size=60),
