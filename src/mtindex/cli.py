@@ -1,7 +1,8 @@
 """Command-line front end: generate | index | sweep | collapse | predict | verify.
 
 Every randomized command requires an explicit ``--seed``; reruns with
-identical flags (including ``--workers``) produce byte-identical output.
+identical flags produce byte-identical output.  ``sweep --workers`` is
+accepted (at least 1) and changes nothing: every chunk runs in this process.
 Out-of-range flags, unreadable inputs, custom expressions outside the grammar,
 bad ``--out`` paths, failed replicas and allocations that numpy refuses end the
 command with one ``error:`` line (exit status 1); a degree function that fails
@@ -12,9 +13,8 @@ keeps the edge-list files it finished).
 
 Each command imports only the modules it runs.  This module loads ``graph``,
 ``indices`` and ``models`` (numpy, no mpmath); ``sweep`` and ``collapse``
-import ``ensemble``, and with it the process pool; ``collapse`` and
-``predict`` import ``dense``; only ``verify`` imports ``inequalities``, and
-with it mpmath.
+import ``ensemble``; ``collapse`` and ``predict`` import ``dense``; only
+``verify`` imports ``inequalities``, and with it mpmath.
 """
 
 from __future__ import annotations
@@ -151,6 +151,8 @@ def cmd_sweep(args) -> int:
     from . import ensemble
 
     grid = _build_grid(args)
+    if args.workers < 1:
+        raise SystemExit("error: workers must be >= 1")
     budget = ensemble.DEFAULT_BUDGET if args.budget is None else args.budget
     max_n = max(spec.n for spec in grid)
     if budget < max_n:
@@ -161,7 +163,6 @@ def cmd_sweep(args) -> int:
         master_seed=args.seed,
         budget=budget,
         isolated_policy=args.policy,
-        workers=args.workers,
     )
     rows = ensemble.sweep(spec)
     if args.out:
@@ -371,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         if budgeted:
             p.add_argument("--index", type=lambda s: s.split(","), required=True)
             p.add_argument("--budget", type=float, default=None)
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=int, default=1,
+                           help="accepted (>= 1) and ignored: a sweep runs in one process")
 
     p = sub.add_parser("generate", help="write edge-list files for sampled instances")
     add_model_flags(p, budgeted=False)

@@ -2,10 +2,10 @@
 
 Replica ``i`` of grid point ``j`` is a pure function of (master_seed, j, i).
 A point's replicas are cut into contiguous chunks planned from the point alone,
-before anything is sampled, and each chunk is one task, run in this process or
-on the sweep's worker pool.  Any partition of the replica range reproduces the
-same per-replica values, and the exact reduction below yields bitwise-identical
-statistics for any worker count.
+before anything is sampled, and the chunks run one after another in the calling
+process.  Any partition of the replica range reproduces the same per-replica
+values, and the exact reduction below yields bitwise-identical statistics for
+any partition.
 
 Results are written as a flat CSV, one row per (grid point, index), with
 floats serialized via ``repr`` so reruns are byte-identical.
@@ -13,14 +13,9 @@ floats serialized via ``repr`` so reruns are byte-identical.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-import os
-import signal
-import threading
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -46,7 +41,6 @@ class EnsembleSpec:
     master_seed: int
     budget: float = DEFAULT_BUDGET
     isolated_policy: str = EXCLUDE
-    workers: int = 1
 
     def __post_init__(self):
         if not self.grid:
@@ -61,8 +55,6 @@ class EnsembleSpec:
         kinds = {spec.model for spec in self.grid}
         if len(kinds) > 1:
             raise ValueError(f"grid mixes model kinds {sorted(kinds)}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if not math.isfinite(self.budget):
             raise ValueError(f"budget must be finite, got {self.budget}")
 
@@ -145,14 +137,6 @@ def _mean_sem(xs: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _process_pool(workers: int) -> ProcessPoolExecutor:
-    # Ctrl-C reaches every process of the terminal's process group.  The
-    # workers ignore it, so only the parent handles it (see _defer_interrupts).
-    return ProcessPoolExecutor(
-        max_workers=workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-    )
-
-
 def run_point(
     point: ModelSpec,
     indices: Sequence[str],
@@ -161,13 +145,12 @@ def run_point(
     *,
     point_id: int = 0,
     isolated_policy: str = EXCLUDE,
-    _executor: Executor | None = None,
 ) -> list[EnsembleStats]:
     """Run one grid point; returns one :class:`EnsembleStats` per index.
 
-    Each chunk of :func:`_chunks` is one task, run on ``_executor``, else in
-    this process.  An unknown or repeated index, or an unknown policy, raises
-    ValueError before any allocation or chunk.
+    The chunks of :func:`_chunks` run in order, in this process.  An unknown
+    or repeated index, or an unknown policy, raises ValueError before any
+    allocation or chunk.
     """
     indices = tuple(indices)
     resolve(indices)
@@ -179,14 +162,9 @@ def run_point(
     values = np.empty((len(indices), replicas))
     excluded = np.empty((len(indices), replicas), dtype=np.int64)
     k_emp = np.empty(replicas)
-    spans = _chunks(point, replicas)
-    args = (point, indices, isolated_policy, master_seed, point_id)
-    task = functools.partial(_replica_chunk, *args)
-    results = (map if _executor is None else _executor.map)(task, *zip(*spans))
-    for lo, hi in spans:
-        # A failed chunk and a dead worker (BrokenProcessPool) end alike.
+    for lo, hi in _chunks(point, replicas):
         try:
-            chunk = next(results)
+            chunk = _replica_chunk(point, indices, isolated_policy, master_seed, point_id, lo, hi)
         except Exception as exc:
             raise RuntimeError(
                 f"replica failed at seed triple (master_seed={master_seed}, "
@@ -222,50 +200,20 @@ def run_point(
     return out
 
 
-def _defer_interrupts(noted: list) -> object:
-    """Make Ctrl-C append to ``noted`` instead of raising; returns the old handler.
-
-    A KeyboardInterrupt raised inside the executor's own locking can leave the
-    pool hung, so a pool sweep raises it itself, between grid points.  Off the
-    main thread, where no handler can be set, nothing changes (returns None).
-    """
-    if threading.current_thread() is not threading.main_thread():
-        return None
-    return signal.signal(signal.SIGINT, lambda signum, frame: noted.append(signum))
-
-
 def sweep(spec: EnsembleSpec) -> list[EnsembleStats]:
     """Run every grid point in order; rows are (point, index) in grid order."""
     rows: list[EnsembleStats] = []
-    executor = previous_handler = None
-    interrupts: list = []
-    # Chunks are planned from each point alone, so the pool size moves no byte.
-    largest = max(replicas_for(p.n, spec.budget) for p in spec.grid)
-    pool_size = min(spec.workers, largest, os.cpu_count() or 1)
-    try:
-        if pool_size > 1:
-            previous_handler = _defer_interrupts(interrupts)
-            executor = _process_pool(pool_size)
-        for point_id, point in enumerate(spec.grid):
-            rows.extend(
-                run_point(
-                    point,
-                    spec.indices,
-                    replicas_for(point.n, spec.budget),
-                    spec.master_seed,
-                    point_id=point_id,
-                    isolated_policy=spec.isolated_policy,
-                    _executor=executor,
-                )
+    for point_id, point in enumerate(spec.grid):
+        rows.extend(
+            run_point(
+                point,
+                spec.indices,
+                replicas_for(point.n, spec.budget),
+                spec.master_seed,
+                point_id=point_id,
+                isolated_policy=spec.isolated_policy,
             )
-            if interrupts:
-                raise KeyboardInterrupt
-    finally:
-        if executor is not None:
-            # After an interrupt or a failed chunk, queued chunks are dropped.
-            executor.shutdown(cancel_futures=True)
-        if previous_handler is not None:
-            signal.signal(signal.SIGINT, previous_handler)
+        )
     return rows
 
 

@@ -17,8 +17,9 @@ then found once per arity and the terms taken once for all of them, and one
 graph gets the same bits alone or stacked.
 
 Terms.  A built-in's ln F comes from its table of ln F at every degree (or
-degree pair) below the largest degree seen, up to ``_TABLE_CAP``; a stack
-with a degree at or above the cap computes ln F at its distinct arguments.
+degree pair) below the power of two above the largest degree seen, up to
+``_TABLE_CAP``; a stack with a degree at or above the cap computes ln F at its
+distinct arguments.
 A custom function is called at those arguments only, never over a table.
 numpy's log and the rules' arithmetic act element by element, so a table
 entry has the bits of ln F at that argument alone, and no value depends on
@@ -165,8 +166,9 @@ class _Rule:
             return self.ln(*degrees)
         table = _LN_TABLES.get(self)
         if table is None or len(table) < top:
+            size = min(1 << (top - 1).bit_length(), _TABLE_CAP)   # a power of two >= top
             with np.errstate(divide="ignore", invalid="ignore"):   # F at degree 0
-                table = self.ln(*np.indices((top,) * len(degrees)))
+                table = self.ln(*np.indices((size,) * len(degrees)))
             _LN_TABLES[self] = table
         index = degrees[0]
         for d in degrees[1:]:
@@ -175,9 +177,10 @@ class _Rule:
 
 
 # One table of ln F per built-in rule per process, over every degree (vertex
-# rules) or degree pair (edge rules) below the largest degree seen, up to
-# _TABLE_CAP, and replaced by a larger one as degrees grow.  An entry depends
-# on the rule alone, so every caller shares it.
+# rules) or degree pair (edge rules) below the power of two at or above the
+# largest degree seen, up to _TABLE_CAP, and replaced by one twice as large or
+# more as degrees grow, so a rule builds at most 7.  An entry depends on the
+# rule alone, so every caller shares it.
 _TABLE_CAP = 64
 _LN_TABLES: dict[_Rule, np.ndarray] = {}
 
@@ -380,7 +383,10 @@ def _ln_indices(rules: list, h: DegreeHistogram, policy: str) -> tuple[np.ndarra
     for rule in rules:
         key = (rule.arity, rule.defined_at_zero)
         if key not in arguments:
-            arguments[key] = _distinct_arguments(h, rule, policy)
+            degrees, counts, graph, skipped = _distinct_arguments(h, rule, policy)
+            # Every count is below 2^53, so each rule's counts * terms has the
+            # bits it had with the int64 counts.
+            arguments[key] = degrees, counts.astype(np.float64), graph, skipped
         terms = rule.terms(arguments[key][0], top)
         total, skipped = _evaluate(terms, arguments[key], policy, -math.inf)
         values.append(total)

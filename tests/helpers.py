@@ -2,8 +2,6 @@
 
 import ast
 import math
-from concurrent.futures import Executor, Future
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 from hypothesis import strategies as st
@@ -23,51 +21,6 @@ from mtindex.indices import (
 )
 from mtindex.inequalities import _PREC as PREC
 from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
-
-
-class BrokenPool(Executor):
-    """Executor stub whose futures fail as if their worker process had died.
-
-    ``Executor.map`` submits through the stub's ``submit``.
-    """
-
-    def __init__(self, max_workers=None, initializer=None, initargs=()):
-        self.cancel_futures = None
-
-    def error(self):
-        return BrokenProcessPool("worker terminated abruptly")
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_exception(self.error())
-        return future
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        self.cancel_futures = cancel_futures
-
-
-class InterruptedPool(BrokenPool):
-    """Executor stub whose futures raise as if Ctrl-C arrived while waiting on them."""
-
-    def error(self):
-        return KeyboardInterrupt()
-
-
-class InlinePool(BrokenPool):
-    """Executor stub that runs each submitted replica chunk in this process,
-    split further at ``cuts``, and joins the pieces in replica order."""
-
-    def __init__(self, cuts):
-        super().__init__()
-        self.cuts = sorted(cuts)
-
-    def submit(self, fn, *args):
-        *head, lo, hi = args
-        bounds = [lo, *(c for c in self.cuts if lo < c < hi), hi]
-        pieces = [fn(*head, a, b) for a, b in zip(bounds, bounds[1:])]
-        future = Future()
-        future.set_result(tuple(np.concatenate(part, axis=-1) for part in zip(*pieces)))
-        return future
 
 
 def _at_least(p, j, u):
@@ -381,6 +334,32 @@ def exact_mean_ln(spec, name):
         (x, px), (y, py) = _binomial_pmf(spec.n2 - 1, p), _binomial_pmf(spec.n1 - 1, p)
     ln_f = rule.ln(1 + x[:, None], 1 + y[None, :])
     return edges * math.fsum((np.outer(px, py) * ln_f).ravel().tolist())
+
+
+def exact_isolated_moments(spec):
+    """Mean and variance of the number of isolated vertices of one ER or BR
+    replica, exact at finite n, as a sum of indicators over the vertices.
+
+    A vertex with t possible edges is isolated with q = (1-p)^t: t = n-1 in ER,
+    n2 in part 1 and n1 in part 2 of BR.  Two vertices are both isolated with
+    (1-p)^(t_u + t_v - 1) where they are a possible edge (every ER pair, a BR
+    pair across the parts) and (1-p)^(t_u + t_v) where not (Bollobas, *Random
+    Graphs*, 2nd ed., ch. 3).
+    """
+    p = spec.p
+    parts = ([(spec.n, spec.n - 1)] if spec.model == "er"
+             else [(spec.n1, spec.n2), (spec.n2, spec.n1)])
+    mean = var = 0.0
+    for i, (count, trials) in enumerate(parts):
+        q = (1 - p) ** trials
+        mean += count * q
+        var += count * q * (1 - q)
+        for j, (other, other_trials) in enumerate(parts):
+            pairs = count * (other - (i == j))
+            shared = 1 if spec.model == "er" or i != j else 0
+            both = (1 - p) ** (trials + other_trials - shared)
+            var += pairs * (both - q * (1 - p) ** other_trials)
+    return mean, var
 
 
 U = 2.0 ** -53      # unit roundoff of a double

@@ -10,9 +10,6 @@ from pathlib import Path
 
 import pytest
 from helpers import (
-    BrokenPool,
-    InlinePool,
-    InterruptedPool,
     custom_expressions,
     reference_parse_custom,
     with_float_literals,
@@ -262,32 +259,6 @@ def test_sweep_determinism_and_workers(tmp_path, capsys):
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
     capsys.readouterr()
-
-
-@pytest.mark.parametrize("sizes, budget, workers, pool", [
-    ("30", "60", 3, 2),          # two replicas per point: two processes, not three
-    ("30", "30", 3, None),       # one replica per point: no pool
-    ("20,40", "80", 8, 4),       # the largest point (4 replicas at n = 20) sizes it
-    ("30", "300", 3, 3),         # enough replicas for every worker
-    ("30", "3000", 64, 6),       # more workers and replicas than CPUs: one process per CPU
-])
-def test_sweep_pool_is_sized_by_the_largest_replica_count(tmp_path, monkeypatch, sizes, budget,
-                                                          workers, pool):
-    pools = []
-
-    def make_pool(max_workers, **kwargs):
-        pools.append(max_workers)
-        return InlinePool(cuts=())
-
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", make_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 6)
-    args = ["sweep", "--model", "er", "--n", sizes, "--p", "0.1,0.3", "--index", "nk,pi2",
-            "--budget", budget, "--seed", "5"]
-    one, many = tmp_path / "w1.csv", tmp_path / "wn.csv"
-    assert main([*args, "--workers", "1", "--out", str(one)]) == 0
-    assert main([*args, "--workers", str(workers), "--out", str(many)]) == 0
-    assert pools == ([] if pool is None else [pool])
-    assert many.read_bytes() == one.read_bytes()
 
 
 def test_sweep_budget_must_cover_max_n(capsys):
@@ -551,8 +522,10 @@ def test_custom_edge_walk_matches_the_eval_reference(expr, pairs):
 
 
 def test_sweep_worker_failure_is_a_one_line_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", BrokenPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def out_of_memory(point, rngs):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(ensemble, "sample_chunk", out_of_memory)
     out = tmp_path / "sweep.csv"
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--model", "er", "--n", "40", "--p", "0.1,0.3", "--index", "nk",
@@ -767,55 +740,6 @@ def test_generate_into_a_regular_file_stops_before_any_work(tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "keep\n"
 
 
-def test_interrupted_pool_sweep_cancels_queued_blocks(tmp_path, monkeypatch, capsys):
-    pools = []
-
-    def make_pool(**kwargs):
-        pools.append(InterruptedPool(**kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", make_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    out = tmp_path / "sweep.csv"
-    assert main([*SWEEP, "--workers", "2", "--out", str(out)]) == 130
-    assert capsys.readouterr().err == "sweep: interrupted\n"
-    assert [pool.cancel_futures for pool in pools] == [True]
-    assert list(tmp_path.iterdir()) == []
-
-
-class CtrlCPool(InlinePool):
-    """Executor stub that runs chunks in this process and sends this process a
-    SIGINT at every submit, as a Ctrl-C landing inside the executor would."""
-
-    def __init__(self, **kwargs):
-        super().__init__(cuts=())
-        self.submitted = 0
-
-    def submit(self, fn, *args):
-        os.kill(os.getpid(), signal.SIGINT)
-        self.submitted += 1
-        return super().submit(fn, *args)
-
-
-def test_ctrl_c_inside_the_pool_is_raised_between_points(tmp_path, monkeypatch, capsys):
-    pools = []
-
-    def make_pool(**kwargs):
-        pools.append(CtrlCPool(**kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", make_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    before = signal.getsignal(signal.SIGINT)
-    out = tmp_path / "sweep.csv"
-    assert main([*SWEEP, "--workers", "2", "--out", str(out)]) == 130
-    assert capsys.readouterr().err == "sweep: interrupted\n"
-    # The first point's one chunk went out; the second point never started.
-    assert [(pool.submitted, pool.cancel_futures) for pool in pools] == [(1, True)]
-    assert signal.getsignal(signal.SIGINT) is before
-    assert list(tmp_path.iterdir()) == []
-
-
 def _children(pid):
     kids = []
     for path in glob.glob(f"/proc/{pid}/task/*/children"):
@@ -824,16 +748,21 @@ def _children(pid):
     return kids
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the workers via /proc")
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the sweep starts no pool on one CPU")
+def _cpu_seconds(pid):
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")  # utime + stime
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="watches the sweep via /proc")
 def test_ctrl_c_on_a_real_pool_sweep_exits_130(tmp_path):
-    # A terminal's Ctrl-C goes to the whole process group, workers included.
-    # Many points of one-replica chunks keep the workers mostly idle and the
-    # parent mostly inside the executor, where an unhandled interrupt shows.
+    # A terminal's Ctrl-C goes to the whole process group.  It is sent once
+    # the sweep has used more CPU time than its start-up takes, so it lands
+    # inside the grid, whose 3000 points would run for seconds more.
     out = tmp_path / "sweep.csv"
     p = ",".join(str(round(0.05 + i * 1e-5, 5)) for i in range(3000))
     argv = [sys.executable, "-m", "mtindex.cli", "sweep", "--model", "er", "--n", "30",
-            "--p", p, "--index", "nk", "--budget", "60", "--seed", "5", "--workers", "2",
+            "--p", p, "--index", "nk", "--budget", "3000", "--seed", "5", "--workers", "2",
             "--out", str(out)]
     src = str(Path(mtindex.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -841,10 +770,11 @@ def test_ctrl_c_on_a_real_pool_sweep_exits_130(tmp_path):
                             env=env, start_new_session=True)
     try:
         deadline = time.monotonic() + 60
-        while len(_children(proc.pid)) < 2 and proc.poll() is None:
-            assert time.monotonic() < deadline, "no worker processes started"
+        while proc.poll() is None and _cpu_seconds(proc.pid) < 0.5:
+            assert time.monotonic() < deadline, "the sweep used no CPU time"
             time.sleep(0.02)
-        time.sleep(0.3)                 # let the pool take a few points
+        assert proc.returncode is None, "the sweep ended before the interrupt"
+        assert _children(proc.pid) == []    # --workers 2 starts no process
         os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=60)
     finally:

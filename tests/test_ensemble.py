@@ -1,12 +1,11 @@
 import io
 import math
 import multiprocessing
-import signal
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import pytest
-from helpers import BrokenPool, InlinePool, exact_mean_ln
+from helpers import exact_isolated_moments, exact_mean_ln
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +21,7 @@ from mtindex.ensemble import (
     sweep,
     write_results_csv,
 )
-from mtindex.indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_NAMES
+from mtindex.indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_INDICES, MULTIPLICATIVE_NAMES
 from mtindex.models import (
     MAX_RADIUS,
     bipartite,
@@ -228,21 +227,17 @@ def test_split_curves_groups_by_size():
 
 
 def test_broken_worker_pool_names_the_seed_triple(monkeypatch):
-    with pytest.raises(RuntimeError) as info:
-        run_point(erdos_renyi(20, 0.3), ["nk"], 10, 77, point_id=3, _executor=BrokenPool())
-    msg = str(info.value)
-    assert "master_seed=77" in msg and "point_id=3" in msg and "[0, 10)" in msg
-    assert isinstance(info.value.__cause__, BrokenProcessPool)
-
-    # A chunk that fails in its own code, in this process, ends the same way.
+    # A chunk that fails in its own code names the replica range it was running.
     def out_of_memory(point, rngs):
         raise MemoryError("no room")
 
     monkeypatch.setattr(ensemble, "sample_chunk", out_of_memory)
     with pytest.raises(RuntimeError) as failed:
         run_point(erdos_renyi(20, 0.3), ["nk"], 10, 77, point_id=3)
+    msg = str(failed.value)
+    assert "master_seed=77" in msg and "point_id=3" in msg and "[0, 10)" in msg
     prefix = "replica failed at seed triple (master_seed=77, point_id=3, replica_index in [0, 10)): "
-    assert msg.startswith(prefix) and str(failed.value) == prefix + "no room"
+    assert msg == prefix + "no room"
     assert isinstance(failed.value.__cause__, MemoryError)
 
 
@@ -259,8 +254,8 @@ def test_an_unknown_isolated_policy_is_refused_at_construction(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_any_contiguous_partition_gives_the_same_stats(data):
-    # The stub runs run_point's chunks in-process, cut again at arbitrary
-    # points, so every partition of [0, replicas) into contiguous spans occurs.
+    # run_point's chunks replaced by spans cut at arbitrary points, so every
+    # partition of [0, replicas) into contiguous spans occurs.
     replicas = data.draw(st.integers(1, 24), label="replicas")
     cuts = data.draw(st.sets(st.integers(1, replicas)), label="cuts")
     point = data.draw(st.sampled_from(
@@ -268,24 +263,20 @@ def test_any_contiguous_partition_gives_the_same_stats(data):
     policy = data.draw(st.sampled_from([EXCLUDE, LOGZERO]), label="policy")
     kwargs = dict(point_id=4, isolated_policy=policy)
     want = run_point(point, ["nk", "pi2", "gapi"], replicas, SEED, **kwargs)
-    got = run_point(point, ["nk", "pi2", "gapi"], replicas, SEED, _executor=InlinePool(cuts),
-                    **kwargs)
+    bounds = [0, *sorted(cuts - {replicas}), replicas]
+    spans = list(zip(bounds, bounds[1:]))
+    with mock.patch.object(ensemble, "_chunks", lambda point, replicas: spans):
+        got = run_point(point, ["nk", "pi2", "gapi"], replicas, SEED, **kwargs)
     assert repr(got) == repr(want)  # repr, so that NaN means equal NaN
 
 
 def test_run_point_without_an_executor_starts_no_process(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("run_point started a process pool")
+    def no_process(self):
+        raise AssertionError("run_point started a process")
 
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     run_point(erdos_renyi(30, 0.2), ["nk", "pi2"], 9, SEED)
     assert multiprocessing.active_children() == []
-
-
-def test_pool_workers_ignore_ctrl_c():
-    # Only the parent handles Ctrl-C, whatever the start method.
-    with ensemble._process_pool(1) as pool:
-        assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
 
 
 @pytest.mark.parametrize("point", [erdos_renyi(250, 20.0 / 249),
@@ -348,3 +339,11 @@ def test_sweep_means_match_the_exact_finite_n_expectation(grid):
         assert abs(z) <= 5.0, (row.spec, row.index, z)
         z_k = (row.mean_k_empirical - row.mean_k_theory) / row.mean_k_sem
         assert abs(z_k) <= 5.0, (row.spec, z_k)
+        # Under exclude, degenerate sums the replicas' isolated vertices,
+        # which only the vertex rules skip.
+        if MULTIPLICATIVE_INDICES[row.index].arity == "edge":
+            assert row.degenerate == 0, (row.spec, row.index)
+        else:
+            mean, var = exact_isolated_moments(row.spec)
+            z_iso = (row.degenerate - row.replicas * mean) / math.sqrt(row.replicas * var)
+            assert abs(z_iso) <= 5.0, (row.spec, row.index, z_iso)

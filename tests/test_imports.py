@@ -2,8 +2,8 @@
 
 ``import mtindex`` loads no submodule; ``mtindex.cli`` loads ``graph``,
 ``indices`` and ``models``, and every command imports the rest of what it
-runs: mpmath only with ``verify``, the process pool only with ``sweep`` and
-``collapse``.
+runs: mpmath only with ``verify``, ``ensemble`` only with ``sweep`` and
+``collapse``.  No command loads a process pool.
 """
 
 import os
@@ -87,7 +87,7 @@ COMMANDS = {
                                     POOL}),
     "sweep": (["sweep", "--model", "er", "--n", "30", "--p", "0.1,0.3", "--index", "nk,pi2",
                "--budget", "90", "--seed", "1", "--out", "sweep.csv"],
-              {"mtindex.ensemble", POOL}, {"mpmath", "mtindex.inequalities"}),
+              {"mtindex.ensemble"}, {"mpmath", "mtindex.inequalities", POOL}),
     "verify": (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--out", "report.csv"],
                {"mpmath", "mtindex.inequalities"}, {"mtindex.ensemble", POOL}),
 }

@@ -269,6 +269,27 @@ def test_table_terms_equal_the_rule_bit_for_bit(monkeypatch, name):
         rule.ln(*above).view(np.int64).tolist()
 
 
+def test_tables_grow_by_powers_of_two(monkeypatch):
+    # Stacks whose largest degree climbs by one from 1 to 64 build each rule's
+    # table at sizes 2, 4, .., 64 only (top 65 is past the cap: no table).
+    built = []
+
+    class Tables(dict):
+        def __setitem__(self, rule, table):
+            built.append((rule.name, len(table)))
+            super().__setitem__(rule, table)
+
+    monkeypatch.setattr(indices, "_LN_TABLES", Tables())
+    for largest in range(1, _TABLE_CAP + 1):
+        for rule in MULTIPLICATIVE_INDICES.values():
+            arity = 1 if rule.arity == "vertex" else 2
+            args = tuple(np.indices((largest,) * arity).reshape(arity, -1) + 1)
+            got = rule.terms(args, largest + 1)
+            assert got.view(np.int64).tolist() == rule.ln(*args).view(np.int64).tolist()
+    sizes = [2, 4, 8, 16, 32, 64]
+    assert built == [(name, size) for size in sizes for name in MULTIPLICATIVE_NAMES]
+
+
 @given(st.lists(st.integers(0, 40), max_size=60),
        st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=60))
 def test_distinct_arguments_match_the_two_dimensional_unique(degrees, pairs):
