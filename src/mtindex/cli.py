@@ -15,6 +15,10 @@ Each command imports only the modules it runs.  This module loads ``graph``,
 ``indices`` and ``models`` (numpy, no mpmath); ``sweep`` and ``collapse``
 import ``ensemble``; ``collapse`` and ``predict`` import ``dense``; only
 ``verify`` imports ``inequalities``, and with it mpmath.
+
+No command starts a second process, nor a second thread: mtindex calls no
+BLAS routine, so the OpenBLAS worker that numpy starts on import could only
+spin, and this module pins OpenBLAS to one thread before it loads numpy.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ import os
 import sys
 from pathlib import Path
 from typing import Sequence
+
+# One thread (see above), set only where the CLI is first to load numpy: an
+# inherited value is overridden, and a library user's BLAS is left alone.
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import models
 from .graph import atomic_write, read_edge_list_path, write_edge_list_path
@@ -101,6 +110,7 @@ def _point_tag(spec: models.ModelSpec) -> str:
 
 
 def cmd_generate(args) -> int:
+    models.check_master_seed(args.seed)
     grid = _build_grid(args)
     if args.replicas < 1:
         raise SystemExit(f"error: replicas must be >= 1, got {args.replicas}")
@@ -179,11 +189,15 @@ def cmd_collapse(args) -> int:
         raise SystemExit(f"error: tolerance must be finite and >= 0, got {args.tolerance}")
     names = [Path(path).name for path in args.csvs]
     tables = []
-    for path, name in zip(args.csvs, names):
+    for i, (path, name) in enumerate(zip(args.csvs, names)):
         try:
             rows = ensemble.read_results_csv_path(path)
         except (ValueError, OSError) as exc:
             raise SystemExit(f"error: {path}: {exc}")
+        # A table named twice would be compared with itself.
+        for earlier in args.csvs[:i]:
+            if os.path.samefile(earlier, path):
+                raise SystemExit(f"error: inputs repeat a table: {earlier} and {path}")
         # A basename that two inputs share names neither; their paths do.
         source = name if names.count(name) == 1 else path
         for label, group in ensemble.split_curves(rows):

@@ -24,7 +24,7 @@ import numpy as np
 from .dense import DENSE_REGIME_MEAN_DEGREE, UnsupportedIndexError, scaling_curve
 from .graph import atomic_write
 from .indices import EXCLUDE, _check_policy, ln_indices_of_stack, resolve
-from .models import ModelSpec, SeedDerivation, mean_degree, sample_chunk
+from .models import ModelSpec, SeedDerivation, check_master_seed, mean_degree, sample_chunk
 
 DEFAULT_BUDGET = 1e5
 
@@ -57,6 +57,7 @@ class EnsembleSpec:
             raise ValueError(f"grid mixes model kinds {sorted(kinds)}")
         if not math.isfinite(self.budget):
             raise ValueError(f"budget must be finite, got {self.budget}")
+        check_master_seed(self.master_seed)
 
 
 def replicas_for(n: int, budget: float = DEFAULT_BUDGET) -> int:
@@ -149,12 +150,13 @@ def run_point(
     """Run one grid point; returns one :class:`EnsembleStats` per index.
 
     The chunks of :func:`_chunks` run in order, in this process.  An unknown
-    or repeated index, or an unknown policy, raises ValueError before any
-    allocation or chunk.
+    or repeated index, an unknown policy, or a seed outside [0, 2^64), raises
+    ValueError before any allocation or chunk.
     """
     indices = tuple(indices)
     resolve(indices)
     _check_policy(isolated_policy)
+    check_master_seed(master_seed)
     if replicas < 1:
         raise ValueError(f"replica count must be >= 1, got {replicas}")
     # Allocated before any chunk is planned or sampled, so a replica count

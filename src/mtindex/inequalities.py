@@ -47,7 +47,15 @@ from .indices import (
     _resolve,
     resolve,
 )
-from .models import ModelSpec, SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
+from .models import (
+    ModelSpec,
+    SeedDerivation,
+    bipartite,
+    check_master_seed,
+    erdos_renyi,
+    generate,
+    random_geometric,
+)
 
 _PREC = 192          # bits; well above the 128-bit floor the bounds need
 RELATIVE_TOL = 1e-9
@@ -216,9 +224,11 @@ def verify_corpus(
     functions: Sequence[IndexKind] | None = None,
 ) -> list[CorpusCheck]:
     """Run every check over the sampled corpus; deterministic in master_seed.
-    An unknown or repeated function raises ValueError before any sampling."""
+    An unknown or repeated function, or a seed outside [0, 2^64), raises
+    ValueError before any sampling."""
     functions = list(MULTIPLICATIVE_INDICES) if functions is None else functions
     resolve(functions)
+    check_master_seed(master_seed)
     rows: list[CorpusCheck] = []
     memos = [{} for _ in functions]     # per function, for this call only
     for point_id, (spec, reps) in enumerate(corpus_model_points(sizes, graphs_per_size)):

@@ -208,6 +208,13 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def check_master_seed(master_seed: int) -> None:
+    """Refuse a master seed outside [0, 2^64): the streams read it modulo 2^64,
+    so it would give the replicas of a seed inside the range."""
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {master_seed}")
+
+
 @dataclass(frozen=True)
 class SeedDerivation:
     """Replica-stream identity: (master_seed, point_id, replica_index)."""

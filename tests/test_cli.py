@@ -73,6 +73,45 @@ def test_seed_flag_is_required(capsys):
     assert err.value.code == 2
 
 
+SEEDED = {
+    "generate": ["generate", "--model", "er", "--n", "30", "--p", "0.1", "--out", "out"],
+    "sweep": ["sweep", "--model", "er", "--n", "30", "--p", "0.1", "--index", "nk",
+              "--budget", "300", "--out", "out"],
+    "verify": ["verify", "--sizes", "8", "--graphs", "1", "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", sorted(SEEDED))
+def test_a_seed_outside_64_bits_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                           command, seed):
+    # The streams read the seed modulo 2^64, so it would alias seed % 2^64.
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling began before the seed was checked")
+
+    for owner, name in ((models, "generate"), (inequalities, "generate"),
+                        (ensemble, "sample_chunk")):
+        monkeypatch.setattr(owner, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*SEEDED[command], "--seed", str(seed)])
+    assert exc.value.code == f"error: seed must lie in [0, 2^64), got {seed}"
+    assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda seed: ensemble.EnsembleSpec(grid=(erdos_renyi(30, 0.1),), indices=("nk",),
+                                       master_seed=seed),
+    lambda seed: ensemble.run_point(erdos_renyi(30, 0.1), ["nk"], 10, seed),
+    lambda seed: inequalities.verify_corpus(seed, sizes=(8,), graphs_per_size=1),
+], ids=["EnsembleSpec", "run_point", "verify_corpus"])
+def test_the_library_refuses_a_seed_outside_64_bits(call):
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\^64\), got {seed}$"):
+            call(seed)
+    call(2**64 - 1)
+
+
 def test_index_command_values(tmp_path, capsys):
     p3 = tmp_path / "p3.edges"
     p3.write_text("3 2\n0 1\n1 2\n")
@@ -286,9 +325,24 @@ def test_collapse_missing_index_errors(tmp_path, capsys):
     main(["sweep", "--model", "er", "--n", "50",
           "--p", "0.04,0.08,0.12,0.16,0.2",
           "--index", "nk", "--budget", "500", "--seed", "3", "--out", str(csv)])
+    twin = tmp_path / "twin.csv"
+    twin.write_bytes(csv.read_bytes())
     capsys.readouterr()
     with pytest.raises(SystemExit, match="not present"):
-        main(["collapse", str(csv), str(csv), "--index", "pi2"])
+        main(["collapse", str(csv), str(twin), "--index", "pi2"])
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot-slash"])
+def test_collapse_refuses_a_table_named_twice(tmp_path, monkeypatch, capsys, spelling):
+    # A table compared with itself would pass at deviation 0.
+    _er_sweep(tmp_path / "b.csv", 3)
+    monkeypatch.chdir(tmp_path)
+    again = {"same": "b.csv", "dot-slash": "./b.csv"}[spelling]
+    out = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", "b.csv", again, "--index", "nk", "--out", str(out)])
+    assert exc.value.code == f"error: inputs repeat a table: b.csv and {again}"
+    assert capsys.readouterr().out == "" and not out.exists()
 
 
 def test_collapse_bad_header_is_a_one_line_error(tmp_path):
