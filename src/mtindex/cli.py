@@ -11,6 +11,9 @@ An interrupt (Ctrl-C) ends any command with exit status 130 and one line on
 stderr; it leaves no partial output file and no temp file (``generate``
 keeps the edge-list files it finished).
 
+``index`` evaluates each file's index set, sums and ln-products alike, in one
+evaluator call; a row's ``excluded`` counts the isolated vertices it skipped.
+
 Each command imports only the modules it runs.  This module loads ``graph``,
 ``indices`` and ``models`` (numpy, no mpmath); ``sweep`` and ``collapse``
 import ``ensemble``; ``collapse`` and ``predict`` import ``dense``; only
@@ -47,8 +50,7 @@ from .indices import (
     LOGZERO,
     MULTIPLICATIVE_NAMES,
     VertexFunction,
-    additive_index,
-    ln_multiplicative_index,
+    _ln_indices,
     resolve,
 )
 
@@ -131,7 +133,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_index(args) -> int:
-    resolve(args.index, BUILT_IN_INDICES)
+    rules = resolve(args.index, BUILT_IN_INDICES)
     # Each path is the file field of its rows, written as it is given.
     for path in args.paths:
         if "," in path or path.splitlines() != [path]:
@@ -143,16 +145,12 @@ def cmd_index(args) -> int:
         # GraphError, undecodable bytes, unreadable path, a vertex count too large to allocate
         except (ValueError, OSError, MemoryError) as exc:
             raise SystemExit(f"error: {path}: {exc}")
-        for name in args.index:
-            if name in MULTIPLICATIVE_NAMES:
-                res = ln_multiplicative_index(g, name, args.policy)
-                lines.append(
-                    f"{path},{name},ln_product,{_fmt(res.value)},"
-                    f"{res.is_log_zero},{res.excluded},{args.policy}"
-                )
-            else:
-                val = additive_index(g, name, args.policy)
-                lines.append(f"{path},{name},sum,{_fmt(val)},False,0,{args.policy}")
+        values, excluded = _ln_indices(rules, g.histogram, args.policy)
+        for rule, [value], [skipped] in zip(rules, values.tolist(), excluded.tolist()):
+            lines.append(
+                f"{path},{rule.name},{'sum' if rule.additive else 'ln_product'},{_fmt(value)},"
+                f"{value == -math.inf},{skipped},{args.policy}"
+            )
     _emit(lines, args.out)
     return 0
 

@@ -22,8 +22,8 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .dense import DENSE_REGIME_MEAN_DEGREE, UnsupportedIndexError, scaling_curve
-from .graph import atomic_write
-from .indices import EXCLUDE, _check_policy, ln_indices_of_stack, resolve
+from .graph import DegreeHistogram, atomic_write
+from .indices import EXCLUDE, _check_policy, _ln_indices, resolve
 from .models import ModelSpec, SeedDerivation, check_master_seed, mean_degree, sample_chunk
 
 DEFAULT_BUDGET = 1e5
@@ -107,7 +107,7 @@ def _chunks(point: ModelSpec, replicas: int) -> list[tuple[int, int]]:
 
 def _replica_chunk(
     point: ModelSpec,
-    indices: tuple[str, ...],
+    rules: list,
     policy: str,
     master_seed: int,
     point_id: int,
@@ -116,13 +116,13 @@ def _replica_chunk(
 ):
     """Sample replicas [lo, hi) as one chunk and evaluate them as one stack.
 
-    One generated instance serves all indices, and each replica's values are
-    those it would have alone.  Returns ``(values, excluded, k_emp)``.
+    One generated instance serves all the ``rules``, and each replica's values
+    are those it would have alone.  Returns ``(values, excluded, k_emp)``.
     """
     rngs = [SeedDerivation(master_seed, point_id, r).generator() for r in range(lo, hi)]
     deg, du, dv, m = sample_chunk(point, rngs)
-    values, excluded = ln_indices_of_stack(
-        deg, du, dv, np.full(hi - lo, point.n), m, indices, policy)
+    values, excluded = _ln_indices(
+        rules, DegreeHistogram.stack(deg, du, dv, np.full(hi - lo, point.n), m), policy)
     return values, excluded, 2.0 * m / point.n
 
 
@@ -153,20 +153,19 @@ def run_point(
     or repeated index, an unknown policy, or a seed outside [0, 2^64), raises
     ValueError before any allocation or chunk.
     """
-    indices = tuple(indices)
-    resolve(indices)
+    rules = resolve(indices)
     _check_policy(isolated_policy)
     check_master_seed(master_seed)
     if replicas < 1:
         raise ValueError(f"replica count must be >= 1, got {replicas}")
     # Allocated before any chunk is planned or sampled, so a replica count
     # whose arrays numpy refuses fails at once.
-    values = np.empty((len(indices), replicas))
-    excluded = np.empty((len(indices), replicas), dtype=np.int64)
+    values = np.empty((len(rules), replicas))
+    excluded = np.empty((len(rules), replicas), dtype=np.int64)
     k_emp = np.empty(replicas)
     for lo, hi in _chunks(point, replicas):
         try:
-            chunk = _replica_chunk(point, indices, isolated_policy, master_seed, point_id, lo, hi)
+            chunk = _replica_chunk(point, rules, isolated_policy, master_seed, point_id, lo, hi)
         except Exception as exc:
             raise RuntimeError(
                 f"replica failed at seed triple (master_seed={master_seed}, "
@@ -178,16 +177,15 @@ def run_point(
     k_theory = mean_degree(point)
 
     out = []
-    for i, index in enumerate(indices):
-        vals = values[i]
+    for rule, vals, skipped in zip(rules, values, excluded):
         finite = vals[np.isfinite(vals)]
         # Only logzero gives non-finite values and only exclude skips vertices.
-        degenerate = int(vals.size - finite.size + excluded[i].sum())
+        degenerate = int(vals.size - finite.size + skipped.sum())
         mean_ln, sem = _mean_sem(finite.tolist())
         out.append(
             EnsembleStats(
                 spec=point,
-                index=index,
+                index=rule.name,
                 policy=isolated_policy,
                 replicas=replicas,
                 degenerate=degenerate,
@@ -365,7 +363,8 @@ def collapse_check(
     Each table becomes one curve of mean_ln/n against mean_k_theory (linear
     interpolation, no smoothing); curves are compared by table position, so
     equal labels never merge two tables.  Requires >= 2 tables, >= 5 points
-    each at distinct <k>, and a nonempty overlap of the <k> ranges.
+    each at distinct, finite <k> with a finite mean and sem, and a nonempty
+    overlap of the <k> ranges.
     """
     if len(tables) < 2:
         raise ValueError("collapse check needs at least two curves")
@@ -376,6 +375,10 @@ def collapse_check(
             raise ValueError(f"index {index!r} not present in table {label!r}")
         if len(pts) < 5:
             raise ValueError(f"table {label!r} has {len(pts)} points for {index!r}, needs >= 5")
+        for r in pts:
+            if not all(map(math.isfinite, (r.mean_k_theory, r.mean_ln, r.sem))):
+                raise ValueError(f"table {label!r} has a non-finite mean, sem or <k> for"
+                                 f" {index!r} at <k>={r.mean_k_theory:.6g}")
         k = np.array([r.mean_k_theory for r in pts])
         if np.unique(k).size < k.size:
             raise ValueError(f"table {label!r} repeats a <k> for {index!r}")

@@ -8,9 +8,10 @@ Two families of graph invariants over a degree function F:
 Multiplicative values explode far beyond double range (the second
 multiplicative Zagreb index of a 1000-vertex network with mean degree 10 is
 around e^23000), so this module never forms the raw product: it returns
-``ln X_prod``.  Every index, one graph or many, runs through one evaluator:
-one term per distinct degree or degree pair of the graph's histogram, and the
-count-weighted terms added one at a time, in order.  A histogram may stack
+``ln X_prod``.  Every index, sum or product, one graph or many, runs through
+one evaluator: one term (F for a sum, ln F for a product) per distinct degree
+or degree pair of the graph's histogram, and the count-weighted terms added
+one at a time, in order; the rule picks its term.  A histogram may stack
 several graphs (the sweep's chunks of replicas); the distinct arguments are
 then found once per arity and the terms taken once for all of them, and one
 ``np.bincount`` adds each graph's terms, in order, into its own total, so a
@@ -20,7 +21,8 @@ Terms.  A built-in's ln F comes from its table of ln F at every degree (or
 degree pair) below the power of two above the largest degree seen, up to
 ``_TABLE_CAP``; a stack with a degree at or above the cap computes ln F at its
 distinct arguments.
-A custom function is called at those arguments only, never over a table.
+A sum's F, and any custom function, is computed at those arguments only,
+never over a table.
 numpy's log and the rules' arithmetic act element by element, so a table
 entry has the bits of ln F at that argument alone, and no value depends on
 where its term came from (the tests check this under both log kernels).
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -148,6 +150,7 @@ class _Rule:
     F: Callable
     defined_at_zero: bool = False       # isolated vertices add F(0), whatever the policy
     dense_limit: bool = True            # ln F at the mean degrees predicts the mean (dense.py)
+    additive: bool = False              # the index sums F, not ln F
 
     def value(self, *degrees: np.ndarray) -> np.ndarray:
         return self.F(np.sqrt, *degrees)
@@ -159,9 +162,11 @@ class _Rule:
         return self.F(ctx.sqrt, *map(ctx.mpf, degrees))
 
     def terms(self, degrees: tuple[np.ndarray, ...], top: int) -> np.ndarray:
-        """``ln`` at each argument, bit for bit, where no degree reaches
-        ``top``: read from the rule's table while ``top <= _TABLE_CAP``,
-        computed above it."""
+        """The summands at each argument: ``value`` for an additive rule, else
+        ``ln``, bit for bit, where no degree reaches ``top``: read from the
+        rule's table while ``top <= _TABLE_CAP``, computed above it."""
+        if self.additive:
+            return self.value(*degrees)
         if top > _TABLE_CAP:
             return self.ln(*degrees)
         table = _LN_TABLES.get(self)
@@ -193,7 +198,7 @@ class _Custom(_Rule):
         return np.array([self.F(*x) for x in zip(*(a.tolist() for a in degrees))])
 
     def terms(self, degrees: tuple[np.ndarray, ...], top: int) -> np.ndarray:
-        return self.ln(*degrees)
+        return self.value(*degrees) if self.additive else self.ln(*degrees)
 
     def mp(self, ctx, *degrees):
         return ctx.mpf(self.F(*degrees))
@@ -222,12 +227,12 @@ MULTIPLICATIVE_INDICES: dict[str, _Rule] = {
 _ADDITIVE: dict[str, _Rule] = {
     b.name: b
     for b in (
-        replace(MULTIPLICATIVE_INDICES["pi1"], name="m1", defined_at_zero=True),
-        replace(MULTIPLICATIVE_INDICES["pi2"], name="m2"),
-        replace(MULTIPLICATIVE_INDICES["rpi"], name="r"),
-        replace(MULTIPLICATIVE_INDICES["hpi"], name="h"),
-        replace(MULTIPLICATIVE_INDICES["chipi"], name="chi"),
-        _Rule("id", "vertex", lambda sqrt, d: 1.0 / d),
+        replace(MULTIPLICATIVE_INDICES["pi1"], name="m1", defined_at_zero=True, additive=True),
+        replace(MULTIPLICATIVE_INDICES["pi2"], name="m2", additive=True),
+        replace(MULTIPLICATIVE_INDICES["rpi"], name="r", additive=True),
+        replace(MULTIPLICATIVE_INDICES["hpi"], name="h", additive=True),
+        replace(MULTIPLICATIVE_INDICES["chipi"], name="chi", additive=True),
+        _Rule("id", "vertex", lambda sqrt, d: 1.0 / d, additive=True),
     )
 }
 
@@ -257,7 +262,8 @@ def _distinct_arguments(
 
 
 def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) -> _Rule:
-    """The rule behind any index kind: a built-in name in ``table`` or a custom function."""
+    """The rule behind any index kind: a built-in name in ``table`` or a custom
+    function, additive when ``table`` is the additive one."""
     if isinstance(kind, str):
         try:
             return table[kind]
@@ -267,7 +273,7 @@ def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) 
             raise ValueError(f"unknown {family}index {kind!r}") from None
     if isinstance(kind, (VertexFunction, EdgeFunction)):
         arity = "vertex" if isinstance(kind, VertexFunction) else "edge"
-        return _Custom(kind.name, arity, _checked(kind.fn, kind.name))
+        return _Custom(kind.name, arity, _checked(kind.fn, kind.name), additive=table is _ADDITIVE)
     raise TypeError(f"not an index kind: {kind!r}")
 
 
@@ -284,28 +290,6 @@ def resolve(kinds: Iterable[IndexKind], table=MULTIPLICATIVE_INDICES) -> list[_R
 def _check_policy(policy: str) -> None:
     if policy not in POLICIES:
         raise ValueError(f"unknown isolated policy {policy!r}")
-
-
-def _evaluate(
-    terms: np.ndarray, arguments: tuple, policy: str, zero: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum a rule's ``terms`` (its ``ln`` or ``value`` at each of its
-    ``_distinct_arguments``) over the vertices or edges of each graph, each
-    term weighted by its argument's count.
-
-    Returns ``(totals, excluded)``, one entry per graph; where the ``logzero``
-    policy meets an isolated vertex at which the rule is undefined, the total
-    is ``zero`` and none are excluded.  ``np.bincount`` adds each graph's terms
-    one at a time in order, so its total has the same bits whether it is
-    summarized alone or stacked with others.
-    """
-    _, counts, graph, skipped = arguments
-    totals = np.bincount(graph, weights=counts * terms, minlength=skipped.size)
-    totals = totals.astype(np.float64, copy=False)  # bincount counts in int64 when no term
-    if policy == LOGZERO:
-        totals[skipped > 0] = zero
-        skipped = np.zeros_like(skipped)
-    return totals, skipped
 
 
 def ln_multiplicative_index(
@@ -328,11 +312,8 @@ def additive_index(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) ->
     are skipped under ``exclude`` and make the sum +inf under ``logzero``,
     matching the divergence of 1/d at d=0.
     """
-    _check_policy(isolated_policy)
-    rule = _resolve(kind, _ADDITIVE)
-    arguments = _distinct_arguments(g.histogram, rule, isolated_policy)
-    terms = rule.value(*arguments[0])
-    return float(_evaluate(terms, arguments, isolated_policy, math.inf)[0][0])
+    [[value]], _ = _ln_indices([_resolve(kind, _ADDITIVE)], g.histogram, isolated_policy)
+    return float(value)
 
 
 def ln_indices_from_arrays(
@@ -353,30 +334,12 @@ def ln_indices_from_arrays(
     return [LogIndexValue(v, e) for v, e in zip(values[:, 0].tolist(), excluded[:, 0].tolist())]
 
 
-def ln_indices_of_stack(
-    deg: np.ndarray,
-    du: np.ndarray,
-    dv: np.ndarray,
-    vertices: Sequence[int],
-    edges: Sequence[int],
-    kinds: Sequence[IndexKind],
-    isolated_policy: str = EXCLUDE,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ln_indices_from_arrays` of every graph j at once, bit for bit;
-    this is the ensemble path.  Graph j's arrays are consecutive slices of the
-    flat ones: the next ``vertices[j]`` entries of ``deg`` and the next
-    ``edges[j]`` entries of ``du`` and ``dv``.
-
-    Returns ``(values, excluded)``, each of shape ``(len(kinds), J)``; a
-    log-zero product is ``-inf`` with 0 excluded.  One histogram, one set of
-    distinct arguments per arity and one rule call per kind serve all J
-    graphs, so their cost is paid once per stack.
-    """
-    rules = resolve(kinds)
-    return _ln_indices(rules, DegreeHistogram.stack(deg, du, dv, vertices, edges), isolated_policy)
-
-
 def _ln_indices(rules: list, h: DegreeHistogram, policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, excluded)`` of each rule on each graph of ``h``, of shape
+    ``(len(rules), graphs)``: its count-weighted ``terms`` added in order by
+    ``np.bincount``, so a graph gets the same bits alone or stacked.  Under
+    ``logzero`` an isolated vertex at which a rule is undefined makes the total
+    ``+inf`` for a sum and ``-inf`` for a product, with none excluded."""
     _check_policy(policy)
     top = h.vertex.shape[1]     # no degree of the stack reaches it
     arguments, values, excluded = {}, [], []
@@ -387,8 +350,13 @@ def _ln_indices(rules: list, h: DegreeHistogram, policy: str) -> tuple[np.ndarra
             # Every count is below 2^53, so each rule's counts * terms has the
             # bits it had with the int64 counts.
             arguments[key] = degrees, counts.astype(np.float64), graph, skipped
-        terms = rule.terms(arguments[key][0], top)
-        total, skipped = _evaluate(terms, arguments[key], policy, -math.inf)
+        degrees, counts, graph, skipped = arguments[key]
+        total = np.bincount(graph, weights=counts * rule.terms(degrees, top),
+                            minlength=skipped.size)
+        total = total.astype(np.float64, copy=False)  # bincount counts in int64 when no term
+        if policy == LOGZERO:
+            total[skipped > 0] = math.inf if rule.additive else -math.inf
+            skipped = np.zeros_like(skipped)
         values.append(total)
         excluded.append(skipped)
     shape = (len(values), len(h.vertex))

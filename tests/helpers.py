@@ -169,9 +169,8 @@ def edge_sets(draw):
 
 
 def flat_stack(replicas):
-    """``(deg, du, dv, vertices, edges)`` of ``ln_indices_of_stack`` and
-    ``DegreeHistogram.stack`` for a list of degree arrays (deg, du, dv), one
-    per graph."""
+    """``(deg, du, dv, vertices, edges)`` of ``DegreeHistogram.stack`` for a
+    list of degree arrays (deg, du, dv), one per graph."""
     degs, dus, dvs = zip(*replicas)
     return (*(np.concatenate(a) for a in (degs, dus, dvs)),
             [a.size for a in degs], [a.size for a in dus])

@@ -27,7 +27,6 @@ from mtindex.indices import (
     VertexFunction,
     additive_index,
     ln_indices_from_arrays,
-    ln_indices_of_stack,
     ln_multiplicative_index,
 )
 from mtindex.models import SeedDerivation, erdos_renyi, generate
@@ -127,6 +126,22 @@ def test_index_command_values(tmp_path, capsys):
     assert vals["m1"][2] == "sum"
 
 
+@pytest.mark.parametrize("policy, rows", [
+    ("exclude", ["nk,ln_product,0.6931471805599453,False,1", "id,sum,2.5,False,1",
+                 "m1,sum,6.0,False,0"]),
+    ("logzero", ["nk,ln_product,-inf,True,0", "id,sum,inf,False,0", "m1,sum,6.0,False,0"]),
+], ids=["exclude", "logzero"])
+def test_index_rows_count_the_isolated_vertices_their_rule_skips(tmp_path, capsys, policy,
+                                                                  rows):
+    # A sum undefined at degree 0 (id) skips an isolated vertex as nk does;
+    # m1 is defined there and skips none.
+    g = tmp_path / "g.edges"
+    g.write_text("4 2\n0 1\n1 2\n")
+    code, out, _ = run(capsys, "index", str(g), "--index", "nk,id,m1", "--policy", policy)
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{g},{row},{policy}" for row in rows]
+
+
 def test_index_empty_graph(tmp_path, capsys):
     f = tmp_path / "empty.edges"
     f.write_text("6 0\n")
@@ -149,7 +164,7 @@ def test_index_names_are_checked_before_any_file(tmp_path):
 
 
 P3 = graph.build_graph(3, [(0, 1), (1, 2)])
-P3_ARRAYS = (P3.degrees, *P3.edge_degree_pairs().T, [3], [2])
+P3_ARRAYS = (P3.degrees, *P3.edge_degree_pairs().T)
 SWEEP = ["sweep", "--model", "er", "--n", "30", "--p", "0.1", "--budget", "60", "--seed", "1"]
 
 
@@ -179,9 +194,9 @@ def _verify_with_built_ins(monkeypatch, names):
      "index set repeats a name: v,v"),
     (lambda mp, tmp: ln_multiplicative_index(P3, "m1"), "unknown multiplicative index 'm1'"),
     (lambda mp, tmp: additive_index(P3, "nk"), "unknown additive index 'nk'"),
-    (lambda mp, tmp: ln_indices_of_stack(*P3_ARRAYS, ["nk", "wiener"]),
+    (lambda mp, tmp: ln_indices_from_arrays(*P3_ARRAYS, ["nk", "wiener"]),
      "unknown multiplicative index 'wiener'"),
-    (lambda mp, tmp: ln_indices_of_stack(*P3_ARRAYS, ["nk", "pi2", "nk"]),
+    (lambda mp, tmp: ln_indices_from_arrays(*P3_ARRAYS, ["nk", "pi2", "nk"]),
      "index set repeats a name: nk,pi2,nk"),
     (lambda mp, tmp: main([*SWEEP, "--index", "nk,m1"]), "unknown multiplicative index 'm1'"),
     (lambda mp, tmp: main([*SWEEP, "--index", "hpi,hpi"]), "index set repeats a name: hpi,hpi"),
@@ -196,7 +211,8 @@ def _verify_with_built_ins(monkeypatch, names):
 ], ids=["spec-unknown", "spec-repeated", "run_point-unknown", "run_point-repeated",
         "verify_corpus-unknown", "verify_corpus-repeated",
         "verify_corpus-repeated-custom", "ln_multiplicative_index-unknown",
-        "additive_index-unknown", "ln_indices_of_stack-unknown", "ln_indices_of_stack-repeated",
+        "additive_index-unknown", "ln_indices_from_arrays-unknown",
+        "ln_indices_from_arrays-repeated",
         "cli-sweep-unknown", "cli-sweep-repeated", "cli-index-unknown", "cli-index-repeated",
         "cli-verify-unknown", "cli-verify-repeated"])
 def test_an_unknown_or_repeated_index_is_refused_before_any_work(monkeypatch, tmp_path, call,
@@ -403,6 +419,22 @@ def test_repeated_rows_do_not_make_up_collapse_points(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["collapse", str(twice), str(csv), "--index", "nk"])
     assert exc.value.code == "error: table 'twice.csv:er n=60' repeats a <k> for 'nk'"
+
+
+def test_collapse_refuses_a_point_with_no_mean(tmp_path, capsys):
+    # Under logzero all 10 replicas at p = 0.001 and 0.05 are degenerate, so
+    # those points have no mean; a NaN gap would read "max deviation 0".
+    for name, n in (("a.csv", 30), ("b.csv", 40)):
+        main(["sweep", "--model", "er", "--n", str(n), "--p", "0.001,0.05,0.1,0.2,0.3",
+              "--index", "nk", "--budget", str(10 * n), "--seed", "1", "--policy", "logzero",
+              "--out", str(tmp_path / name)])
+    out = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--index", "nk",
+              "--out", str(out)])
+    assert exc.value.code == ("error: table 'a.csv:er n=30' has a non-finite mean, sem or <k>"
+                              " for 'nk' at <k>=0.029")
+    assert capsys.readouterr().out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -720,7 +752,7 @@ SWEEP = ["sweep", "--model", "er", "--n", "30", "--p", "0.1,0.3", "--index", "nk
     ("sweep", ensemble, "atomic_write"),
     ("verify", inequalities, "_Prepared"),
     ("verify", cli, "atomic_write"),
-    ("index", cli, "additive_index"),
+    ("index", cli, "_ln_indices"),
     ("index", cli, "atomic_write"),
     ("generate", models, "generate"),
     ("generate", graph, "atomic_write"),

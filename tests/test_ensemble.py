@@ -21,7 +21,13 @@ from mtindex.ensemble import (
     sweep,
     write_results_csv,
 )
-from mtindex.indices import EXCLUDE, LOGZERO, MULTIPLICATIVE_INDICES, MULTIPLICATIVE_NAMES
+from mtindex.indices import (
+    EXCLUDE,
+    LOGZERO,
+    MULTIPLICATIVE_INDICES,
+    MULTIPLICATIVE_NAMES,
+    resolve,
+)
 from mtindex.models import (
     MAX_RADIUS,
     bipartite,
@@ -85,8 +91,9 @@ def test_half_pooling_reproduces_full_mean():
     full = run_point(erdos_renyi(30, 0.4), ["pi2"], 20, SEED)[0]
     from mtindex.ensemble import _replica_chunk
     spec = erdos_renyi(30, 0.4)
-    lo = _replica_chunk(spec, ("pi2",), EXCLUDE, SEED, 0, 0, 10)[0][0]
-    hi = _replica_chunk(spec, ("pi2",), EXCLUDE, SEED, 0, 10, 20)[0][0]
+    rules = resolve(("pi2",))
+    lo = _replica_chunk(spec, rules, EXCLUDE, SEED, 0, 0, 10)[0][0]
+    hi = _replica_chunk(spec, rules, EXCLUDE, SEED, 0, 10, 20)[0][0]
     pooled = math.fsum(list(lo) + list(hi)) / 20.0
     assert pooled == full.mean_ln
 

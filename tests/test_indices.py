@@ -22,6 +22,7 @@ from mtindex import indices
 from mtindex.graph import DegreeHistogram, build_graph
 from mtindex.indices import (
     ADDITIVE_NAMES,
+    BUILT_IN_INDICES,
     EXCLUDE,
     POLICIES,
     EdgeFunction,
@@ -34,10 +35,11 @@ from mtindex.indices import (
     _ADDITIVE,
     _TABLE_CAP,
     _distinct_arguments,
+    _ln_indices,
     additive_index,
     ln_indices_from_arrays,
-    ln_indices_of_stack,
     ln_multiplicative_index,
+    resolve,
 )
 
 P3 = build_graph(3, [(0, 1), (1, 2)])
@@ -189,7 +191,8 @@ def test_stacked_evaluation_equals_one_replica_at_a_time(replicas, cuts, policy)
     # Cut the replicas into consecutive stacks at any points; every replica must
     # get the bits and the excluded count it gets alone.
     bounds = [0, *sorted(c for c in cuts if c < len(replicas)), len(replicas)]
-    stacks = [ln_indices_of_stack(*flat_stack(replicas[lo:hi]), STACK_KINDS, policy)
+    rules = resolve(STACK_KINDS)
+    stacks = [_ln_indices(rules, DegreeHistogram.stack(*flat_stack(replicas[lo:hi])), policy)
               for lo, hi in zip(bounds, bounds[1:])]
     values = np.concatenate([v for v, _ in stacks], axis=1)
     excluded = np.concatenate([e for _, e in stacks], axis=1)
@@ -210,7 +213,8 @@ def test_a_logzero_graph_never_runs_the_rule():
         ln_multiplicative_index(star, no_three, EXCLUDE)
     assert ln_multiplicative_index(star, no_three, LOGZERO).is_log_zero
     arrays = [(g.degrees, *g.edge_degree_pairs().T) for g in (star, path)]
-    values, excluded = ln_indices_of_stack(*flat_stack(arrays), [no_three], LOGZERO)
+    values, excluded = _ln_indices(resolve([no_three]), DegreeHistogram.stack(*flat_stack(arrays)),
+                                   LOGZERO)
     assert values.tolist() == [[-math.inf, 0.0]] and excluded.tolist() == [[0, 0]]
 
 
@@ -246,8 +250,8 @@ def test_a_custom_function_is_called_only_at_the_graph_degrees():
     pole = VertexFunction("pole", lambda d: 1.0 / (d - 1))
     edge_pole = EdgeFunction("edge_pole", lambda a, b: 1.0 / (a + b - 2))
     assert ln_multiplicative_index(C5, pole).value == 0.0
-    values, _ = ln_indices_of_stack(C5.degrees, *C5.edge_degree_pairs().T, [5], [5],
-                                    [pole, edge_pole])
+    h = DegreeHistogram.stack(C5.degrees, *C5.edge_degree_pairs().T, [5], [5])
+    values, _ = _ln_indices(resolve([pole, edge_pole]), h, EXCLUDE)
     assert values.tolist() == [[0.0], [5 * math.log(0.5)]]
 
 
@@ -408,6 +412,24 @@ def test_weighted_sums_equal_the_per_element_reference(case):
                 continue
             bound = per_term + U * abs(ref[0]) + gamma(max(k - 1, 0)) * total
             assert abs(got - ref[0]) <= 2.0 * bound, (name, policy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_sets(), st.sampled_from(POLICIES))
+def test_one_call_over_every_built_in_gives_each_index_alone(case, policy):
+    # Sums and ln-products in one evaluator call share their distinct
+    # arguments; each must still get the bits and excluded count it gets alone.
+    g = build_graph(*case)
+    values, excluded = _ln_indices(resolve(BUILT_IN_INDICES, BUILT_IN_INDICES), g.histogram,
+                                   policy)
+    for name, value, skipped in zip(BUILT_IN_INDICES, values[:, 0], excluded[:, 0].tolist()):
+        if name in ADDITIVE_NAMES:
+            want = additive_index(g, name, policy)
+        else:
+            res = ln_multiplicative_index(g, name, policy)
+            want = res.value
+            assert skipped == res.excluded, (name, policy)
+        assert value.view(np.int64) == np.float64(want).view(np.int64), (name, policy)
 
 
 def test_all_kinds_of_a_graph_share_one_histogram(monkeypatch):
