@@ -211,8 +211,7 @@ def _verify_with_built_ins(monkeypatch, names):
 ], ids=["spec-unknown", "spec-repeated", "run_point-unknown", "run_point-repeated",
         "verify_corpus-unknown", "verify_corpus-repeated",
         "verify_corpus-repeated-custom", "ln_multiplicative_index-unknown",
-        "additive_index-unknown", "ln_indices_from_arrays-unknown",
-        "ln_indices_from_arrays-repeated",
+        "additive_index-unknown", "from_arrays-unknown", "from_arrays-repeated",
         "cli-sweep-unknown", "cli-sweep-repeated", "cli-index-unknown", "cli-index-repeated",
         "cli-verify-unknown", "cli-verify-repeated"])
 def test_an_unknown_or_repeated_index_is_refused_before_any_work(monkeypatch, tmp_path, call,
