@@ -200,7 +200,7 @@ def cmd_collapse(args) -> int:
         source = name if names.count(name) == 1 else path
         for label, group in ensemble.split_curves(rows):
             tables.append((f"{source}:{label}", group))
-    report = ensemble.collapse_check(tables, args.index)
+    report = ensemble.collapse_check(tables, args.index, args.tolerance)
 
     lines = [
         "index,curve_a,curve_b,max_abs_deviation,k_at_max,pooled_sem,tolerance,within"
@@ -208,23 +208,21 @@ def cmd_collapse(args) -> int:
     for pair in report.pairs:
         lines.append(
             f"{report.index},{pair.label_a},{pair.label_b},{_fmt(pair.max_abs_deviation)},"
-            f"{_fmt(pair.k_at_max)},{_fmt(pair.pooled_sem)},"
-            f"{_fmt(pair.tolerance(args.tolerance))},{pair.within(args.tolerance)}"
+            f"{_fmt(pair.k_at_max)},{_fmt(pair.pooled_sem)},{_fmt(pair.tolerance)},{pair.within}"
         )
     _emit(lines, args.out)
 
-    ok = report.passed(args.tolerance)
     print(
         f"collapse[{report.index}]: max deviation {report.max_deviation:.6g} "
         f"at <k>={report.k_at_max:.6g} over {len(report.labels)} curves -> "
-        f"{'PASS' if ok else 'FAIL'} (tolerance floor {args.tolerance})"
+        f"{'PASS' if report.passed else 'FAIL'} (tolerance floor {args.tolerance})"
     )
     if report.dense_deviation is not None:
         print(
             f"collapse[{report.index}]: dense-regime (<k> >= {dense.DENSE_REGIME_MEAN_DEGREE:g})"
             f" max |curve - prediction| = {report.dense_deviation:.6g}"
         )
-    return 0 if ok else 1
+    return 0 if report.passed else 1
 
 
 def cmd_predict(args) -> int:

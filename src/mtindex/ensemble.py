@@ -9,6 +9,9 @@ any partition.
 
 Results are written as a flat CSV, one row per (grid point, index), with
 floats serialized via ``repr`` so reruns are byte-identical.
+
+:func:`collapse_check` returns each verdict with what it measured: a curve
+pair's tolerance, max(floor, 5 * pooled sem), and whether the pair is within.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 from .dense import DENSE_REGIME_MEAN_DEGREE, UnsupportedIndexError, scaling_curve
 from .graph import DegreeHistogram, atomic_write
 from .indices import EXCLUDE, _check_policy, _ln_indices, resolve
-from .models import ModelSpec, SeedDerivation, check_master_seed, mean_degree, sample_chunk
+from .models import (ModelSpec, SeedDerivation, check_master_seed, check_samplable,
+                     mean_degree, sample_chunk)
 
 DEFAULT_BUDGET = 1e5
 
@@ -52,6 +56,7 @@ class EnsembleSpec:
         for i, spec in enumerate(self.grid):
             if spec in self.grid[:i]:
                 raise ValueError(f"grid repeats a point: {spec.label}")
+            check_samplable(spec)
         kinds = {spec.model for spec in self.grid}
         if len(kinds) > 1:
             raise ValueError(f"grid mixes model kinds {sorted(kinds)}")
@@ -150,12 +155,14 @@ def run_point(
     """Run one grid point; returns one :class:`EnsembleStats` per index.
 
     The chunks of :func:`_chunks` run in order, in this process.  An unknown
-    or repeated index, an unknown policy, or a seed outside [0, 2^64), raises
-    ValueError before any allocation or chunk.
+    or repeated index, an unknown policy, a seed outside [0, 2^64), or a point
+    that no replica can sample, raises ValueError before any allocation or
+    chunk.
     """
     rules = resolve(indices)
     _check_policy(isolated_policy)
     check_master_seed(master_seed)
+    check_samplable(point)
     if replicas < 1:
         raise ValueError(f"replica count must be >= 1, got {replicas}")
     # Allocated before any chunk is planned or sampled, so a replica count
@@ -321,19 +328,15 @@ def split_curves(rows: Iterable[EnsembleStats]) -> list[tuple[str, list[Ensemble
 
 @dataclass(frozen=True)
 class PairDeviation:
-    """Max interpolated gap between two curves, with the 5-sigma noise guard."""
+    """Max interpolated gap between two curves, ``within`` when at most ``tolerance``."""
 
     label_a: str
     label_b: str
     max_abs_deviation: float
     k_at_max: float
     pooled_sem: float
-
-    def tolerance(self, floor: float) -> float:
-        return max(floor, 5.0 * self.pooled_sem)
-
-    def within(self, floor: float) -> bool:
-        return self.max_abs_deviation <= self.tolerance(floor)
+    tolerance: float
+    within: bool
 
 
 @dataclass
@@ -345,18 +348,15 @@ class CollapseReport:
 
     index: str
     labels: tuple[str, ...]
-    k_grid: tuple[float, ...]
     pairs: tuple[PairDeviation, ...]
     max_deviation: float
     k_at_max: float
+    passed: bool  # every pair within its tolerance
     dense_deviation: float | None = None  # vs the closed form, over k >= DENSE_REGIME_MEAN_DEGREE
-
-    def passed(self, floor: float) -> bool:
-        return all(pair.within(floor) for pair in self.pairs)
 
 
 def collapse_check(
-    tables: Sequence[tuple[str, Sequence[EnsembleStats]]], index: str
+    tables: Sequence[tuple[str, Sequence[EnsembleStats]]], index: str, floor: float
 ) -> CollapseReport:
     """Interpolate curves onto a shared <k> grid and measure pairwise gaps.
 
@@ -364,7 +364,8 @@ def collapse_check(
     interpolation, no smoothing); curves are compared by table position, so
     equal labels never merge two tables.  Requires >= 2 tables, >= 5 points
     each at distinct, finite <k> with a finite mean and sem, and a nonempty
-    overlap of the <k> ranges.
+    overlap of the <k> ranges.  A pair's tolerance is max(``floor``, 5 * its
+    pooled sem).
     """
     if len(tables) < 2:
         raise ValueError("collapse check needs at least two curves")
@@ -394,22 +395,18 @@ def collapse_check(
             f"insufficient overlap in <k> ranges: max of minima {lo} > min of maxima {hi}"
         )
     grid = np.unique(np.concatenate([k for k, _, _ in curves]))
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    if grid.size == 0:
-        raise ValueError("insufficient overlap in <k> ranges: no shared grid points")
+    grid = grid[(grid >= lo) & (grid <= hi)]  # never empty: lo is some curve's first <k>
 
     labels = tuple(label for label, _ in tables)
     on_grid = [(np.interp(grid, k, y), np.interp(grid, k, s)) for k, y, s in curves]
     pairs = []
-    overall_dev, overall_k = 0.0, float(grid[0])
     for (la, (ya, sa)), (lb, (yb, sb)) in itertools.combinations(zip(labels, on_grid), 2):
         diff = np.abs(ya - yb)
         at = int(np.argmax(diff))
-        pooled = float(np.max(np.hypot(sa, sb)))
-        pair = PairDeviation(la, lb, float(diff[at]), float(grid[at]), pooled)
-        pairs.append(pair)
-        if pair.max_abs_deviation >= overall_dev:
-            overall_dev, overall_k = pair.max_abs_deviation, pair.k_at_max
+        dev, pooled = float(diff[at]), float(np.max(np.hypot(sa, sb)))
+        tol = max(floor, 5.0 * pooled)
+        pairs.append(PairDeviation(la, lb, dev, float(grid[at]), pooled, tol, dev <= tol))
+    worst = max(reversed(pairs), key=operator.attrgetter("max_abs_deviation"))  # last on a tie
 
     dense_dev = None
     dense_mask = grid >= DENSE_REGIME_MEAN_DEGREE
@@ -424,9 +421,9 @@ def collapse_check(
     return CollapseReport(
         index=index,
         labels=labels,
-        k_grid=tuple(float(k) for k in grid),
         pairs=tuple(pairs),
-        max_deviation=overall_dev,
-        k_at_max=overall_k,
+        max_deviation=worst.max_abs_deviation,
+        k_at_max=worst.k_at_max,
+        passed=all(pair.within for pair in pairs),
         dense_deviation=dense_dev,
     )

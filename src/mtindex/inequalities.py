@@ -10,8 +10,8 @@ function), made from the graph's degree histogram: k, the sums of F and F^2,
 the sum of ln F and its min/max.  A custom function is float-valued, so its
 verdicts are decided in 192 bits on those float values.
 
-:func:`verify_corpus` keeps one memo per function for the length of one
-call: each distinct argument's F and ln F, computed at the working
+:func:`verify_corpus` resolves each function once and keeps one memo per
+function for one call: each distinct argument's F and ln F at the working
 precision.  The exact rule thus runs once per distinct argument of the whole
 corpus, the memo holds at most that many entries (a few hundred per function
 on the default corpus, whose degrees are below 32), and no result bit changes.
@@ -52,6 +52,7 @@ from .models import (
     SeedDerivation,
     bipartite,
     check_master_seed,
+    check_samplable,
     erdos_renyi,
     generate,
     random_geometric,
@@ -106,17 +107,15 @@ class _Prepared:
     evaluated once per distinct degree, or per distinct ordered (d_u, d_v),
     and the sums are weighted by how often each value occurs.
 
-    ``memo`` maps a distinct argument of F to ``(F, ln F)``; passing the same
-    dict for every graph evaluates each argument once.
+    ``memo`` maps a distinct argument of the resolved ``rule`` to ``(F, ln F)``;
+    passing the same dict for every graph evaluates each argument once.
     """
 
-    def __init__(self, g: Graph, f: IndexKind, memo: dict | None = None):
-        rule = _resolve(f)
+    def __init__(self, g: Graph, rule, memo: dict):
         self.name = rule.name
         args, counts, _, _ = _distinct_arguments(g.histogram, rule)
         distinct, counts = list(zip(*(a.tolist() for a in args))), counts.tolist()
         self.k = sum(counts)
-        memo = {} if memo is None else memo
         with mp.workprec(_PREC):
             for x in distinct:
                 if x not in memo:
@@ -135,7 +134,7 @@ def run_all_checks(g: Graph, f: IndexKind) -> list[InequalityCheck]:
     With no realized values (k == 0) the first four checks are vacuous:
     lhs = rhs = 0.
     """
-    return _checks(_Prepared(g, f))
+    return _checks(_Prepared(g, _resolve(f), {}))
 
 
 def _checks(p: _Prepared) -> list[InequalityCheck]:
@@ -224,18 +223,21 @@ def verify_corpus(
     functions: Sequence[IndexKind] | None = None,
 ) -> list[CorpusCheck]:
     """Run every check over the sampled corpus; deterministic in master_seed.
-    An unknown or repeated function, or a seed outside [0, 2^64), raises
-    ValueError before any sampling."""
-    functions = list(MULTIPLICATIVE_INDICES) if functions is None else functions
-    resolve(functions)
+    An unknown or repeated function (each is resolved once, here), a seed
+    outside [0, 2^64), or a cell that no replica can sample, raises ValueError
+    before any sampling."""
+    rules = resolve(MULTIPLICATIVE_INDICES if functions is None else functions)
     check_master_seed(master_seed)
+    cells = corpus_model_points(sizes, graphs_per_size)
+    for spec, _ in cells:
+        check_samplable(spec)
     rows: list[CorpusCheck] = []
-    memos = [{} for _ in functions]     # per function, for this call only
-    for point_id, (spec, reps) in enumerate(corpus_model_points(sizes, graphs_per_size)):
+    memos = [{} for _ in rules]  # per function, for this call only
+    for point_id, (spec, reps) in enumerate(cells):
         for replica in range(reps):
             g = generate(spec, SeedDerivation(master_seed, point_id, replica))
-            for f, memo in zip(functions, memos):
-                for check in _checks(_Prepared(g, f, memo)):
+            for rule, memo in zip(rules, memos):
+                for check in _checks(_Prepared(g, rule, memo)):
                     rows.append(CorpusCheck(spec.model, spec.n, spec.param_value, check))
     g, f = petrovic_counterexample()
     rows.append(CorpusCheck("counterexample", g.n, 0.0, run_all_checks(g, f)[4]))

@@ -316,7 +316,8 @@ def _skips(u: np.ndarray, p: float, total: int) -> np.ndarray:
 
 def check_samplable(spec: ModelSpec) -> None:
     """Raise ValueError, naming the point, where one ER/BR sample of ``spec``
-    has more than 2^47 candidate pairs, which no replica can draw."""
+    has more than 2^47 candidate pairs, which no replica can draw.  The one
+    statement of that limit: every entry point calls it before sampling."""
     pairs = spec.n1 * spec.n2 if spec.model == "br" else spec.n * (spec.n - 1) // 2
     if spec.model != "rg" and pairs > _MAX_PAIRS:
         raise ValueError(f"{spec.label}: {pairs} candidate pairs exceed the 2^47 of one sample")
@@ -334,8 +335,6 @@ def _bernoulli_offsets(
     exactly as one draw would, and a replica's offsets end at the first one
     past the last pair whatever the block sizes.
     """
-    if total > _MAX_PAIRS:
-        raise ValueError(f"{total} candidate pairs exceed the 2^47 of one sample")
     if p == 1.0:
         return np.tile(np.arange(total, dtype=np.intp), len(rngs)), np.full(len(rngs), total)
     if p == 0.0 or total == 0:
@@ -513,6 +512,7 @@ def _edges(spec: ModelSpec, rngs: Sequence[np.random.Generator]):
     """Edges (u, v) of the disjoint union of one replica per generator, the
     vertices of replica j being j*n .. j*n + n-1, in canonical order; and each
     replica's edge count."""
+    check_samplable(spec)
     if spec.model == "er":
         return _er_edges(spec.n, spec.p, rngs)
     if spec.model == "rg":

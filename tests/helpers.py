@@ -11,12 +11,12 @@ from mtindex.graph import DegreeHistogram, Graph, GraphError, _from_canonical, b
 from mtindex.indices import (
     EXCLUDE,
     LOGZERO,
+    MULTIPLICATIVE_INDICES,
     EdgeFunction,
     IndexKind,
     LogIndexValue,
     VertexFunction,
     _check_policy,
-    _checked,
     _resolve,
 )
 from mtindex.inequalities import _PREC as PREC
@@ -404,30 +404,28 @@ REFERENCE_FACTORS = {
 }
 
 
-def reference_function_values(g, f):
-    """(arity, name, realized F values in canonical order), one float per element."""
-    if isinstance(f, str):
-        arity, fn = REFERENCE_FACTORS[f]
-        name = f
-    elif isinstance(f, VertexFunction):
-        arity, fn, name = "vertex", _checked(f.fn, f.name), f.name
-    else:
-        arity, fn, name = "edge", _checked(f.fn, f.name), f.name
+def reference_function_values(g, rule):
+    """(arity, name, realized F values in canonical order), one float per element.
+    A built-in rule's factor is its entry of ``REFERENCE_FACTORS``, a custom
+    rule's its checked F."""
+    builtin = MULTIPLICATIVE_INDICES.get(rule.name) is rule
+    arity, fn = REFERENCE_FACTORS[rule.name] if builtin else (rule.arity, rule.F)
     if arity == "vertex":
         values = [fn(d) for d in g.degrees.tolist() if d > 0]
     else:
         values = [fn(du, dv) for du, dv in g.edge_degree_pairs().tolist()]
     for v in values:
         if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"function {name!r} produced nonpositive value {v}")
-    return arity, name, values
+            raise ValueError(f"function {rule.name!r} produced nonpositive value {v}")
+    return arity, rule.name, values
 
 
 class ReferencePrepared:
-    """The verifier's per-element preparation: float factors, one mpmath log each."""
+    """The verifier's per-element preparation of a resolved rule: float factors,
+    one mpmath log each.  The memo is not used."""
 
-    def __init__(self, g, f):
-        self.arity, self.name, raw = reference_function_values(g, f)
+    def __init__(self, g, rule, memo):
+        self.arity, self.name, raw = reference_function_values(g, rule)
         self.k = len(raw)
         with mp.workprec(PREC):
             self.values = [mp.mpf(v) for v in raw]

@@ -134,11 +134,11 @@ def test_c02_size_collapse(size_sweeps):
     for model in ("er", "rg"):
         tables = split_curves(size_sweeps[model])
         for idx in ("nk", "pi2", "chipi", "idpi"):
-            rep = collapse_check(tables, idx)
+            rep = collapse_check(tables, idx, 0.05)
             pair = rep.pairs[0]
             details.append(f"{model}/{idx}: dev {pair.max_abs_deviation:.4f} "
-                           f"tol {pair.tolerance(0.05):.4f}")
-            if not rep.passed(0.05):
+                           f"tol {pair.tolerance:.4f}")
+            if not rep.passed:
                 failures.append(f"{model}/{idx}")
     report(2, "size collapse n=125 vs n=250 over <k> in [2,20]",
            not failures, "; ".join(details if not failures else failures))
@@ -148,11 +148,11 @@ def test_c03_cross_model_collapse(cross_model_tables):
     failures = []
     details = []
     for idx in ("nk", "chipi", "idpi"):
-        rep = collapse_check(cross_model_tables, idx)
+        rep = collapse_check(cross_model_tables, idx, 0.08)
         worst = max(rep.pairs, key=lambda p: p.max_abs_deviation)
         details.append(f"{idx}: dev {worst.max_abs_deviation:.4f} "
-                       f"tol {worst.tolerance(0.08):.4f}")
-        if not rep.passed(0.08):
+                       f"tol {worst.tolerance:.4f}")
+        if not rep.passed:
             failures.append(idx)
     report(3, "cross-model collapse ER/RG/BR over <k> in [2,15]",
            not failures, "; ".join(details if not failures else failures))
@@ -305,7 +305,7 @@ def test_c10_connection_function():
 def test_c11_gapi_non_scaling_probe(size_sweeps):
     lines = []
     for model in ("er", "rg"):
-        rep = collapse_check(split_curves(size_sweeps[model]), "gapi")
+        rep = collapse_check(split_curves(size_sweeps[model]), "gapi", 0.05)
         pair = rep.pairs[0]
         lines.append(f"{model}: max deviation {pair.max_abs_deviation:.5f} "
                      f"at <k>={pair.k_at_max:.3g} (5*sem {5 * pair.pooled_sem:.5f})")

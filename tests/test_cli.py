@@ -293,9 +293,12 @@ def test_predict_command(capsys):
      "prediction underflows at degree 1e-160"),
     (["--model", "br", "--index", "rpi", "--d1", "1e-160", "--d2", "1e-170"],
      "prediction underflows at degrees (1e-160, 1e-170)"),
+    # A degree the model needs is missing.
+    (["--model", "br", "--index", "nk", "--d1", "3"], "br prediction requires --d1 and --d2"),
+    (["--model", "rg", "--index", "nk"], "er/rg prediction requires --k"),
 ], ids=["er-k-nan", "rg-k-inf", "er-k-0", "br-d1-inf", "br-d2-nan-per-vertex",
         "er-pi2-overflow", "er-idpi-overflow", "br-hpi-overflow", "br-pi2-per-vertex-overflow",
-        "er-pi2-underflow", "rg-pi1-underflow", "br-rpi-underflow"])
+        "er-pi2-underflow", "rg-pi1-underflow", "br-rpi-underflow", "br-no-d2", "rg-no-k"])
 def test_bad_predict_degrees_are_one_line_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         main(["predict", *argv])
@@ -703,6 +706,20 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
       "--seed", "1"],
      "br n1=16777216 n2=8388609 p=1e-09: 140737505132544 candidate pairs exceed the 2^47 of"
      " one sample"),
+    (["verify", "--seed", "1", "--sizes", "16777218", "--graphs", "1"],
+     "er n=16777218 p=0.1: 140737513521153 candidate pairs exceed the 2^47 of one sample"),
+    # Each model names the size or parameter flag it lacks.
+    (["sweep", "--model", "br", "--p", "0.1", "--index", "nk", "--seed", "1"],
+     "br requires --n1 and --n2"),
+    (["generate", "--model", "br", "--n1", "10,20", "--n2", "10", "--p", "0.1", "--seed", "1"],
+     "--n1 and --n2 lists must have equal length"),
+    (["sweep", "--model", "br", "--n1", "10", "--n2", "10", "--index", "nk", "--seed", "1"],
+     "br requires --p"),
+    (["generate", "--model", "er", "--p", "0.1", "--seed", "1"], "er requires --n"),
+    (["sweep", "--model", "er", "--n", "10", "--index", "nk", "--seed", "1"], "er requires --p"),
+    (["generate", "--model", "rg", "--n", "10", "--seed", "1"], "rg requires --r"),
+    (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "x"],
+     "custom function must be NAME=EXPR, got 'x'"),
 ], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0",
         "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative",
         "verify-sizes-empty", "verify-sizes-comma", "generate-replicas-0",
@@ -710,13 +727,35 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
         "verify-custom-comma", "verify-custom-empty", "verify-custom-line-break",
         "verify-custom-builtin", "verify-custom-twice", "verify-custom-vertex-and-edge",
         "index-repeated-name", "index-path-comma", "index-path-line-break",
-        "sweep-er-pairs", "generate-br-pairs"])
+        "sweep-er-pairs", "generate-br-pairs", "verify-pairs", "sweep-br-no-sizes",
+        "generate-br-unequal-sizes", "sweep-br-no-p", "generate-er-no-n", "sweep-er-no-p",
+        "generate-rg-no-r", "verify-custom-no-equals"])
 def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:
         main([*argv, "--out", str(out)])
     assert info.value.code == f"error: {message}"
     assert not out.exists()
+
+
+def test_verify_reports_the_first_20_failures_one_line_each(monkeypatch, capsys):
+    # No corpus check fails, so a patched corpus stands in for one that does.
+    def failing_corpus(*args, **kwargs):
+        rows = [inequalities.CorpusCheck("er", 8, (i + 1) / 4, inequalities.InequalityCheck(
+            "jensen", "nk", 2.5, 2.0, -0.5, False, True)) for i in range(25)]
+        flagged = inequalities.InequalityCheck("petrovic_sum", "demo", 3.0, 2.0, -1.0, False,
+                                               False)
+        return [*rows, inequalities.CorpusCheck("counterexample", 3, 0.0, flagged)]
+
+    monkeypatch.setattr(inequalities, "verify_corpus", failing_corpus)
+    assert main(["verify", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("verify: 26 checks, 25 failures, 1 flagged"
+                        " (hypothesis not met, not asserted)")
+    assert lines[1] == "  FAIL jensen on er n=8 param=0.25 function=nk: lhs=2.5 rhs=2.0 slack=-0.5"
+    assert lines[1:] == [
+        f"  FAIL jensen on er n=8 param={(i + 1) / 4} function=nk: lhs=2.5 rhs=2.0 slack=-0.5"
+        for i in range(20)]
 
 
 def _interrupt(*args, **kwargs):

@@ -197,10 +197,9 @@ def test_collapse_identical_tables_have_zero_deviation():
         grid=tuple(erdos_renyi(50, k / 49.0) for k in (2, 4, 6, 8, 10)),
         indices=("nk",), master_seed=SEED, budget=100)
     rows = sweep(spec)
-    report = collapse_check([("a", rows), ("b", rows)], "nk")
+    report = collapse_check([("a", rows), ("b", rows)], "nk", 0.05)
     assert report.max_deviation == 0.0
-    assert report.passed(0.05)
-    assert len(report.k_grid) == 5
+    assert report.passed
 
 
 def test_collapse_errors():
@@ -209,19 +208,19 @@ def test_collapse_errors():
         indices=("nk",), master_seed=SEED, budget=100)
     rows = sweep(spec)
     with pytest.raises(ValueError, match="not present"):
-        collapse_check([("a", rows), ("b", rows)], "pi2")
+        collapse_check([("a", rows), ("b", rows)], "pi2", 0.05)
     with pytest.raises(ValueError, match="at least two"):
-        collapse_check([("a", rows)], "nk")
+        collapse_check([("a", rows)], "nk", 0.05)
     short = rows[:3]
     with pytest.raises(ValueError, match=">= 5"):
-        collapse_check([("a", short), ("b", short)], "nk")
+        collapse_check([("a", short), ("b", short)], "nk", 0.05)
     with pytest.raises(ValueError, match="table 'b' repeats a <k> for 'nk'"):
-        collapse_check([("a", rows), ("b", short + short)], "nk")
+        collapse_check([("a", rows), ("b", short + short)], "nk", 0.05)
     far = sweep(EnsembleSpec(
         grid=tuple(erdos_renyi(50, k / 49.0) for k in (20, 25, 30, 35, 40)),
         indices=("nk",), master_seed=SEED, budget=100))
     with pytest.raises(ValueError, match="overlap"):
-        collapse_check([("a", rows), ("b", far)], "nk")
+        collapse_check([("a", rows), ("b", far)], "nk", 0.05)
 
 
 def test_split_curves_groups_by_size():
@@ -256,6 +255,31 @@ def test_an_unknown_isolated_policy_is_refused_at_construction(monkeypatch):
     monkeypatch.setattr(ensemble, "sample_chunk", None)
     with pytest.raises(ValueError, match="unknown isolated policy 'bogus'"):
         run_point(erdos_renyi(10, 0.1), ["nk"], 10, 1, isolated_policy="bogus")
+
+
+def _no_sample(*args, **kwargs):
+    raise AssertionError("sampled a point that was to be refused")
+
+
+# More than the 2^47 candidate pairs one sample may hold.
+UNSAMPLABLE = erdos_renyi(2**24 + 2, 1e-9)
+UNSAMPLABLE_MESSAGE = ("er n=16777218 p=1e-09: 140737513521153 candidate pairs exceed the 2^47"
+                       " of one sample")
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda: EnsembleSpec(grid=(UNSAMPLABLE,), indices=("nk",), master_seed=1),
+     UNSAMPLABLE_MESSAGE),
+    (lambda: run_point(UNSAMPLABLE, ["nk"], 1, 1), UNSAMPLABLE_MESSAGE),
+    (lambda: EnsembleSpec(grid=(erdos_renyi(10, 0.1),), indices=(), master_seed=1),
+     "index set must be nonempty"),
+    (lambda: run_point(erdos_renyi(10, 0.1), ["nk"], 0, 1), "replica count must be >= 1, got 0"),
+], ids=["spec-pairs", "run-point-pairs", "spec-no-index", "run-point-no-replica"])
+def test_a_bad_point_or_run_is_refused_before_any_sample(monkeypatch, entry, message):
+    monkeypatch.setattr(ensemble, "sample_chunk", _no_sample)
+    with pytest.raises(ValueError) as refused:
+        entry()
+    assert str(refused.value) == message
 
 
 @settings(max_examples=40, deadline=None)

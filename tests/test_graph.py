@@ -55,6 +55,17 @@ def test_duplicate_after_canonicalization_rejected():
         build_graph(4, [(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_graph(-1, []), "vertex count must be nonnegative, got -1"),
+    (lambda: build_graph(3, [(0, 1, 2)]), "edges must be (u, v) pairs, got shape (1, 3)"),
+    (lambda: read_edge_list(io.StringIO("x 1\n0 1\n")), "non-integer header 'x 1'"),
+], ids=["negative-count", "triple", "line-parser-header"])
+def test_a_bad_count_edge_shape_or_header_is_a_one_line_error(build, message):
+    with pytest.raises(GraphError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 def test_out_of_range_endpoint_rejected():
     with pytest.raises(GraphError, match="out of range"):
         build_graph(3, [(0, 3)])

@@ -339,6 +339,8 @@ def test_unknown_kind_rejected():
         ln_multiplicative_index(P3, "wiener")
     with pytest.raises(ValueError):
         additive_index(P3, "nk")
+    with pytest.raises(TypeError, match="not an index kind: 3"):
+        indices._resolve(3)
 
 
 @pytest.mark.parametrize("g", list(mixed_graphs(31, 10)), ids=lambda g: f"n{g.n}m{g.m}")

@@ -14,7 +14,7 @@ from helpers import (
 )
 from mtindex import inequalities
 from mtindex.graph import build_graph
-from mtindex.indices import MULTIPLICATIVE_NAMES, EdgeFunction, VertexFunction
+from mtindex.indices import MULTIPLICATIVE_NAMES, EdgeFunction, VertexFunction, resolve
 from mtindex.inequalities import (
     INEQUALITIES,
     corpus_model_points,
@@ -210,15 +210,26 @@ def test_run_all_checks_prepares_once(monkeypatch, g, f):
     built = []
 
     class CountingPrepared(inequalities._Prepared):
-        def __init__(self, g, f):
-            built.append(f)
-            super().__init__(g, f)
+        def __init__(self, g, rule, memo):
+            built.append(rule)
+            super().__init__(g, rule, memo)
 
     monkeypatch.setattr(inequalities, "_Prepared", CountingPrepared)
     checks = run_all_checks(g, f)
     assert len(built) == 1
     assert [c.inequality for c in checks] == list(INEQUALITIES)
     assert checks[1].hypothesis_ok
+
+
+def test_verify_refuses_a_cell_no_replica_can_sample_before_any_sampling(monkeypatch):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampled a corpus before refusing one of its cells")
+
+    monkeypatch.setattr(inequalities, "generate", no_sample)
+    with pytest.raises(ValueError) as refused:
+        verify_corpus(1, sizes=(8, 2**24 + 2), graphs_per_size=1)
+    assert str(refused.value) == ("er n=16777218 p=0.1: 140737513521153 candidate pairs exceed"
+                                  " the 2^47 of one sample")
 
 
 def _corpus_graphs(master_seed, sizes, graphs_per_size):
@@ -282,10 +293,11 @@ def test_memoized_preparations_equal_the_unmemoized_reference():
     # The report rounds to floats; this compares every prepared quantity exactly.
     # On regular graphs one argument carries all k, so a changed c*v*v shows.
     graphs = REGULAR + [g for _, g in _corpus_graphs(13, (8, 16, 32), 10)]
-    memos = [{} for _ in MEMO_FUNCTIONS]
+    rules = resolve(MEMO_FUNCTIONS)
+    memos = [{} for _ in rules]
     for g in graphs:
-        for f, memo in zip(MEMO_FUNCTIONS, memos):
-            got, want = inequalities._Prepared(g, f, memo), UnmemoizedPrepared(g, f)
+        for f, rule, memo in zip(MEMO_FUNCTIONS, rules, memos):
+            got, want = inequalities._Prepared(g, rule, memo), UnmemoizedPrepared(g, f)
             for attr in ("name", "k", "sum", "sum_sq", "log_sum", "logs"):
                 assert getattr(got, attr) == getattr(want, attr), (attr, f, g)
 

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import reference_edge_arrays
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mtindex import models
 from mtindex.models import (
@@ -113,6 +114,17 @@ def test_mean_degree_targets_name_a_size_too_small(target, message):
     # Each once divided by zero: there is no second vertex to be a neighbour.
     with pytest.raises(ValueError, match=message):
         target()
+
+
+@pytest.mark.parametrize("target, message", [
+    (lambda: probability_for_mean_degree(10, 10.0), "target mean degree 10.0 outside [0, n-1]"),
+    (lambda: br_probability_for_mean_degree(2, 2, 5.0),
+     "target mean degree 5.0 unreachable for n1=2, n2=2"),
+], ids=["er", "br"])
+def test_a_mean_degree_beyond_the_model_is_refused(target, message):
+    with pytest.raises(ValueError) as refused:
+        target()
+    assert str(refused.value) == message
 
 
 def test_same_seed_triple_bitwise_reproducible():
@@ -294,6 +306,23 @@ def test_more_than_2_to_the_47_pairs_is_refused_before_any_allocation(spec):
     assert peak <= 2**20
 
 
+@pytest.mark.parametrize("spec, message", [
+    (erdos_renyi(2**24 + 2, 1e-9),
+     "er n=16777218 p=1e-09: 140737513521153 candidate pairs exceed the 2^47 of one sample"),
+    (bipartite(2**24, 2**23 + 1, 1e-9),
+     "br n1=16777216 n2=8388609 p=1e-09: 140737505132544 candidate pairs exceed the 2^47 of"
+     " one sample"),
+], ids=["er", "br"])
+def test_generate_names_a_point_no_replica_can_sample(monkeypatch, spec, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew from a point that was to be refused")
+
+    monkeypatch.setattr(models, "_bernoulli_offsets", no_draw)
+    with pytest.raises(ValueError) as refused:
+        generate(spec, SeedDerivation(1))
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -396,6 +425,49 @@ def test_power_at_least_is_exact(p):
             if 0.0 < u <= 1.0:
                 c, d = float(u).as_integer_ratio()
                 assert models._power_at_least(p, k, float(u)) == ((b - a) ** k * d >= c * b ** k)
+
+
+def _exactly_at_least(p, k, u):
+    return (1 - Fraction(p)) ** k >= Fraction(u)
+
+
+@pytest.mark.parametrize("p, k, u, rounds", [
+    # 1 - 2^-200 rounds to 1 at 128 bits, so the first bracket holds u = 1.
+    (2.0 ** -200, 2, 1.0, 2),
+    (0.5, 3, 0.125, 1),         # equal: every product is exact at the first precision
+    (0.25, 4, 81 / 256, 1),     # equal
+    (0.5, 3, 0.25, 1),
+    (0.3, 5, 0.1, 1),
+    (1e-3, 7, 0.99, 1),
+], ids=["doubles", "equal", "equal-4", "below", "above", "near-one"])
+def test_power_at_least_doubles_its_precision_until_the_bracket_decides(
+        monkeypatch, p, k, u, rounds):
+    seen = []
+    fixed_power = models._fixed_power
+    monkeypatch.setattr(models, "_fixed_power",
+                        lambda q, e, k, prec: seen.append(prec) or fixed_power(q, e, k, prec))
+    assert models._power_at_least(p, k, u) == _exactly_at_least(p, k, u)
+    first = u.as_integer_ratio()[1].bit_length() - 1 + 128    # u = c / 2^f: f + 128 bits
+    assert seen == [first << i for i in range(rounds)]
+
+
+def _ulps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 80).flatmap(
+           lambda e: st.integers(1, 2 ** min(e, 53) - 1).map(lambda a: a * 2.0 ** -e)),
+       st.integers(0, 8),
+       st.one_of(st.floats(5e-324, 1.0), st.integers(-2, 2)))
+def test_power_at_least_agrees_with_fractions_on_dyadic_p(p, k, u):
+    # An integer u stands for the double that many ulps from the exact power.
+    if isinstance(u, int):
+        u = _ulps_from(float((1 - Fraction(p)) ** k), u)
+    assume(0.0 < u <= 1.0)
+    assert models._power_at_least(p, k, u) == _exactly_at_least(p, k, u)
 
 
 def test_fixed_power_brackets_the_power():
