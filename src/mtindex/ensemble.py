@@ -365,8 +365,10 @@ def collapse_check(
     equal labels never merge two tables.  Requires >= 2 tables, >= 5 points
     each at distinct, finite <k> with a finite mean and sem, and a nonempty
     overlap of the <k> ranges.  A pair's tolerance is max(``floor``, 5 * its
-    pooled sem).
+    pooled sem), for a finite ``floor`` >= 0.
     """
+    if not 0.0 <= floor < math.inf:
+        raise ValueError(f"collapse floor must be finite and >= 0, got {floor}")
     if len(tables) < 2:
         raise ValueError("collapse check needs at least two curves")
     curves = []  # (k, y, s) per table, in table order, sorted by k

@@ -16,6 +16,24 @@ precision.  The exact rule thus runs once per distinct argument of the whole
 corpus, the memo holds at most that many entries (a few hundred per function
 on the default corpus, whose degrees are below 32), and no result bit changes.
 
+Past the memo, the arithmetic runs on mpmath's raw values (``x._mpf_``)
+through ``mpmath.libmp``, which skips the cost of an ``mpf`` object per
+operation.  Each raw call is the one that the ``mpf`` operator or context
+function it replaces makes at the same precision and rounding: ``c * v``
+calls ``mpf_mul_int``, ``mp.fsum`` calls ``mpf_sum``, ``mp.exp`` calls
+``mpf_exp``, and ``float(x)`` calls ``to_float``.  So every bit is as the
+object layer computes it.  The envelope [a, b] of ln F is found on the
+floats of the memoized ln F first: rounding to float64 is monotone, so the
+exact extreme is among the entries whose float ties with the float extreme,
+and only those are compared in 192 bits (filter, then decide exactly, as in
+Shewchuk 1997).  exp(a), exp(b) and exp(a + b) are read from a cache keyed
+by the raw value, which lives for one :func:`verify_corpus` call like the
+memo.  A check depends only on its function and the arguments' histogram,
+so :func:`verify_corpus` computes the checks once per function and
+histogram key (a vertex rule's degree counts, an edge rule's degree-pair
+counts) and reuses the same immutable checks for every graph that repeats
+the key.
+
 Conventions: every inequality is oriented ``lhs <= rhs``; ``slack = rhs -
 lhs``; ``holds`` tolerates slack down to ``-1e-9 * max(1, |lhs|, |rhs|)``.
 A check whose side conditions fail is still evaluated but flagged with
@@ -37,6 +55,9 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 from mpmath import mp
+from mpmath.libmp import (fone, from_float, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cmp,
+                          mpf_div, mpf_exp, mpf_ge, mpf_gt, mpf_le, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_sub, mpf_sum, to_float)
 
 from .graph import Graph, build_graph
 from .indices import (
@@ -59,7 +80,11 @@ from .models import (
 )
 
 _PREC = 192          # bits; well above the 128-bit floor the bounds need
+_RND = "n"           # round to nearest: mpmath's default, which mtindex never changes
 RELATIVE_TOL = 1e-9
+_TOL = from_float(RELATIVE_TOL)
+_EPS = from_str("1e-12", _PREC, _RND)          # mp.mpf("1e-12") at _PREC
+_NEG_EPS = mpf_neg(_EPS, _PREC, _RND)
 
 # The positions of run_all_checks' result; k factors, X_sum and X_prod over F.
 INEQUALITIES = (
@@ -85,30 +110,78 @@ class InequalityCheck:
     hypothesis_ok: bool
 
 
+# Raw-value operations at (_PREC, _RND); each is the call that the mpf
+# operator or context function named beside it makes.
+def _add(x, y):         # x + y
+    return mpf_add(x, y, _PREC, _RND)
+
+
+def _sub(x, y):         # x - y
+    return mpf_sub(x, y, _PREC, _RND)
+
+
+def _mul(x, y):         # x * y
+    return mpf_mul(x, y, _PREC, _RND)
+
+
+def _mul_int(x, n):     # n * x, int n
+    return mpf_mul_int(x, n, _PREC, _RND)
+
+
+def _div_int(x, n):     # x / n, int n
+    return mpf_div(x, from_int(n), _PREC, _RND)
+
+
+def _exp(x):            # mp.exp(x)
+    return mpf_exp(x, _PREC, _RND)
+
+
+def _fsum(xs):          # mp.fsum(xs)
+    return mpf_sum(xs, _PREC, _RND)
+
+
 def _finish(inequality, name, lhs, rhs, hypothesis_ok=True):
-    slack = rhs - lhs
-    tol = RELATIVE_TOL * max(mp.one, abs(lhs), abs(rhs))
+    """The check ``lhs <= rhs`` of raw values: ``holds`` when the slack is at
+    least ``-RELATIVE_TOL * max(1, |lhs|, |rhs|)``."""
+    slack = _sub(rhs, lhs)
+    scale = fone
+    for side in (mpf_abs(lhs, _PREC, _RND), mpf_abs(rhs, _PREC, _RND)):
+        if mpf_gt(side, scale):
+            scale = side
+    tol = _mul(scale, _TOL)
     return InequalityCheck(
         inequality=inequality,
         function=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        holds=bool(slack >= -tol),
+        lhs=to_float(lhs, rnd=_RND),
+        rhs=to_float(rhs, rnd=_RND),
+        slack=to_float(slack, rnd=_RND),
+        holds=mpf_ge(slack, mpf_neg(tol, _PREC, _RND)),
         hypothesis_ok=hypothesis_ok,
     )
 
 
+def _extreme(entries, target: float, sign: int):
+    """The least (``sign`` -1) or greatest (+1) raw ln F among the memo
+    ``entries`` whose float is ``target``, the float extreme."""
+    best = None
+    for _, ln, ln_float in entries:
+        if ln_float == target and (best is None or mpf_cmp(ln, best) == sign):
+            best = ln
+    return best
+
+
 class _Prepared:
-    """Shared per-(graph, function) quantities, all in working precision.
+    """Shared per-(graph, function) quantities, raw mpf values at ``_PREC``.
 
     Vertex functions are evaluated over non-isolated vertices only (exclude
     policy with effective n); edge endpoints always have degree >= 1.  F is
     evaluated once per distinct degree, or per distinct ordered (d_u, d_v),
-    and the sums are weighted by how often each value occurs.
+    and the sums are weighted by how often each value occurs.  ``a`` and
+    ``b`` are the least and greatest ln F (None when k == 0).
 
-    ``memo`` maps a distinct argument of the resolved ``rule`` to ``(F, ln F)``;
-    passing the same dict for every graph evaluates each argument once.
+    ``memo`` maps a distinct argument of the resolved ``rule`` to the raw
+    ``(F, ln F)`` and the float of ln F; passing the same dict for every graph
+    evaluates each argument once.
     """
 
     def __init__(self, g: Graph, rule, memo: dict):
@@ -120,12 +193,18 @@ class _Prepared:
             for x in distinct:
                 if x not in memo:
                     v = rule.mp(mp, *x)
-                    memo[x] = (v, mp.log(v))
-            values = [memo[x][0] for x in distinct]
-            self.logs = [memo[x][1] for x in distinct]
-            self.sum = mp.fsum(c * v for c, v in zip(counts, values))
-            self.sum_sq = mp.fsum(c * v * v for c, v in zip(counts, values))
-            self.log_sum = mp.fsum(c * x for c, x in zip(counts, self.logs))
+                    ln = mp.log(v)
+                    memo[x] = (v._mpf_, ln._mpf_, float(ln))
+        entries = [memo[x] for x in distinct]
+        weighted = [_mul_int(v, c) for c, (v, _, _) in zip(counts, entries)]   # c * v
+        self.sum = _fsum(weighted)
+        self.sum_sq = _fsum([_mul(cv, v) for cv, (v, _, _) in zip(weighted, entries)])
+        self.log_sum = _fsum([_mul_int(ln, c) for c, (_, ln, _) in zip(counts, entries)])
+        # Rounding to float64 is monotone, so the exact extremes are among the
+        # entries whose float ties with the float extreme.
+        floats = [ln_float for _, _, ln_float in entries]
+        self.a = _extreme(entries, min(floats), -1) if entries else None
+        self.b = _extreme(entries, max(floats), 1) if entries else None
 
 
 def run_all_checks(g: Graph, f: IndexKind) -> list[InequalityCheck]:
@@ -134,33 +213,46 @@ def run_all_checks(g: Graph, f: IndexKind) -> list[InequalityCheck]:
     With no realized values (k == 0) the first four checks are vacuous:
     lhs = rhs = 0.
     """
-    return _checks(_Prepared(g, _resolve(f), {}))
+    return _checks(_Prepared(g, _resolve(f), {}), {})
 
 
-def _checks(p: _Prepared) -> list[InequalityCheck]:
-    """:func:`run_all_checks` on the preparation ``p``."""
-    k, name = p.k, p.name
-    with mp.workprec(_PREC):
-        eps = mp.mpf("1e-12")
-        if k == 0:
-            checks = [_finish(ineq, name, mp.zero, mp.zero) for ineq in INEQUALITIES[:4]]
-            coherent = True
-        else:
-            a, b = min(p.logs), max(p.logs)
-            mean = p.sum / k
-            converse = mp.exp(a) + mp.exp(b) - mp.exp(a + b) * mp.exp(-p.log_sum / k)
-            gm_sq = mp.exp(2 * p.log_sum / k)
-            square = p.sum * p.sum
-            checks = [
-                _finish("jensen", name, mp.exp(p.log_sum / k), mean),
-                _finish("jensen_converse", name, mean, converse),
-                _finish("kober_lower", name, p.sum_sq + k * (k - 1) * gm_sq, square),
-                _finish("kober_upper", name, square, (k - 1) * p.sum_sq + k * gm_sq),
-            ]
-            coherent = bool(a >= -eps) or bool(b <= eps)
-        product = mp.exp(p.log_sum)
-        checks.append(_finish("petrovic_sum", name, p.sum, product + (k - 1), coherent))
-        checks.append(_finish("exp_linear", name, p.log_sum + 1, product))
+def _cached_exp(x, exps: dict):
+    """``_exp(x)``, read from or added to ``exps``, keyed by the raw ``x``."""
+    e = exps.get(x)
+    if e is None:
+        e = exps[x] = _exp(x)
+    return e
+
+
+def _checks(p: _Prepared, exps: dict) -> list[InequalityCheck]:
+    """:func:`run_all_checks` on the preparation ``p``; ``exps`` caches exp
+    of the envelope ends (see :func:`_cached_exp`)."""
+    k, name, total, log_sum = p.k, p.name, p.sum, p.log_sum
+    if k == 0:
+        checks = [_finish(ineq, name, fzero, fzero) for ineq in INEQUALITIES[:4]]
+        coherent = True
+    else:
+        a, b = p.a, p.b
+        mean = _div_int(total, k)
+        # e^a + e^b - e^(a+b) * exp(-log_sum / k)
+        converse = _sub(_add(_cached_exp(a, exps), _cached_exp(b, exps)),
+                        _mul(_cached_exp(_add(a, b), exps),
+                             _exp(_div_int(mpf_neg(log_sum, _PREC, _RND), k))))
+        gm_sq = _exp(_div_int(_mul_int(log_sum, 2), k))          # exp(2 * log_sum / k)
+        square = _mul(total, total)
+        checks = [
+            _finish("jensen", name, _exp(_div_int(log_sum, k)), mean),
+            _finish("jensen_converse", name, mean, converse),
+            # sum_sq + k * (k - 1) * gm_sq <= square
+            _finish("kober_lower", name, _add(p.sum_sq, _mul_int(gm_sq, k * (k - 1))), square),
+            # square <= (k - 1) * sum_sq + k * gm_sq
+            _finish("kober_upper", name, square,
+                    _add(_mul_int(p.sum_sq, k - 1), _mul_int(gm_sq, k))),
+        ]
+        coherent = mpf_ge(a, _NEG_EPS) or mpf_le(b, _EPS)        # a >= -eps or b <= eps
+    product = _exp(log_sum)
+    checks.append(_finish("petrovic_sum", name, total, _add(product, from_int(k - 1)), coherent))
+    checks.append(_finish("exp_linear", name, _add(log_sum, fone), product))
     return checks
 
 
@@ -232,13 +324,23 @@ def verify_corpus(
     for spec, _ in cells:
         check_samplable(spec)
     rows: list[CorpusCheck] = []
-    memos = [{} for _ in rules]  # per function, for this call only
+    # For this call only: per function, each argument's F and ln F, and the
+    # checks of each histogram key; exp of each envelope end for all of them.
+    memos = [{} for _ in rules]
+    done: list[dict] = [{} for _ in rules]
+    exps: dict = {}
     for point_id, (spec, reps) in enumerate(cells):
         for replica in range(reps):
             g = generate(spec, SeedDerivation(master_seed, point_id, replica))
-            for rule, memo in zip(rules, memos):
-                for check in _checks(_Prepared(g, rule, memo)):
-                    rows.append(CorpusCheck(spec.model, spec.n, spec.param_value, check))
+            h = g.histogram
+            keys = {"vertex": h.vertex.tobytes(),
+                    "edge": (h.pairs[0].tobytes(), h.pairs[1].tobytes(), h.pair_counts.tobytes())}
+            for rule, memo, seen in zip(rules, memos, done):
+                key = keys[rule.arity]
+                checks = seen.get(key)
+                if checks is None:
+                    checks = seen[key] = _checks(_Prepared(g, rule, memo), exps)
+                rows.extend(CorpusCheck(spec.model, spec.n, spec.param_value, c) for c in checks)
     g, f = petrovic_counterexample()
     rows.append(CorpusCheck("counterexample", g.n, 0.0, run_all_checks(g, f)[4]))
     return rows

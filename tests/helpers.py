@@ -420,24 +420,34 @@ def reference_function_values(g, rule):
     return arity, rule.name, values
 
 
+def _raw_envelope(prepared, logs):
+    """Set ``prepared``'s ``a`` and ``b``: min and max of the mpf ``logs``, raw
+    (None without logs), as the verifier's raw-valued preparation has them."""
+    prepared.a = min(logs)._mpf_ if logs else None
+    prepared.b = max(logs)._mpf_ if logs else None
+
+
 class ReferencePrepared:
     """The verifier's per-element preparation of a resolved rule: float factors,
-    one mpmath log each.  The memo is not used."""
+    one mpmath log each, summed as mpf objects; the sums and the envelope are
+    handed on raw, as ``inequalities._checks`` reads them.  The memo is not used."""
 
     def __init__(self, g, rule, memo):
         self.arity, self.name, raw = reference_function_values(g, rule)
         self.k = len(raw)
         with mp.workprec(PREC):
-            self.values = [mp.mpf(v) for v in raw]
-            self.logs = [mp.log(v) for v in self.values]
-            self.sum = mp.fsum(self.values)
-            self.sum_sq = mp.fsum(v * v for v in self.values)
-            self.log_sum = mp.fsum(self.logs)
+            values = [mp.mpf(v) for v in raw]
+            logs = [mp.log(v) for v in values]
+            self.sum = mp.fsum(values)._mpf_
+            self.sum_sq = mp.fsum(v * v for v in values)._mpf_
+            self.log_sum = mp.fsum(logs)._mpf_
+        _raw_envelope(self, logs)
 
 
 class UnmemoizedPrepared:
-    """The verifier's preparation before the memo: exact rules once per distinct
-    argument of one graph (``np.unique(axis=0)``), count-weighted ``c * v`` sums."""
+    """The verifier's preparation before the memo and the raw values: exact
+    rules once per distinct argument of one graph (``np.unique(axis=0)``),
+    count-weighted ``c * v`` sums of mpf objects, and min/max of the logs."""
 
     def __init__(self, g, f):
         rule = _resolve(f)
@@ -451,10 +461,11 @@ class UnmemoizedPrepared:
         counts = counts.tolist()
         with mp.workprec(PREC):
             values = [rule.mp(mp, *x) for x in distinct.tolist()]
-            self.logs = [mp.log(v) for v in values]
-            self.sum = mp.fsum(c * v for c, v in zip(counts, values))
-            self.sum_sq = mp.fsum(c * v * v for c, v in zip(counts, values))
-            self.log_sum = mp.fsum(c * x for c, x in zip(counts, self.logs))
+            logs = [mp.log(v) for v in values]
+            self.sum = mp.fsum(c * v for c, v in zip(counts, values))._mpf_
+            self.sum_sq = mp.fsum(c * v * v for c, v in zip(counts, values))._mpf_
+            self.log_sum = mp.fsum(c * x for c, x in zip(counts, logs))._mpf_
+        _raw_envelope(self, logs)
 
 
 # The custom-expression front end of the CLI before it became one AST walk:

@@ -223,6 +223,22 @@ def test_collapse_errors():
         collapse_check([("a", rows), ("b", far)], "nk", 0.05)
 
 
+@pytest.mark.parametrize("floor", [math.nan, -1.0, math.inf])
+def test_collapse_refuses_a_floor_that_is_not_finite_and_nonnegative(monkeypatch, floor):
+    spec = EnsembleSpec(
+        grid=tuple(erdos_renyi(50, k / 49.0) for k in (2, 4, 6, 8, 10)),
+        indices=("nk",), master_seed=SEED, budget=100)
+    rows = sweep(spec)
+
+    def no_interp(*args, **kwargs):
+        raise AssertionError("interpolated before refusing the floor")
+
+    monkeypatch.setattr(ensemble.np, "interp", no_interp)
+    with pytest.raises(ValueError) as refused:
+        collapse_check([("a", rows), ("b", rows)], "nk", floor)
+    assert str(refused.value) == f"collapse floor must be finite and >= 0, got {floor}"
+
+
 def test_split_curves_groups_by_size():
     rows = sweep(EnsembleSpec(
         grid=(erdos_renyi(20, 0.1), erdos_renyi(40, 0.1)),

@@ -2,6 +2,7 @@ import collections
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -289,6 +290,9 @@ REGULAR = [build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
                                     for n in range(3, 9)]
 
 
+PREPARED = ("name", "k", "sum", "sum_sq", "log_sum", "a", "b")
+
+
 def test_memoized_preparations_equal_the_unmemoized_reference():
     # The report rounds to floats; this compares every prepared quantity exactly.
     # On regular graphs one argument carries all k, so a changed c*v*v shows.
@@ -298,8 +302,67 @@ def test_memoized_preparations_equal_the_unmemoized_reference():
     for g in graphs:
         for f, rule, memo in zip(MEMO_FUNCTIONS, rules, memos):
             got, want = inequalities._Prepared(g, rule, memo), UnmemoizedPrepared(g, f)
-            for attr in ("name", "k", "sum", "sum_sq", "log_sum", "logs"):
+            for attr in PREPARED:
                 assert getattr(got, attr) == getattr(want, attr), (attr, f, g)
+
+
+# ln F at any two degrees below 2^20 rounds to one float64 (ln 2^1000 ~ 693 has
+# an ulp of 2^-43) but differs at 192 bits, so the envelope is decided on
+# the exact values of these float ties: the greatest ln F of TIED_UP is at the
+# largest degree, and the least of TIED_DOWN at the largest degree.
+TIED_UP = VertexFunction("tied_up", lambda d: 2.0 ** 1000 * (1.0 + d * 2.0 ** -52))
+TIED_DOWN = VertexFunction("tied_down", lambda d: 2.0 ** 1000 * (1.0 - d * 2.0 ** -53))
+
+
+def test_float_ties_of_ln_f_differ_at_the_working_precision():
+    logs = [math.log(TIED_UP.fn(d)) for d in range(1, 12)]
+    assert len(set(logs)) == 1
+    p = inequalities._Prepared(build_graph(3, [(0, 1), (1, 2)]), resolve([TIED_UP])[0], {})
+    assert p.a != p.b
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_sets())
+def test_preparations_equal_the_unmemoized_reference_on_any_graph(case):
+    g = build_graph(*case)
+    functions = MEMO_FUNCTIONS + [TIED_UP, TIED_DOWN]
+    for f, rule in zip(functions, resolve(functions)):
+        got, want = inequalities._Prepared(g, rule, {}), UnmemoizedPrepared(g, f)
+        for attr in PREPARED:
+            assert getattr(got, attr) == getattr(want, attr), (attr, f, case)
+
+
+def _histogram_key(g, rule):
+    """What a rule's checks read of ``g``: its degree counts, isolated
+    vertices included, or its counts of ordered endpoint-degree pairs."""
+    if rule.arity == "vertex":
+        return tuple(np.bincount(g.degrees).tolist())
+    return tuple(sorted(collections.Counter(map(tuple, g.edge_degree_pairs().tolist())).items()))
+
+
+def test_verify_checks_each_function_and_histogram_once(monkeypatch):
+    # The ER p = 1.0 and RG r = sqrt(2) cells (and at n = 8 some RG cells
+    # below) give complete graphs, whose histograms repeat across the models.
+    checked = []
+
+    def counting(p, exps):
+        checked.append(p.name)
+        return real(p, exps)
+
+    real = inequalities._checks
+    monkeypatch.setattr(inequalities, "_checks", counting)
+    sizes = (8, 16)
+    rows = verify_corpus(9, sizes=sizes, graphs_per_size=10, functions=MEMO_FUNCTIONS)
+    rules = resolve(MEMO_FUNCTIONS)
+    graphs = [(spec, g) for spec, g in _corpus_graphs(9, sizes, 10)]
+    complete = {(spec.model, g.n) for spec, g in graphs if g.m == g.n * (g.n - 1) // 2}
+    assert complete == {(model, n) for model in ("er", "rg") for n in sizes}
+    keys = {(i, _histogram_key(g, rule)) for _, g in graphs for i, rule in enumerate(rules)}
+    # The counterexample's run_all_checks is one more call.
+    assert len(checked) == len(keys) + 1 < len(graphs) * len(rules) + 1
+    assert collections.Counter(checked[:-1]) == collections.Counter(
+        rules[i].name for i, _ in keys)
+    assert len(rows) == len(graphs) * len(rules) * len(INEQUALITIES) + 1
 
 
 def test_a_verify_graph_builds_its_histogram_once_for_all_functions(monkeypatch):

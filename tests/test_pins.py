@@ -55,6 +55,20 @@ def test_verify_report(tmp_path, capsys):
         "3b6459bfb091404659d3e4a31238e471f90c08b06f8bd33504f224e062041455")
 
 
+def test_verify_report_with_a_custom_function(tmp_path, capsys):
+    # The bench's verify-corpus shape: three sizes, where degree histograms
+    # repeat, and a custom edge function beside the built-ins.
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--seed", "1", "--sizes", "8,16,32", "--graphs", "10",
+                 "--custom-edge", "rootsum=sqrt(a+b)", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "verify: 5401 checks, 0 failures, 26 flagged (hypothesis not met, not asserted)\n")
+    data = out.read_bytes()
+    assert data.count(b"\n") == 5402
+    assert hashlib.sha256(data).hexdigest() == (
+        "195ceae2d13fcf7d2fafdfda0842ef5bb45d763fde69e4af836d758f6b1aceea")
+
+
 def _digest_dir(path):
     h = hashlib.sha256()
     for f in sorted(path.iterdir()):
