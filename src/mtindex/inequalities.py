@@ -15,6 +15,11 @@ function for one call: each distinct argument's F and ln F at the working
 precision.  The exact rule thus runs once per distinct argument of the whole
 corpus, the memo holds at most that many entries (a few hundred per function
 on the default corpus, whose degrees are below 32), and no result bit changes.
+A built-in edge rule runs once per unordered degree pair: it is built from
+``+``, ``*``, ``/`` and ``sqrt``, which mpmath rounds correctly, and ``+`` and
+``*`` commute, so F(a, b) and F(b, a) have the same bits, and the memo stores
+the entry under both orders.  A custom edge function keeps one entry per
+ordered pair, as a float expression need not be symmetric.
 
 Past the memo, the arithmetic runs on mpmath's raw values (``x._mpf_``)
 through ``mpmath.libmp``, which skips the cost of an ``mpf`` object per
@@ -36,6 +41,8 @@ the key.
 
 Conventions: every inequality is oriented ``lhs <= rhs``; ``slack = rhs -
 lhs``; ``holds`` tolerates slack down to ``-1e-9 * max(1, |lhs|, |rhs|)``.
+That bound is never positive, so a slack >= 0 holds at once and only a
+negative slack is compared with it.
 A check whose side conditions fail is still evaluated but flagged with
 ``hypothesis_ok=False`` so callers can report it without asserting it.
 
@@ -51,8 +58,7 @@ mixed-sign instance that genuinely violates the bare inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from mpmath import mp
 from mpmath.libmp import (fone, from_float, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cmp,
@@ -99,8 +105,7 @@ INEQUALITIES = (
 REPORT_COLUMNS = "inequality,model,n,param,function,lhs,rhs,slack,holds,hypothesis_ok"
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     inequality: str
     function: str
     lhs: float
@@ -142,22 +147,18 @@ def _fsum(xs):          # mp.fsum(xs)
 
 def _finish(inequality, name, lhs, rhs, hypothesis_ok=True):
     """The check ``lhs <= rhs`` of raw values: ``holds`` when the slack is at
-    least ``-RELATIVE_TOL * max(1, |lhs|, |rhs|)``."""
+    least ``-RELATIVE_TOL * max(1, |lhs|, |rhs|)``.  That bound is <= 0, so a
+    slack >= 0 holds without it."""
     slack = _sub(rhs, lhs)
-    scale = fone
-    for side in (mpf_abs(lhs, _PREC, _RND), mpf_abs(rhs, _PREC, _RND)):
-        if mpf_gt(side, scale):
-            scale = side
-    tol = _mul(scale, _TOL)
-    return InequalityCheck(
-        inequality=inequality,
-        function=name,
-        lhs=to_float(lhs, rnd=_RND),
-        rhs=to_float(rhs, rnd=_RND),
-        slack=to_float(slack, rnd=_RND),
-        holds=mpf_ge(slack, mpf_neg(tol, _PREC, _RND)),
-        hypothesis_ok=hypothesis_ok,
-    )
+    holds = mpf_ge(slack, fzero)
+    if not holds:
+        scale = fone
+        for side in (mpf_abs(lhs, _PREC, _RND), mpf_abs(rhs, _PREC, _RND)):
+            if mpf_gt(side, scale):
+                scale = side
+        holds = mpf_ge(slack, mpf_neg(_mul(scale, _TOL), _PREC, _RND))
+    return InequalityCheck(inequality, name, to_float(lhs, rnd=_RND), to_float(rhs, rnd=_RND),
+                           to_float(slack, rnd=_RND), holds, hypothesis_ok)
 
 
 def _extreme(entries, target: float, sign: int):
@@ -181,7 +182,8 @@ class _Prepared:
 
     ``memo`` maps a distinct argument of the resolved ``rule`` to the raw
     ``(F, ln F)`` and the float of ln F; passing the same dict for every graph
-    evaluates each argument once.
+    evaluates each argument once.  A built-in edge rule is exactly symmetric,
+    so its entry for (d_u, d_v) is also stored for (d_v, d_u).
     """
 
     def __init__(self, g: Graph, rule, memo: dict):
@@ -189,12 +191,15 @@ class _Prepared:
         args, counts, _, _ = _distinct_arguments(g.histogram, rule)
         distinct, counts = list(zip(*(a.tolist() for a in args))), counts.tolist()
         self.k = sum(counts)
+        mirror = rule.arity == "edge" and MULTIPLICATIVE_INDICES.get(rule.name) is rule
         with mp.workprec(_PREC):
             for x in distinct:
                 if x not in memo:
                     v = rule.mp(mp, *x)
                     ln = mp.log(v)
                     memo[x] = (v._mpf_, ln._mpf_, float(ln))
+                    if mirror:
+                        memo[x[::-1]] = memo[x]
         entries = [memo[x] for x in distinct]
         weighted = [_mul_int(v, c) for c, (v, _, _) in zip(counts, entries)]   # c * v
         self.sum = _fsum(weighted)
@@ -269,8 +274,7 @@ def petrovic_counterexample() -> tuple[Graph, VertexFunction]:
     return g, f
 
 
-@dataclass(frozen=True)
-class CorpusCheck:
+class CorpusCheck(NamedTuple):
     model: str
     n: int
     param: float
@@ -291,10 +295,14 @@ def corpus_model_points(
     ``graphs_per_size`` graphs are split, the first ``graphs_per_size % 10``
     values taking one more than the rest.  Every grid value keeps its cell,
     also with zero replicas, so a cell's position (its point id) depends only
-    on the sizes.
+    on the sizes.  A size below 2 leaves a bipartite part empty, so it is
+    refused before any cell is built.
     """
     if not sizes:
         raise ValueError("sizes must list at least one graph size")
+    for n in sizes:
+        if n < 2:
+            raise ValueError(f"sizes must be >= 2, got {n}")
     if graphs_per_size < 1:
         raise ValueError(f"graphs per size must be >= 1, got {graphs_per_size}")
     params = [(i + 1) / 10.0 for i in range(10)]
@@ -316,8 +324,8 @@ def verify_corpus(
 ) -> list[CorpusCheck]:
     """Run every check over the sampled corpus; deterministic in master_seed.
     An unknown or repeated function (each is resolved once, here), a seed
-    outside [0, 2^64), or a cell that no replica can sample, raises ValueError
-    before any sampling."""
+    outside [0, 2^64), a size below 2, or a cell that no replica can sample,
+    raises ValueError before any sampling."""
     rules = resolve(MULTIPLICATIVE_INDICES if functions is None else functions)
     check_master_seed(master_seed)
     cells = corpus_model_points(sizes, graphs_per_size)

@@ -19,7 +19,7 @@ from mtindex.indices import (
     _check_policy,
     _resolve,
 )
-from mtindex.inequalities import _PREC as PREC
+from mtindex.inequalities import _PREC as PREC, RELATIVE_TOL
 from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
 
 
@@ -466,6 +466,15 @@ class UnmemoizedPrepared:
             self.sum_sq = mp.fsum(c * v * v for c, v in zip(counts, values))._mpf_
             self.log_sum = mp.fsum(c * x for c, x in zip(counts, logs))._mpf_
         _raw_envelope(self, logs)
+
+
+def reference_holds(lhs, rhs):
+    """The verdict of the check ``lhs <= rhs`` of raw values, by the full rule
+    in mpf objects: the slack against ``-RELATIVE_TOL * max(1, |lhs|, |rhs|)``,
+    the tolerance worked out whatever the slack's sign."""
+    with mp.workprec(PREC):
+        lhs, rhs = mp.make_mpf(lhs), mp.make_mpf(rhs)
+        return rhs - lhs >= -(max(1, abs(lhs), abs(rhs)) * RELATIVE_TOL)
 
 
 # The custom-expression front end of the CLI before it became one AST walk:

@@ -660,7 +660,9 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
      "p must lie in [0, 1], got 1.5"),
     (["sweep", "--model", "rg", "--n", "40", "--r", "2", "--index", "nk", "--seed", "5"],
      "r must lie in [0, sqrt(2)], got 2.0"),
-    (["verify", "--seed", "1", "--sizes", "0"], "size must be a positive integer, got n=0"),
+    (["verify", "--seed", "1", "--sizes", "0"], "sizes must be >= 2, got 0"),
+    (["verify", "--seed", "1", "--sizes", "1"], "sizes must be >= 2, got 1"),
+    (["verify", "--seed", "1", "--sizes", "8,1"], "sizes must be >= 2, got 1"),
     (["sweep", "--model", "er", "--n", "40", "--p", "0.1", "--index", "nk", "--seed", "5",
       "--budget", "inf"], "budget must be finite, got inf"),
     (["sweep", "--model", "er", "--n", "40", "--p", "0.1", "--index", "nk", "--seed", "5",
@@ -721,6 +723,7 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "x"],
      "custom function must be NAME=EXPR, got 'x'"),
 ], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0",
+        "verify-sizes-1", "verify-sizes-8-1",
         "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative",
         "verify-sizes-empty", "verify-sizes-comma", "generate-replicas-0",
         "generate-replicas-negative", "sweep-er-repeated-point", "sweep-br-repeated-point",

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
+from mpmath.libmp import finf, fnan, fninf, from_float, from_man_exp, fzero
 
 from helpers import (
     ReferencePrepared,
@@ -12,10 +15,19 @@ from helpers import (
     count_histograms,
     edge_sets,
     mixed_graphs,
+    reference_holds,
 )
 from mtindex import inequalities
 from mtindex.graph import build_graph
-from mtindex.indices import MULTIPLICATIVE_NAMES, EdgeFunction, VertexFunction, resolve
+from mtindex.indices import (
+    MULTIPLICATIVE_INDICES,
+    MULTIPLICATIVE_NAMES,
+    EdgeFunction,
+    VertexFunction,
+    _Custom,
+    _Rule,
+    resolve,
+)
 from mtindex.inequalities import (
     INEQUALITIES,
     corpus_model_points,
@@ -371,3 +383,99 @@ def test_a_verify_graph_builds_its_histogram_once_for_all_functions(monkeypatch)
     graphs = sum(reps for _, reps in corpus_model_points((8, 16), 10))
     assert len(rows) == graphs * len(MEMO_FUNCTIONS) * len(INEQUALITIES) + 1
     assert len(built) == graphs + 1     # the counterexample is one more graph
+
+
+BUILT_IN_EDGE_RULES = [r for r in MULTIPLICATIVE_INDICES.values() if r.arity == "edge"]
+
+
+def _mirrored_bits(rule, a, b):
+    """Raw F and ln F of ``rule`` at (a, b) and at (b, a), at the working precision."""
+    with mp.workprec(inequalities._PREC):
+        f_ab, f_ba = rule.mp(mp, a, b), rule.mp(mp, b, a)
+        return (f_ab._mpf_, mp.log(f_ab)._mpf_), (f_ba._mpf_, mp.log(f_ba)._mpf_)
+
+
+def test_built_in_edge_rules_are_bitwise_symmetric_at_every_small_degree_pair():
+    # The memo stores a built-in edge rule's F at (a, b) for (b, a) too.
+    # mpmath's + * / and sqrt round correctly and + and * commute, so F(a, b)
+    # and F(b, a) have the same bits.
+    for rule in BUILT_IN_EDGE_RULES:
+        for a in range(1, 65):
+            for b in range(a + 1, 65):
+                ab, ba = _mirrored_bits(rule, a, b)
+                assert ab == ba, (rule.name, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**40), st.integers(1, 2**40))
+def test_built_in_edge_rules_are_bitwise_symmetric_at_any_degree_pair(a, b):
+    for rule in BUILT_IN_EDGE_RULES:
+        ab, ba = _mirrored_bits(rule, a, b)
+        assert ab == ba, (rule.name, a, b)
+
+
+ROOTSUM = EdgeFunction("rootsum", lambda a, b: math.sqrt(a + b))
+SKEW = EdgeFunction("skew", lambda a, b: a + 2.0 * b)
+
+
+def test_built_in_edge_rules_evaluate_f_once_per_unordered_pair(monkeypatch):
+    # The bench's verify-corpus shape at seed 1 has 508 distinct ordered
+    # degree pairs and 304 unordered ones.  A custom edge function need not
+    # be symmetric, so it keeps one evaluation per ordered pair.
+    calls = collections.Counter()
+    for cls in (_Rule, _Custom):
+        def counted(self, ctx, *degrees, real=cls.mp):
+            calls[self.name] += 1
+            return real(self, ctx, *degrees)
+        monkeypatch.setattr(cls, "mp", counted)
+    verify_corpus(1, sizes=(8, 16, 32), graphs_per_size=10,
+                  functions=[*MULTIPLICATIVE_NAMES, ROOTSUM])
+    for rule in BUILT_IN_EDGE_RULES:
+        assert calls[rule.name] == 304, rule.name
+    assert calls["rootsum"] == 508
+
+
+def test_an_asymmetric_custom_edge_function_matches_the_per_element_reference(monkeypatch):
+    # skew(a, b) != skew(b, a): mirroring its memo would read F of the other order.
+    got = verify_corpus(1, sizes=(8, 16), graphs_per_size=10, functions=[SKEW])
+    monkeypatch.setattr(inequalities, "_Prepared", ReferencePrepared)
+    want = verify_corpus(1, sizes=(8, 16), graphs_per_size=10, functions=[SKEW])
+    assert got == want
+
+
+def _raw_values():
+    """Raw mpf values: finite ones from tiny to far beyond float range, and
+    the special values, which no verifier side takes but the rule decides."""
+    finite = st.builds(lambda sign, man, exp: from_man_exp(sign * man, exp),
+                       st.sampled_from([1, -1]), st.integers(1, 2**192), st.integers(-400, 5000))
+    floats = st.floats(allow_nan=False, allow_infinity=False).map(from_float)
+    return st.one_of(finite, floats, st.sampled_from([fzero, from_float(-0.0), finf, fninf, fnan]))
+
+
+@st.composite
+def _sides(draw):
+    """(lhs, rhs): rhs is lhs itself, any value, or lhs less t times the
+    tolerance, with t just below, at or just above 1 (a negative slack just
+    inside, at or just outside the tolerance) or t < 0 (a positive slack)."""
+    lhs = draw(_raw_values())
+    how = draw(st.sampled_from(["equal", "near", "any"]))
+    if how == "equal":
+        return lhs, lhs
+    if how == "any":
+        return lhs, draw(_raw_values())
+    t = draw(st.sampled_from([1.0 - 2.0**-30, 1.0, 1.0 + 2.0**-30, -0.5]))
+    with mp.workprec(inequalities._PREC):
+        x = mp.make_mpf(lhs)
+        return lhs, (x - t * inequalities.RELATIVE_TOL * max(1, abs(x)))._mpf_
+
+
+def test_mpmath_has_no_negative_zero():
+    # A slack of -0.0 reaches the verifier only as fzero.
+    assert from_float(-0.0) == fzero
+
+
+@settings(max_examples=500, deadline=None)
+@given(_sides())
+def test_sign_first_verdicts_equal_the_full_rule(sides):
+    lhs, rhs = sides
+    assert inequalities._finish("jensen", "f", lhs, rhs).holds == reference_holds(lhs, rhs)
