@@ -11,7 +11,9 @@ Results are written as a flat CSV, one row per (grid point, index), with
 floats serialized via ``repr`` so reruns are byte-identical.
 
 :func:`collapse_check` returns each verdict with what it measured: a curve
-pair's tolerance, max(floor, 5 * pooled sem), and whether the pair is within.
+pair's tolerance, max(floor, 5 * pooled sem), where the pooled sem is the
+largest interpolated hypot(sa, sb) anywhere on the shared <k> grid, and
+whether the pair's largest deviation is within it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 from .dense import DENSE_REGIME_MEAN_DEGREE, UnsupportedIndexError, scaling_curve
 from .graph import DegreeHistogram, atomic_write
 from .indices import EXCLUDE, _check_policy, _ln_indices, resolve
-from .models import (ModelSpec, SeedDerivation, check_master_seed, check_samplable,
-                     mean_degree, sample_chunk)
+from .models import (ModelSpec, check_master_seed, check_samplable, mean_degree,
+                     replica_generators, sample_chunk)
 
 DEFAULT_BUDGET = 1e5
 
@@ -124,8 +126,7 @@ def _replica_chunk(
     One generated instance serves all the ``rules``, and each replica's values
     are those it would have alone.  Returns ``(values, excluded, k_emp)``.
     """
-    rngs = [SeedDerivation(master_seed, point_id, r).generator() for r in range(lo, hi)]
-    deg, du, dv, m = sample_chunk(point, rngs)
+    deg, du, dv, m = sample_chunk(point, replica_generators(master_seed, point_id, lo, hi))
     values, excluded = _ln_indices(
         rules, DegreeHistogram.stack(deg, du, dv, np.full(hi - lo, point.n), m), policy)
     return values, excluded, 2.0 * m / point.n
@@ -364,8 +365,15 @@ def collapse_check(
     interpolation, no smoothing); curves are compared by table position, so
     equal labels never merge two tables.  Requires >= 2 tables, >= 5 points
     each at distinct, finite <k> with a finite mean and sem, and a nonempty
-    overlap of the <k> ranges.  A pair's tolerance is max(``floor``, 5 * its
-    pooled sem), for a finite ``floor`` >= 0.
+    overlap of the <k> ranges.
+
+    The rule, for a finite ``floor`` >= 0: each curve's mean_ln/n and its
+    sem/n are interpolated onto the shared grid, every distinct <k> of any
+    curve inside the overlap.  A pair's deviation is the largest |ya - yb| on
+    that grid, at the first <k> that attains it.  Its ``pooled_sem`` is the
+    largest hypot(sa, sb) anywhere on the grid, not the value at the <k> of
+    the deviation.  Its tolerance is max(``floor``, 5 * pooled_sem), and the
+    pair is ``within`` when its deviation is at most that.
     """
     if not 0.0 <= floor < math.inf:
         raise ValueError(f"collapse floor must be finite and >= 0, got {floor}")

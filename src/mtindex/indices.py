@@ -17,12 +17,15 @@ then found once per arity and the terms taken once for all of them, and one
 ``np.bincount`` adds each graph's terms, in order, into its own total, so a
 graph gets the same bits alone or stacked.
 
-Terms.  A built-in's ln F comes from its table of ln F at every degree (or
-degree pair) below the power of two above the largest degree seen, up to
-``_TABLE_CAP``; a stack with a degree at or above the cap computes ln F at its
-distinct arguments.
-A sum's F, and any custom function, is computed at those arguments only,
-never over a table.
+Terms.  A built-in's ln F comes from its row of one table per arity, with one
+row per built-in product of that arity, at every degree (or degree pair) below
+the power of two above the largest degree seen, up to ``_TABLE_CAP``.  The
+table index of a histogram's arguments is computed once per arity, and one
+gather of the table's rows and one multiply by the counts give the weighted
+terms of every built-in product of that arity; each rule keeps its own
+``np.bincount``.  A stack with a degree at or above the cap computes ln F at
+its distinct arguments.  A sum's F, and any custom function, is computed at
+those arguments only, never over a table.
 numpy's log and the rules' arithmetic act element by element, so a table
 entry has the bits of ln F at that argument alone, and no value depends on
 where its term came from (the tests check this under both log kernels).
@@ -161,34 +164,6 @@ class _Rule:
     def mp(self, ctx, *degrees):
         return self.F(ctx.sqrt, *map(ctx.mpf, degrees))
 
-    def terms(self, degrees: tuple[np.ndarray, ...], top: int) -> np.ndarray:
-        """The summands at each argument: ``value`` for an additive rule, else
-        ``ln``, bit for bit, where no degree reaches ``top``: read from the
-        rule's table while ``top <= _TABLE_CAP``, computed above it."""
-        if self.additive:
-            return self.value(*degrees)
-        if top > _TABLE_CAP:
-            return self.ln(*degrees)
-        table = _LN_TABLES.get(self)
-        if table is None or len(table) < top:
-            size = min(1 << (top - 1).bit_length(), _TABLE_CAP)   # a power of two >= top
-            with np.errstate(divide="ignore", invalid="ignore"):   # F at degree 0
-                table = self.ln(*np.indices((size,) * len(degrees)))
-            _LN_TABLES[self] = table
-        index = degrees[0]
-        for d in degrees[1:]:
-            index = index * len(table) + d
-        return table.ravel().take(index)
-
-
-# One table of ln F per built-in rule per process, over every degree (vertex
-# rules) or degree pair (edge rules) below the power of two at or above the
-# largest degree seen, up to _TABLE_CAP, and replaced by one twice as large or
-# more as degrees grow, so a rule builds at most 7.  An entry depends on the
-# rule alone, so every caller shares it.
-_TABLE_CAP = 64
-_LN_TABLES: dict[_Rule, np.ndarray] = {}
-
 
 class _Custom(_Rule):
     """A :class:`VertexFunction` or :class:`EdgeFunction`: ``F(*degrees)`` is the
@@ -196,9 +171,6 @@ class _Custom(_Rule):
 
     def value(self, *degrees: np.ndarray) -> np.ndarray:
         return np.array([self.F(*x) for x in zip(*(a.tolist() for a in degrees))])
-
-    def terms(self, degrees: tuple[np.ndarray, ...], top: int) -> np.ndarray:
-        return self.value(*degrees) if self.additive else self.ln(*degrees)
 
     def mp(self, ctx, *degrees):
         return ctx.mpf(self.F(*degrees))
@@ -235,6 +207,37 @@ _ADDITIVE: dict[str, _Rule] = {
         _Rule("id", "vertex", lambda sqrt, d: 1.0 / d, additive=True),
     )
 }
+
+# The built-ins of each arity in the order of their rows of its ln F table.
+_TABLE_ROWS = {arity: tuple(rule for rule in MULTIPLICATIVE_INDICES.values() if rule.arity == arity)
+               for arity in ("vertex", "edge")}
+_ROW = {rule: row for rules in _TABLE_ROWS.values() for row, rule in enumerate(rules)}
+# One table of ln F per arity per process: row i holds ln F of _TABLE_ROWS[arity][i]
+# at every degree (vertex rules) or degree pair (edge rules) below the power of
+# two at or above the largest degree seen, up to _TABLE_CAP.  It is replaced by
+# one twice as large or more as degrees grow, so an arity builds at most 7.  An
+# entry depends on its rule alone, so every caller shares it.
+_TABLE_CAP = 64
+_LN_TABLES: dict[str, np.ndarray] = {}
+
+
+def _table_terms(arity: str, degrees: tuple[np.ndarray, ...], top: int) -> np.ndarray:
+    """ln F of every built-in of ``arity`` at each argument, one row per rule of
+    ``_TABLE_ROWS[arity]``, read from the table by one gather, where no degree
+    reaches ``top <= _TABLE_CAP``.  Each entry has the bits of ``rule.ln`` at
+    that argument alone."""
+    table = _LN_TABLES.get(arity)
+    if table is None or table.shape[1] < top:
+        size = min(1 << (top - 1).bit_length(), _TABLE_CAP)   # a power of two >= top
+        grid = np.indices((size,) * len(degrees))
+        with np.errstate(divide="ignore", invalid="ignore"):   # F at degree 0
+            table = np.array([rule.ln(*grid) for rule in _TABLE_ROWS[arity]])
+        _LN_TABLES[arity] = table
+    index = degrees[0]
+    for d in degrees[1:]:
+        index = index * table.shape[1] + d
+    return table.reshape(len(table), -1).take(index, axis=1)
+
 
 MULTIPLICATIVE_NAMES = tuple(MULTIPLICATIVE_INDICES)
 ADDITIVE_NAMES = tuple(_ADDITIVE)
@@ -336,13 +339,15 @@ def ln_indices_from_arrays(
 
 def _ln_indices(rules: list, h: DegreeHistogram, policy: str) -> tuple[np.ndarray, np.ndarray]:
     """``(values, excluded)`` of each rule on each graph of ``h``, of shape
-    ``(len(rules), graphs)``: its count-weighted ``terms`` added in order by
-    ``np.bincount``, so a graph gets the same bits alone or stacked.  Under
-    ``logzero`` an isolated vertex at which a rule is undefined makes the total
-    ``+inf`` for a sum and ``-inf`` for a product, with none excluded."""
+    ``(len(rules), graphs)``: its count-weighted terms (``value`` for a sum,
+    ``ln`` for a product) added in order by ``np.bincount``, so a graph gets
+    the same bits alone or stacked.  The built-ins of one arity share one
+    gather from their table and one multiply by the counts.  Under
+    ``logzero`` an isolated vertex at which a rule is undefined makes the
+    total ``+inf`` for a sum and ``-inf`` for a product, with none excluded."""
     _check_policy(policy)
     top = h.vertex.shape[1]     # no degree of the stack reaches it
-    arguments, values, excluded = {}, [], []
+    arguments, tabled, values, excluded = {}, {}, [], []
     for rule in rules:
         key = (rule.arity, rule.defined_at_zero)
         if key not in arguments:
@@ -351,8 +356,16 @@ def _ln_indices(rules: list, h: DegreeHistogram, policy: str) -> tuple[np.ndarra
             # bits it had with the int64 counts.
             arguments[key] = degrees, counts.astype(np.float64), graph, skipped
         degrees, counts, graph, skipped = arguments[key]
-        total = np.bincount(graph, weights=counts * rule.terms(degrees, top),
-                            minlength=skipped.size)
+        row = _ROW.get(rule)
+        if row is not None and top <= _TABLE_CAP:
+            if rule.arity not in tabled:
+                weighted = _table_terms(rule.arity, degrees, top)
+                weighted *= counts
+                tabled[rule.arity] = weighted
+            weighted = tabled[rule.arity][row]
+        else:
+            weighted = counts * (rule.value(*degrees) if rule.additive else rule.ln(*degrees))
+        total = np.bincount(graph, weights=weighted, minlength=skipped.size)
         total = total.astype(np.float64, copy=False)  # bincount counts in int64 when no term
         if policy == LOGZERO:
             total[skipped > 0] = math.inf if rule.additive else -math.inf

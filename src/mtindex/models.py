@@ -12,10 +12,11 @@ Models:
 
 Determinism contract: a replica stream is a pure function of the triple
 (master_seed, point_id, replica_index), mixed through a splitmix64-style
-avalanche into a PCG64 state.  ER/BR spend one uniform draw per edge, plus one
-that runs past the last pair, by geometric skipping over the candidate pairs
-in canonical order; RG draws the n (x, y) positions first and only then tests
-distances, so edges never depend on traversal order.
+avalanche into a PCG64 state; a chunk of replicas of one point computes the
+chain through (master_seed, point_id) once.  ER/BR spend one uniform draw per
+edge, plus one that runs past the last pair, by geometric skipping over the
+candidate pairs in canonical order; RG draws the n (x, y) positions first and
+only then tests distances, so edges never depend on traversal order.
 
 Geometric skipping (Batagelj & Brandes, *Efficient generation of large random
 networks*, PRE 71, 036113, 2005): each draw U = 1 - ``rng.random()``, in
@@ -51,7 +52,10 @@ Cost of one sample with m edges:
   covering every rounding (see ``_cells_per_side``).  Each sorted point has
   two candidate runs of the cell order, one in its own column of cells and one
   in the next; whole runs are tested in blocks of about ``_RG_BLOCK``
-  candidates laid out by ``np.repeat``, then the edges are sorted canonically.
+  candidates laid out by ``np.repeat``, each candidate carrying the sorted
+  index of its own point and of the point it is tested against, so a hit
+  reads both ends directly and needs no search; then the edges are sorted
+  canonically.
 
 A chunk of J replicas (:func:`sample_chunk`) is sampled in one pass, at the
 numpy call count of one sample: each replica draws from its own generator,
@@ -72,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -224,13 +228,27 @@ class SeedDerivation:
     replica_index: int = 0
 
     def stream_seed(self) -> int:
-        h = splitmix64(self.master_seed & _MASK64)
-        h = splitmix64((h + self.point_id) & _MASK64)
-        h = splitmix64((h + self.replica_index) & _MASK64)
-        return h
+        [seed] = _stream_seeds(self.master_seed, self.point_id, [self.replica_index])
+        return seed
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.stream_seed()))
+
+
+def _stream_seeds(master_seed: int, point_id: int, replicas: Iterable[int]) -> list[int]:
+    """The stream seed of each replica index of one point: the splitmix64 chain
+    through the master seed and the point id is their shared prefix, computed
+    once."""
+    prefix = splitmix64((splitmix64(master_seed & _MASK64) + point_id) & _MASK64)
+    return [splitmix64((prefix + r) & _MASK64) for r in replicas]
+
+
+def replica_generators(master_seed: int, point_id: int, lo: int, hi: int
+                       ) -> list[np.random.Generator]:
+    """The generators of replicas [lo, hi) of a point, each the
+    :meth:`SeedDerivation.generator` of its triple."""
+    return [np.random.Generator(np.random.PCG64(seed))
+            for seed in _stream_seeds(master_seed, point_id, range(lo, hi))]
 
 
 # Uniforms drawn per block by the ER/BR samplers, after a first block sized for
@@ -487,21 +505,21 @@ def _rg_edges(n: int, r: float, rngs: Sequence[np.random.Generator]):
     keys = [np.empty(0, dtype=np.intp)]
     for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), lengths.size]):
         run = lengths[lo:hi]
-        a = np.arange(lo, hi) // 2
-        first = ends[lo] - run[0]
+        # Each candidate's sorted point (row 2*s or 2*s + 1 is point s) and
+        # the sorted point it is tested against.
+        a = np.repeat(np.arange(lo, hi) // 2, run)
         b = np.repeat(shifts[lo:hi], run)
-        b += np.arange(first, ends[hi - 1])
-        dx = np.repeat(x[a], run)
-        dx -= x[b]
+        b += np.arange(ends[lo] - run[0], ends[hi - 1])
+        dx = x.take(a)
+        dx -= x.take(b)
         dx *= dx
-        dy = np.repeat(y[a], run)
-        dy -= y[b]
+        dy = y.take(a)
+        dy -= y.take(b)
         dy *= dy
         dx += dy
         hit = np.flatnonzero(dx <= rr)
         del dx, dy
-        # A hit lies in the first row whose run ends past it.
-        a = order[a[np.searchsorted(ends[lo:hi] - first, hit, "right")]]
+        a = order[a[hit]]
         b = order[b[hit]]
         keys.append(np.minimum(a, b) * points + np.maximum(a, b))
     u, v = np.divmod(np.sort(np.concatenate(keys)), points)

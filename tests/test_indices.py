@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,8 +35,10 @@ from mtindex.indices import (
     VertexFunction,
     _ADDITIVE,
     _TABLE_CAP,
+    _TABLE_ROWS,
     _distinct_arguments,
     _ln_indices,
+    _table_terms,
     additive_index,
     ln_indices_from_arrays,
     ln_multiplicative_index,
@@ -169,12 +172,12 @@ def test_bulk_path_agrees_with_engine(g):
 
 
 @st.composite
-def replica_lists(draw):
+def replica_lists(draw, hubs=st.integers(12, 40)):
     """Degree arrays (deg, du, dv) of up to 10 small graphs, plus an edge-less
-    graph and a star whose hub (degree 12..40) has the largest degree of all,
-    each inserted at a drawn position."""
+    graph and a star whose hub (degree from ``hubs``) has the largest degree
+    of all, each inserted at a drawn position."""
     cases = draw(st.lists(edge_sets(), max_size=10))
-    hub = draw(st.integers(12, 40))
+    hub = draw(hubs)
     for case in ((draw(st.integers(1, 6)), []), (hub + 1, [(0, v) for v in range(1, hub + 1)])):
         cases.insert(draw(st.integers(0, len(cases))), case)
     graphs = [build_graph(*case) for case in cases]
@@ -257,41 +260,100 @@ def test_a_custom_function_is_called_only_at_the_graph_degrees():
 
 @pytest.mark.parametrize("name", MULTIPLICATIVE_NAMES)
 def test_table_terms_equal_the_rule_bit_for_bit(monkeypatch, name):
-    # Every degree (pair) in 1.._TABLE_CAP-1 read from a table built small,
-    # grown, then read for a stack of smaller degrees, against ln F of that
-    # argument alone; above the cap, ln F.
+    # Every degree (pair) in 1.._TABLE_CAP-1 read from its arity's table built
+    # small, grown, then read for a stack of smaller degrees: the rule's row
+    # must hold ln F of that argument alone.
     monkeypatch.setattr(indices, "_LN_TABLES", {})
     rule = MULTIPLICATIVE_INDICES[name]
     arity = 1 if rule.arity == "vertex" else 2
+    row = _TABLE_ROWS[rule.arity].index(rule)
     for top in (5, _TABLE_CAP, 5):
         args = tuple(np.indices((top - 1,) * arity).reshape(arity, -1) + 1)
-        got = rule.terms(args, top)
+        got = _table_terms(rule.arity, args, top)[row]
         want = np.concatenate([rule.ln(*(a[i:i + 1] for a in args)) for i in range(args[0].size)])
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    above = tuple(a + 1 for a in args)
-    assert rule.terms(above, _TABLE_CAP + 1).view(np.int64).tolist() == \
-        rule.ln(*above).view(np.int64).tolist()
 
 
 def test_tables_grow_by_powers_of_two(monkeypatch):
-    # Stacks whose largest degree climbs by one from 1 to 64 build each rule's
-    # table at sizes 2, 4, .., 64 only (top 65 is past the cap: no table).
+    # Stacks whose largest degree climbs by one from 1 to 63 build each arity's
+    # table, one row per built-in of that arity, at sizes 2, 4, .., 64 only;
+    # a graph of degree 64 (top 65) is past the cap and builds none.
     built = []
 
     class Tables(dict):
-        def __setitem__(self, rule, table):
-            built.append((rule.name, len(table)))
-            super().__setitem__(rule, table)
+        def __setitem__(self, arity, table):
+            built.append((arity, table.shape))
+            super().__setitem__(arity, table)
 
     monkeypatch.setattr(indices, "_LN_TABLES", Tables())
-    for largest in range(1, _TABLE_CAP + 1):
-        for rule in MULTIPLICATIVE_INDICES.values():
-            arity = 1 if rule.arity == "vertex" else 2
-            args = tuple(np.indices((largest,) * arity).reshape(arity, -1) + 1)
-            got = rule.terms(args, largest + 1)
-            assert got.view(np.int64).tolist() == rule.ln(*args).view(np.int64).tolist()
+    for largest in range(1, _TABLE_CAP):
+        for arity, rules in _TABLE_ROWS.items():
+            dims = 1 if arity == "vertex" else 2
+            args = tuple(np.indices((largest,) * dims).reshape(dims, -1) + 1)
+            got = _table_terms(arity, args, largest + 1)
+            assert got.view(np.int64).tolist() == \
+                [rule.ln(*args).view(np.int64).tolist() for rule in rules]
+    star = build_graph(_TABLE_CAP + 1, [(0, v) for v in range(1, _TABLE_CAP + 1)])
+    _ln_indices(resolve(MULTIPLICATIVE_NAMES), star.histogram, EXCLUDE)
     sizes = [2, 4, 8, 16, 32, 64]
-    assert built == [(name, size) for size in sizes for name in MULTIPLICATIVE_NAMES]
+    assert built == [(arity, (len(_TABLE_ROWS[arity]),) + (size,) * dims)
+                     for size in sizes
+                     for arity, dims in (("vertex", 1), ("edge", 2))]
+
+
+# Products and sums, built-in and custom, of both arities.
+MIXED_RULES = [
+    *MULTIPLICATIVE_INDICES.values(), *_ADDITIVE.values(),
+    *resolve([VertexFunction("succ", lambda d: d + 1.0),
+              EdgeFunction("mean", lambda a, b: (a + b) / 2.0)]),
+    *resolve([VertexFunction("succ_sum", lambda d: d + 1.0),
+              EdgeFunction("mean_sum", lambda a, b: (a + b) / 2.0)], _ADDITIVE),
+]
+
+
+def _star(hub):
+    """Degree arrays of a star with ``hub`` leaves and one isolated vertex."""
+    g = build_graph(hub + 2, [(0, v) for v in range(1, hub + 1)])
+    return g.degrees, *g.edge_degree_pairs().T
+
+
+def _alone(rule, deg, du, dv, policy):
+    """``(total, excluded)`` of ``rule`` on one graph: its count-weighted term
+    (``ln``, or ``value`` for a sum) at each distinct argument alone, added in
+    ascending order of the arguments."""
+    excluded = 0
+    if rule.arity == "edge":
+        args = Counter(zip(du.tolist(), dv.tolist()))
+    else:
+        start = 0 if rule.defined_at_zero else 1
+        excluded = int(np.sum(deg < start))
+        if excluded and policy == LOGZERO:
+            return (math.inf if rule.additive else -math.inf), 0
+        args = Counter((d,) for d in deg.tolist() if d >= start)
+    term = rule.value if rule.additive else rule.ln
+    total = 0.0
+    for arg, count in sorted(args.items()):
+        total += count * float(term(*(np.array([d]) for d in arg))[0])
+    return total, excluded
+
+
+@settings(max_examples=150, deadline=None)
+@given(replica_lists(hubs=st.integers(1, _TABLE_CAP + 2)),
+       st.lists(st.sampled_from(MIXED_RULES), unique=True, min_size=1),
+       st.sampled_from(POLICIES))
+@example([_star(_TABLE_CAP - 1)], [MULTIPLICATIVE_INDICES["gapi"], MULTIPLICATIVE_INDICES["nk"]],
+         EXCLUDE)
+@example([_star(2), _star(_TABLE_CAP)], MIXED_RULES[::-1], LOGZERO)
+def test_shared_tables_give_each_rule_its_terms_alone(replicas, rules, policy):
+    # Any subset of the built-in products in any order, between sums and
+    # custom rules, on stacks whose largest degree lies below, at or above
+    # _TABLE_CAP: each rule's row of the shared gather must be its own.
+    values, excluded = _ln_indices(rules, DegreeHistogram.stack(*flat_stack(replicas)), policy)
+    for i, rule in enumerate(rules):
+        for j, arrays in enumerate(replicas):
+            want, skipped = _alone(rule, *arrays, policy)
+            assert values[i, j].view(np.int64) == np.float64(want).view(np.int64), rule.name
+            assert excluded[i, j] == skipped, rule.name
 
 
 @given(st.lists(st.integers(0, 40), max_size=60),

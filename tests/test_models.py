@@ -7,7 +7,8 @@ import pytest
 from helpers import reference_edge_arrays
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mtindex import models
+from mtindex import ensemble, models
+from mtindex.indices import EXCLUDE, resolve
 from mtindex.models import (
     MAX_RADIUS,
     ModelSpec,
@@ -290,6 +291,34 @@ def test_a_chunk_equals_its_replicas_sampled_alone(spec, master, lo, size, block
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+_SEEDS = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SEEDS, _SEEDS | st.integers(2**64, 2**66), _SEEDS, st.integers(1, 6))
+@example(0, 2**64 - 1, 2**64 - 3, 6)
+@example(2**64 - 1, 2**64 + 7, 2**64 - 1, 3)
+def test_a_chunk_seeds_each_replica_from_its_triple(master, point_id, lo, size):
+    # A chunk computes the chain's prefix through (master, point_id) once; each
+    # replica's generator must still be its triple's, draw for draw, also where
+    # the prefix plus the point id or the replica index wraps past 2^64.
+    seen = []
+
+    def draws(point, rngs):
+        seen.extend((rng.bit_generator.state, rng.random(3).tolist()) for rng in rngs)
+        return sample_chunk(point, rngs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ensemble, "sample_chunk", draws)
+        ensemble._replica_chunk(erdos_renyi(3, 0.5), resolve(["nk"]), EXCLUDE, master,
+                                point_id, lo, lo + size)
+    want = []
+    for r in range(lo, lo + size):
+        rng = SeedDerivation(master, point_id, r).generator()
+        want.append((rng.bit_generator.state, rng.random(3).tolist()))
+    assert seen == want
 
 
 @pytest.mark.parametrize(
