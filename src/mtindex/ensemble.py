@@ -112,26 +112,6 @@ def _chunks(point: ModelSpec, replicas: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, replicas)) for lo in range(0, replicas, size)]
 
 
-def _replica_chunk(
-    point: ModelSpec,
-    rules: list,
-    policy: str,
-    master_seed: int,
-    point_id: int,
-    lo: int,
-    hi: int,
-):
-    """Sample replicas [lo, hi) as one chunk and evaluate them as one stack.
-
-    One generated instance serves all the ``rules``, and each replica's values
-    are those it would have alone.  Returns ``(values, excluded, k_emp)``.
-    """
-    deg, du, dv, m = sample_chunk(point, replica_generators(master_seed, point_id, lo, hi))
-    values, excluded = _ln_indices(
-        rules, DegreeHistogram.stack(deg, du, dv, np.full(hi - lo, point.n), m), policy)
-    return values, excluded, 2.0 * m / point.n
-
-
 def _mean_sem(xs: Sequence[float]) -> tuple[float, float]:
     # fsum keeps the reduction exact, hence independent of chunking.
     n = len(xs)
@@ -155,8 +135,11 @@ def run_point(
 ) -> list[EnsembleStats]:
     """Run one grid point; returns one :class:`EnsembleStats` per index.
 
-    The chunks of :func:`_chunks` run in order, in this process.  An unknown
-    or repeated index, an unknown policy, a seed outside [0, 2^64), or a point
+    The chunks of :func:`_chunks` run in order, in this process.  Each chunk
+    is sampled in one pass and evaluated as one stack: one sample serves every
+    index, and each replica's values are those it would have alone.  A chunk's
+    arrays are released before the next chunk is sampled.  An unknown or
+    repeated index, an unknown policy, a seed outside [0, 2^64), or a point
     that no replica can sample, raises ValueError before any allocation or
     chunk.
     """
@@ -173,13 +156,17 @@ def run_point(
     k_emp = np.empty(replicas)
     for lo, hi in _chunks(point, replicas):
         try:
-            chunk = _replica_chunk(point, rules, isolated_policy, master_seed, point_id, lo, hi)
+            deg, du, dv, m = sample_chunk(point, replica_generators(master_seed, point_id, lo, hi))
+            values[:, lo:hi], excluded[:, lo:hi] = _ln_indices(
+                rules, DegreeHistogram.stack(deg, du, dv, np.full(hi - lo, point.n), m),
+                isolated_policy)
         except Exception as exc:
             raise RuntimeError(
                 f"replica failed at seed triple (master_seed={master_seed}, "
                 f"point_id={point_id}, replica_index in [{lo}, {hi})): {exc}"
             ) from exc
-        values[:, lo:hi], excluded[:, lo:hi], k_emp[lo:hi] = chunk
+        k_emp[lo:hi] = 2.0 * m / point.n
+        del deg, du, dv  # before the next chunk is sampled
 
     k_mean, k_sem = _mean_sem(k_emp.tolist())
     k_theory = mean_degree(point)

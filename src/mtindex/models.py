@@ -221,7 +221,8 @@ def check_master_seed(master_seed: int) -> None:
 
 @dataclass(frozen=True)
 class SeedDerivation:
-    """Replica-stream identity: (master_seed, point_id, replica_index)."""
+    """Replica-stream identity: (master_seed, point_id, replica_index); its
+    :meth:`generator` is the one-replica case of :func:`replica_generators`."""
 
     master_seed: int
     point_id: int = 0
@@ -232,7 +233,9 @@ class SeedDerivation:
         return seed
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.stream_seed()))
+        [rng] = replica_generators(self.master_seed, self.point_id,
+                                   self.replica_index, self.replica_index + 1)
+        return rng
 
 
 def _stream_seeds(master_seed: int, point_id: int, replicas: Iterable[int]) -> list[int]:
@@ -245,8 +248,8 @@ def _stream_seeds(master_seed: int, point_id: int, replicas: Iterable[int]) -> l
 
 def replica_generators(master_seed: int, point_id: int, lo: int, hi: int
                        ) -> list[np.random.Generator]:
-    """The generators of replicas [lo, hi) of a point, each the
-    :meth:`SeedDerivation.generator` of its triple."""
+    """The generators of replicas [lo, hi) of a point, each a PCG64 stream
+    seeded by the :meth:`SeedDerivation.stream_seed` of its triple."""
     return [np.random.Generator(np.random.PCG64(seed))
             for seed in _stream_seeds(master_seed, point_id, range(lo, hi))]
 
@@ -552,12 +555,6 @@ def sample_chunk(
     return deg, deg[u], deg[v], m
 
 
-def sample_edge_arrays(spec: ModelSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one instance; return edge endpoint arrays (u, v) in canonical order."""
-    u, v, _ = _edges(spec, [rng])
-    return u, v
-
-
 def sample_degree_arrays(
     spec: ModelSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -567,4 +564,5 @@ def sample_degree_arrays(
 
 def generate(spec: ModelSpec, seed: SeedDerivation) -> Graph:
     """Generate one :class:`Graph` instance, deterministic in the seed triple."""
-    return _from_canonical(spec.n, *sample_edge_arrays(spec, seed.generator()))
+    u, v, _ = _edges(spec, [seed.generator()])
+    return _from_canonical(spec.n, u, v)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import exact_mean_ln
 from mpmath import mp
 
 from mtindex.dense import (
@@ -12,6 +13,7 @@ from mtindex.dense import (
     scaling_curve,
 )
 from mtindex.indices import MULTIPLICATIVE_INDICES
+from mtindex.models import bipartite, erdos_renyi
 
 # The indices whose mean scales with <k>: every built-in but gapi.
 SCALING = [name for name, rule in MULTIPLICATIVE_INDICES.items() if rule.dense_limit]
@@ -101,3 +103,25 @@ def test_dense_limits_match_the_rule_in_200_bits(name):
             assert _close(predict_br(name, d1, d2), exact), (d1, d2)
             per_vertex = exact * d2 / (mp.mpf(d1) + d2)
             assert _close(predict_br_per_vertex(name, d1, d2), per_vertex), (d1, d2)
+
+
+def _within_stated_error(name, k, gap):
+    # The bands of the dense module docstring, for exact minus predicted.
+    if name in ("nk", "pi1", "idpi"):
+        return -1.2 / k <= gap <= 0.0
+    if name in ("pi2", "pi1s"):
+        return 0.0 < gap <= 0.55
+    return -0.55 <= gap < 0.0
+
+
+@pytest.mark.parametrize("k", [10.0, 20.0, 40.0])
+def test_dense_limits_lie_within_their_stated_error(k):
+    # Against the exact finite-n means of ER at n = 250 and BR at 125 + 125,
+    # per total vertex.
+    er, br = erdos_renyi(250, k / 249), bipartite(125, 125, k / 125)
+    d = br.n2 * br.p
+    for name in SCALING:
+        er_gap = exact_mean_ln(er, name) / er.n - scaling_curve(name, k)
+        br_gap = exact_mean_ln(br, name) / br.n - predict_br_per_vertex(name, d, d)
+        assert _within_stated_error(name, k, er_gap), ("er", name, er_gap)
+        assert _within_stated_error(name, k, br_gap), ("br", name, br_gap)

@@ -4,6 +4,7 @@ import multiprocessing
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from helpers import exact_isolated_moments, exact_mean_ln
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from mtindex.ensemble import (
     sweep,
     write_results_csv,
 )
+from mtindex.graph import DegreeHistogram
 from mtindex.indices import (
     EXCLUDE,
     LOGZERO,
@@ -37,6 +39,8 @@ from mtindex.models import (
     probability_for_mean_degree,
     radius_for_mean_degree,
     random_geometric,
+    replica_generators,
+    sample_chunk,
 )
 
 SEED = 424242
@@ -88,13 +92,18 @@ def test_self_consistency_across_master_seeds():
 
 
 def test_half_pooling_reproduces_full_mean():
-    full = run_point(erdos_renyi(30, 0.4), ["pi2"], 20, SEED)[0]
-    from mtindex.ensemble import _replica_chunk
     spec = erdos_renyi(30, 0.4)
+    full = run_point(spec, ["pi2"], 20, SEED)[0]
     rules = resolve(("pi2",))
-    lo = _replica_chunk(spec, rules, EXCLUDE, SEED, 0, 0, 10)[0][0]
-    hi = _replica_chunk(spec, rules, EXCLUDE, SEED, 0, 10, 20)[0][0]
-    pooled = math.fsum(list(lo) + list(hi)) / 20.0
+
+    def half(lo, hi):
+        # The stages of one run_point chunk, called as run_point calls them.
+        deg, du, dv, m = sample_chunk(spec, replica_generators(SEED, 0, lo, hi))
+        values, _ = ensemble._ln_indices(
+            rules, DegreeHistogram.stack(deg, du, dv, np.full(hi - lo, spec.n), m), EXCLUDE)
+        return values[0].tolist()
+
+    pooled = math.fsum(half(0, 10) + half(10, 20)) / 20.0
     assert pooled == full.mean_ln
 
 
@@ -341,6 +350,26 @@ def test_a_replica_block_evaluates_one_chunk_at_a_time(point):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("point", [erdos_renyi(4000, 10.0 / 3999),
+                                   random_geometric(4000, radius_for_mean_degree(4000, 10.0))],
+                         ids=["er", "rg"])
+def test_a_chunk_is_released_before_the_next_is_sampled(point):
+    # At n = 4000 and <k> = 10 a chunk is one replica, and its degree arrays
+    # hold ~44000 entries, ~350 KB: a chunk kept alive while the next one is
+    # sampled raises the peak of 6 chunks above that of 1 by about that much.
+    def peak(replicas):
+        tracemalloc.start()
+        try:
+            run_point(point, MULTIPLICATIVE_NAMES, replicas, SEED)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_point(point, MULTIPLICATIVE_NAMES, 1, SEED)  # builds the ln tables
+    assert len(ensemble._chunks(point, 6)) == 6
+    assert peak(6) - peak(1) <= 64 * 2**10
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,8 +7,7 @@ import pytest
 from helpers import reference_edge_arrays
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mtindex import ensemble, models
-from mtindex.indices import EXCLUDE, resolve
+from mtindex import models
 from mtindex.models import (
     MAX_RADIUS,
     ModelSpec,
@@ -24,7 +23,6 @@ from mtindex.models import (
     random_geometric,
     sample_chunk,
     sample_degree_arrays,
-    sample_edge_arrays,
     splitmix64,
 )
 
@@ -182,7 +180,7 @@ def test_rg_positions_drawn_before_distance_tests():
 
 
 def _assert_same_edges(spec, seed):
-    got = sample_edge_arrays(spec, seed.generator())
+    got = models._edges(spec, [seed.generator()])[:2]
     want = reference_edge_arrays(spec, seed.generator())
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
@@ -302,21 +300,15 @@ _SEEDS = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 @example(2**64 - 1, 2**64 + 7, 2**64 - 1, 3)
 def test_a_chunk_seeds_each_replica_from_its_triple(master, point_id, lo, size):
     # A chunk computes the chain's prefix through (master, point_id) once; each
-    # replica's generator must still be its triple's, draw for draw, also where
-    # the prefix plus the point id or the replica index wraps past 2^64.
-    seen = []
-
-    def draws(point, rngs):
-        seen.extend((rng.bit_generator.state, rng.random(3).tolist()) for rng in rngs)
-        return sample_chunk(point, rngs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ensemble, "sample_chunk", draws)
-        ensemble._replica_chunk(erdos_renyi(3, 0.5), resolve(["nk"]), EXCLUDE, master,
-                                point_id, lo, lo + size)
+    # replica's generator must still be a PCG64 stream seeded by its triple's
+    # stream seed, draw for draw, also where the prefix plus the point id or
+    # the replica index wraps past 2^64.
+    seen = [(rng.bit_generator.state, rng.random(3).tolist())
+            for rng in models.replica_generators(master, point_id, lo, lo + size)]
     want = []
     for r in range(lo, lo + size):
-        rng = SeedDerivation(master, point_id, r).generator()
+        seed = SeedDerivation(master, point_id, r).stream_seed()
+        rng = np.random.Generator(np.random.PCG64(seed))
         want.append((rng.bit_generator.state, rng.random(3).tolist()))
     assert seen == want
 
@@ -328,7 +320,7 @@ def test_more_than_2_to_the_47_pairs_is_refused_before_any_allocation(spec):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="candidate pairs exceed the 2\\^47 of one sample"):
-            sample_edge_arrays(spec, SeedDerivation(1).generator())
+            models._edges(spec, [SeedDerivation(1).generator()])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -365,7 +357,7 @@ def test_one_sample_stays_within_16_mib(spec):
     rng = SeedDerivation(3).generator()
     tracemalloc.start()
     try:
-        sample_edge_arrays(spec, rng)
+        models._edges(spec, [rng])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
