@@ -33,7 +33,6 @@ import operator
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
 
 # One thread (see above), set only where the CLI is first to load numpy: an
 # inherited value is overridden, and a library user's BLAS is left alone.
@@ -70,7 +69,7 @@ def _fmt(x: float) -> str:
 def _build_grid(args) -> list[models.ModelSpec]:
     """Grid in deterministic order: sizes outer, parameter values inner.
 
-    A point that no replica can sample is refused here, before any work.
+    A point that no replica can sample is no ModelSpec, so it fails here, before any work.
     """
     if args.model == "br":
         if not args.n1 or not args.n2:
@@ -79,20 +78,16 @@ def _build_grid(args) -> list[models.ModelSpec]:
             raise SystemExit("error: --n1 and --n2 lists must have equal length")
         if not args.p:
             raise SystemExit("error: br requires --p")
-        grid = [models.bipartite(n1, n2, p) for n1, n2 in zip(args.n1, args.n2) for p in args.p]
-    elif not args.n:
+        return [models.bipartite(n1, n2, p) for n1, n2 in zip(args.n1, args.n2) for p in args.p]
+    if not args.n:
         raise SystemExit(f"error: {args.model} requires --n")
-    elif args.model == "er":
+    if args.model == "er":
         if not args.p:
             raise SystemExit("error: er requires --p")
-        grid = [models.erdos_renyi(n, p) for n in args.n for p in args.p]
-    elif not args.r:
+        return [models.erdos_renyi(n, p) for n in args.n for p in args.p]
+    if not args.r:
         raise SystemExit("error: rg requires --r")
-    else:
-        grid = [models.random_geometric(n, r) for n in args.n for r in args.r]
-    for spec in grid:
-        models.check_samplable(spec)
-    return grid
+    return [models.random_geometric(n, r) for n in args.n for r in args.r]
 
 
 def _check_out_dir(out: str | None) -> None:
@@ -292,11 +287,10 @@ def _custom_closure(node: ast.AST, args: dict[str, int]):
     raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
-def _parse_custom(defs: list[str], kind: type, taken: Sequence[str] = MULTIPLICATIVE_NAMES):
+def _parse_custom(defs: list[str], kind: type):
     """The ``NAME=EXPR`` definitions as functions of ``kind``.  Each NAME is a
-    field of the verify report that tells its rows apart, so it must be
-    nonempty, hold no comma or line break, and repeat no name in ``taken`` or
-    before it in ``defs``."""
+    field of the verify report, so it must be nonempty and hold no comma or
+    line break; ``indices.resolve`` refuses one that repeats a function name."""
     out = []
     for item in defs:
         if "=" not in item:
@@ -305,8 +299,6 @@ def _parse_custom(defs: list[str], kind: type, taken: Sequence[str] = MULTIPLICA
         if "," in name or name.splitlines() != [name]:
             raise SystemExit(f"error: custom function name {name!r} must be nonempty,"
                              " with no comma or line break")
-        if name in taken or name in (f.name for f in out):
-            raise SystemExit(f"error: custom function name {name!r} repeats a function name")
         try:
             closure = _custom_closure(ast.parse(expr, mode="eval").body, _CUSTOM_ARGS[kind])
         except (SyntaxError, ValueError, OverflowError) as exc:
@@ -320,8 +312,7 @@ def cmd_verify(args) -> int:
     from . import inequalities
 
     vertex = _parse_custom(args.custom_vertex, VertexFunction)
-    edge = _parse_custom(args.custom_edge, EdgeFunction,
-                         [*MULTIPLICATIVE_NAMES, *(f.name for f in vertex)])
+    edge = _parse_custom(args.custom_edge, EdgeFunction)
     functions = [*MULTIPLICATIVE_NAMES, *vertex, *edge]
     try:
         rows = inequalities.verify_corpus(

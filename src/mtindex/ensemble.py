@@ -29,8 +29,8 @@ import numpy as np
 from .dense import DENSE_REGIME_MEAN_DEGREE, UnsupportedIndexError, scaling_curve
 from .graph import DegreeHistogram, atomic_write
 from .indices import EXCLUDE, _check_policy, _ln_indices, resolve
-from .models import (ModelSpec, check_master_seed, check_samplable, mean_degree,
-                     replica_generators, sample_chunk)
+from .models import (ModelSpec, check_master_seed, mean_degree, replica_generators,
+                     sample_chunk)
 
 DEFAULT_BUDGET = 1e5
 
@@ -58,7 +58,6 @@ class EnsembleSpec:
         for i, spec in enumerate(self.grid):
             if spec in self.grid[:i]:
                 raise ValueError(f"grid repeats a point: {spec.label}")
-            check_samplable(spec)
         kinds = {spec.model for spec in self.grid}
         if len(kinds) > 1:
             raise ValueError(f"grid mixes model kinds {sorted(kinds)}")
@@ -139,14 +138,13 @@ def run_point(
     is sampled in one pass and evaluated as one stack: one sample serves every
     index, and each replica's values are those it would have alone.  A chunk's
     arrays are released before the next chunk is sampled.  An unknown or
-    repeated index, an unknown policy, a seed outside [0, 2^64), or a point
-    that no replica can sample, raises ValueError before any allocation or
-    chunk.
+    repeated index, an unknown policy, or a seed or point id outside
+    [0, 2^64), raises ValueError before any allocation or chunk; a point that
+    no replica can sample is no :class:`ModelSpec`.
     """
     rules = resolve(indices)
     _check_policy(isolated_policy)
-    check_master_seed(master_seed)
-    check_samplable(point)
+    check_master_seed(master_seed, point_id)
     if replicas < 1:
         raise ValueError(f"replica count must be >= 1, got {replicas}")
     # Allocated before any chunk is planned or sampled, so a replica count

@@ -79,7 +79,6 @@ from .models import (
     SeedDerivation,
     bipartite,
     check_master_seed,
-    check_samplable,
     erdos_renyi,
     generate,
     random_geometric,
@@ -323,14 +322,13 @@ def verify_corpus(
     functions: Sequence[IndexKind] | None = None,
 ) -> list[CorpusCheck]:
     """Run every check over the sampled corpus; deterministic in master_seed.
-    An unknown or repeated function (each is resolved once, here), a seed
-    outside [0, 2^64), a size below 2, or a cell that no replica can sample,
-    raises ValueError before any sampling."""
+    An unknown function or a repeated name, built-in or custom (each function
+    is resolved once, here), a seed outside [0, 2^64), a size below 2, or a
+    cell that no replica can sample (no :class:`ModelSpec`), raises ValueError
+    before any sampling."""
     rules = resolve(MULTIPLICATIVE_INDICES if functions is None else functions)
     check_master_seed(master_seed)
     cells = corpus_model_points(sizes, graphs_per_size)
-    for spec, _ in cells:
-        check_samplable(spec)
     rows: list[CorpusCheck] = []
     # For this call only: per function, each argument's F and ln F, and the
     # checks of each histogram key; exp of each envelope end for all of them.

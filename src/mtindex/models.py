@@ -46,7 +46,7 @@ Cost of one sample with m edges:
   of E[m] + 5 sqrt(E[m]) + 2 (at most ``_BLOCK``), then blocks of ``_BLOCK``;
   each edge's flat pair offset is mapped back to (u, v) arithmetically.  A
   sample may have at most 2^47 candidate pairs, which keeps y, the skips and
-  the offsets exact in float64 and int64.
+  the offsets exact in float64 and int64; :class:`ModelSpec` refuses more.
 * RG -- O(n + m) expected time and memory: a cell list (Bentley, Stanat &
   Williams, IPL 6, 1977) over g x g cells at least r + 2^-40 wide, the margin
   covering every rounding (see ``_cells_per_side``).  Each sorted point has
@@ -75,6 +75,7 @@ those of materialising every candidate pair at once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -89,7 +90,9 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One random-graph model point: ER(n, p) | RG(n, r) | BR(n1, n2, p)."""
+    """One random-graph model point: ER(n, p) | RG(n, r) | BR(n1, n2, p).  An
+    ER/BR point beyond 2^47 candidate pairs, which no replica can sample, is
+    refused here by name, so no entry point meets one."""
 
     model: str  # "er" | "rg" | "br"
     n: int      # total vertex count (n1 + n2 for br)
@@ -101,7 +104,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.model not in ("er", "rg", "br"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.n < 1:
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"size must be a positive integer, got n={self.n}")
         if self.model in ("er", "br"):
             if self.p is None or not (0.0 <= self.p <= 1.0):
@@ -110,10 +113,14 @@ class ModelSpec:
             if self.r is None or not (0.0 <= self.r <= MAX_RADIUS):
                 raise ValueError(f"r must lie in [0, sqrt(2)], got {self.r}")
         if self.model == "br":
-            if self.n1 is None or self.n2 is None or self.n1 < 1 or self.n2 < 1:
+            if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (self.n1, self.n2)):
                 raise ValueError("br requires positive part sizes n1, n2")
             if self.n1 + self.n2 != self.n:
                 raise ValueError(f"br total n={self.n} != n1+n2={self.n1 + self.n2}")
+        # Python ints, so that numpy sizes cannot wrap around below the limit.
+        pairs = int(self.n1) * int(self.n2) if self.model == "br" else math.comb(self.n, 2)
+        if self.model != "rg" and pairs > _MAX_PAIRS:
+            raise ValueError(f"{self.label}: {pairs} candidate pairs exceed the 2^47 of one sample")
 
     @property
     def param_name(self) -> str:
@@ -212,11 +219,12 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def check_master_seed(master_seed: int) -> None:
-    """Refuse a master seed outside [0, 2^64): the streams read it modulo 2^64,
-    so it would give the replicas of a seed inside the range."""
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {master_seed}")
+def check_master_seed(master_seed: int, point_id: int = 0) -> None:
+    """Refuse a master seed or point id outside [0, 2^64): the streams read
+    each modulo 2^64, so it would give the replicas of one inside the range."""
+    for what, value in (("seed", master_seed), ("point id", point_id)):
+        if not 0 <= value <= _MASK64:
+            raise ValueError(f"{what} must lie in [0, 2^64), got {value}")
 
 
 @dataclass(frozen=True)
@@ -333,15 +341,6 @@ def _skips(u: np.ndarray, p: float, total: int) -> np.ndarray:
         top = min(int(hi[i]), total)
         skip[i] = top if _power_at_least(p, top, float(u[i])) else top - 1
     return skip
-
-
-def check_samplable(spec: ModelSpec) -> None:
-    """Raise ValueError, naming the point, where one ER/BR sample of ``spec``
-    has more than 2^47 candidate pairs, which no replica can draw.  The one
-    statement of that limit: every entry point calls it before sampling."""
-    pairs = spec.n1 * spec.n2 if spec.model == "br" else spec.n * (spec.n - 1) // 2
-    if spec.model != "rg" and pairs > _MAX_PAIRS:
-        raise ValueError(f"{spec.label}: {pairs} candidate pairs exceed the 2^47 of one sample")
 
 
 def _bernoulli_offsets(
@@ -532,8 +531,7 @@ def _rg_edges(n: int, r: float, rngs: Sequence[np.random.Generator]):
 def _edges(spec: ModelSpec, rngs: Sequence[np.random.Generator]):
     """Edges (u, v) of the disjoint union of one replica per generator, the
     vertices of replica j being j*n .. j*n + n-1, in canonical order; and each
-    replica's edge count."""
-    check_samplable(spec)
+    replica's edge count.  Any ModelSpec can be sampled: it holds the limit."""
     if spec.model == "er":
         return _er_edges(spec.n, spec.p, rngs)
     if spec.model == "rg":

@@ -361,6 +361,65 @@ def exact_isolated_moments(spec):
     return mean, var
 
 
+def rg_disc_area(x, y, r):
+    """Area A(x, y) of the disc of radius r around (x, y) inside the unit square,
+    for 0 < r <= 1/2 and (x, y) in the quarter [0, 1/2]^2, where only the sides
+    x = 0 and y = 0 can cut it: the disc, less the cap beyond each side, plus
+    the corner that both caps remove (Penrose, *Random Geometric Graphs*, 2003,
+    ch. 1)."""
+    def cap(h):
+        h = np.minimum(h, r)
+        return r * r * np.arccos(h / r) - h * np.sqrt(r * r - h * h)
+
+    def primitive(t):  # of sqrt(r^2 - t^2)
+        return 0.5 * (t * np.sqrt(r * r - t * t) + r * r * np.arcsin(t / r))
+
+    # Beyond both sides: sqrt(r^2 - t^2) - y over x < t < c, where c^2 + y^2 = r^2.
+    c = np.sqrt(np.maximum(r * r - y * y, 0.0))
+    corner = np.where(x < c, primitive(c) - primitive(np.minimum(x, c)) - y * (c - x), 0.0)
+    return math.pi * r * r - cap(x) - cap(y) + corner
+
+
+def _rg_quarter_rule(r, nodes):
+    """(x, y, weight) of a Gauss-Legendre rule with ``nodes`` points a side on
+    each piece of the quarter [0, 1/2]^2 where A is smooth: split at r on both
+    axes, and [0, r]^2 also on the arc x^2 + y^2 = r^2, where the corner starts."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+
+    def rule(lo, hi):  # nodes and weights on [lo, hi], along a new last axis
+        lo, hi = np.asarray(lo, float)[..., None], np.asarray(hi, float)[..., None]
+        return lo + (hi - lo) * (t + 1) / 2, (hi - lo) / 2 * w
+
+    near, w_near = rule(0.0, r)
+    far, w_far = rule(r, 0.5)
+    arc = np.sqrt(r * r - near * near)
+    xs, ys, ws = [], [], []
+    for x, wx, y_lo, y_hi in ((near, w_near, 0.0, arc), (near, w_near, arc, r),
+                              (near, w_near, r, 0.5), (far, w_far, 0.0, r), (far, w_far, r, 0.5)):
+        y, wy = rule(y_lo, y_hi)
+        y = np.broadcast_to(y, (nodes, nodes))
+        xs.append(np.broadcast_to(x[:, None], y.shape).ravel())
+        ys.append(y.ravel())
+        ws.append((wx[:, None] * wy).ravel())
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
+
+
+def rg_vertex_means(n, r, h, nodes=48):
+    """E[sum of h[d_v] over the n vertices] of RG(n, r) on the unit square, for
+    0 < r <= 1/2 and each column of ``h``, which holds h[d] for d = 0..n-1.
+
+    Given its position x, a vertex's degree is Bin(n - 1, A(x)), so the
+    expectation is n times the integral of E[h[D] | x] over the square: four
+    times that over the quarter of :func:`_rg_quarter_rule`.
+    """
+    x, y, w = _rg_quarter_rule(r, nodes)
+    a = rg_disc_area(x, y, r)
+    d = np.arange(n)
+    log_choose = np.array([math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k) for k in d])
+    pmf = np.exp(log_choose + d * np.log(a)[:, None] + (n - 1 - d) * np.log1p(-a)[:, None])
+    return 4.0 * n * (w @ pmf) @ h
+
+
 U = 2.0 ** -53      # unit roundoff of a double
 
 

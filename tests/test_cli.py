@@ -444,7 +444,9 @@ def test_collapse_refuses_a_point_with_no_mean(tmp_path, capsys):
     (lambda f: f + ["0"], "line 2: expected 17 fields, got 18"),
     (lambda f: f[:4] + ["x"] + f[5:], "line 2: unknown param_name 'x'"),
     (lambda f: ["rg"] + f[1:], "line 2: r must lie in [0, sqrt(2)], got None"),
-], ids=["short", "long", "param-x", "rg-with-p"])
+    (lambda f: f[:1] + ["16777218"] + f[2:], "line 2: er n=16777218 p=0.04: 140737513521153"
+     " candidate pairs exceed the 2^47 of one sample"),
+], ids=["short", "long", "param-x", "rg-with-p", "unsamplable"])
 def test_collapse_bad_row_is_a_one_line_error(tmp_path, capsys, edit, message):
     csv = tmp_path / "sweep.csv"
     _er_sweep(csv, 3)
@@ -689,11 +691,11 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "x\ry=d"],
      "custom function name 'x\\ry' must be nonempty, with no comma or line break"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-edge", "nk=a*b"],
-     "custom function name 'nk' repeats a function name"),
+     f"index set repeats a name: {','.join(MULTIPLICATIVE_NAMES)},nk"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-edge", "y=a",
-      "--custom-edge", "y=b"], "custom function name 'y' repeats a function name"),
+      "--custom-edge", "y=b"], f"index set repeats a name: {','.join(MULTIPLICATIVE_NAMES)},y,y"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "y=d",
-      "--custom-edge", "y=a*b"], "custom function name 'y' repeats a function name"),
+      "--custom-edge", "y=a*b"], f"index set repeats a name: {','.join(MULTIPLICATIVE_NAMES)},y,y"),
     # Each index path is the first field of its rows: one field, on one line.
     (["index", "g.edges", "--index", "nk,m1,nk"], "index set repeats a name: nk,m1,nk"),
     (["index", "a,b.edges", "--index", "nk"],

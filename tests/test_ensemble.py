@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import multiprocessing
@@ -6,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import exact_isolated_moments, exact_mean_ln
+from helpers import exact_isolated_moments, exact_mean_ln, rg_vertex_means
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -286,25 +287,37 @@ def _no_sample(*args, **kwargs):
     raise AssertionError("sampled a point that was to be refused")
 
 
-# More than the 2^47 candidate pairs one sample may hold.
-UNSAMPLABLE = erdos_renyi(2**24 + 2, 1e-9)
+# More than the 2^47 candidate pairs one sample may hold; no such ModelSpec
+# exists, so each call builds it.
+UNSAMPLABLE = functools.partial(erdos_renyi, 2**24 + 2, 1e-9)
 UNSAMPLABLE_MESSAGE = ("er n=16777218 p=1e-09: 140737513521153 candidate pairs exceed the 2^47"
                        " of one sample")
 
 
 @pytest.mark.parametrize("entry, message", [
-    (lambda: EnsembleSpec(grid=(UNSAMPLABLE,), indices=("nk",), master_seed=1),
+    (lambda: EnsembleSpec(grid=(UNSAMPLABLE(),), indices=("nk",), master_seed=1),
      UNSAMPLABLE_MESSAGE),
-    (lambda: run_point(UNSAMPLABLE, ["nk"], 1, 1), UNSAMPLABLE_MESSAGE),
+    (lambda: run_point(UNSAMPLABLE(), ["nk"], 1, 1), UNSAMPLABLE_MESSAGE),
+    (lambda: run_point(erdos_renyi(10, 0.1), ["nk"], 1, 1, point_id=-1),
+     "point id must lie in [0, 2^64), got -1"),
+    (lambda: run_point(erdos_renyi(10, 0.1), ["nk"], 1, 1, point_id=2**64),
+     f"point id must lie in [0, 2^64), got {2**64}"),
     (lambda: EnsembleSpec(grid=(erdos_renyi(10, 0.1),), indices=(), master_seed=1),
      "index set must be nonempty"),
     (lambda: run_point(erdos_renyi(10, 0.1), ["nk"], 0, 1), "replica count must be >= 1, got 0"),
-], ids=["spec-pairs", "run-point-pairs", "spec-no-index", "run-point-no-replica"])
+], ids=["spec-pairs", "run-point-pairs", "run-point-id-negative", "run-point-id-2-to-the-64",
+        "spec-no-index", "run-point-no-replica"])
 def test_a_bad_point_or_run_is_refused_before_any_sample(monkeypatch, entry, message):
     monkeypatch.setattr(ensemble, "sample_chunk", _no_sample)
     with pytest.raises(ValueError) as refused:
         entry()
     assert str(refused.value) == message
+
+
+def test_run_point_runs_the_last_point_id():
+    # Below 0 or from 2^64 on a point id is refused, as it would alias one in range.
+    (row,) = run_point(erdos_renyi(40, 0.2), ["nk"], 5, 7, point_id=2**64 - 1)
+    assert row.replicas == 5 and math.isfinite(row.mean_ln)
 
 
 @settings(max_examples=40, deadline=None)
@@ -423,3 +436,53 @@ def test_sweep_means_match_the_exact_finite_n_expectation(grid):
             mean, var = exact_isolated_moments(row.spec)
             z_iso = (row.degenerate - row.replicas * mean) / math.sqrt(row.replicas * var)
             assert abs(z_iso) <= 5.0, (row.spec, row.index, z_iso)
+
+
+# An RG grid of 250 vertices, 400 replicas per point (budget 10^5); r <= 1/2.
+RG_ORACLE_GRID = tuple(random_geometric(250, radius_for_mean_degree(250, k))
+                       for k in (2, 5, 8, 12, 20))
+RG_ORACLE_INDICES = ("nk", "pi1", "pi2", "rpi")
+
+
+def _rg_oracle(spec, nodes):
+    """E[ln X] of each of RG_ORACLE_INDICES, isolated vertices excluded, the
+    expected isolated vertices of one replica, and (n - 1) times the mean of A.
+
+    ln nk = sum of ln d_v and ln pi1 = 2 ln nk over the vertices; ln pi2 =
+    sum of ln(d_u d_v) over the edges = sum of d_v ln d_v; ln rpi = -ln pi2 / 2.
+    """
+    d = np.arange(spec.n, dtype=float)
+    ln_d = np.log(np.maximum(d, 1.0))
+    nk, pi2, isolated, degrees = rg_vertex_means(
+        spec.n, spec.r, np.stack([ln_d, d * ln_d, d == 0, d], axis=1), nodes)
+    return {"nk": nk, "pi1": 2 * nk, "pi2": pi2, "rpi": -pi2 / 2}, isolated, degrees / spec.n
+
+
+def test_rg_sweep_means_match_the_quadrature_oracle():
+    # As for ER and BR, the seed and the |z| <= 5 threshold are fixed in advance.
+    rows = sweep(EnsembleSpec(grid=RG_ORACLE_GRID, indices=RG_ORACLE_INDICES, master_seed=SEED))
+    replicas = 400
+    for point_id, spec in enumerate(RG_ORACLE_GRID):
+        means, isolated, mean_k = _rg_oracle(spec, 48)
+        coarse, coarse_isolated, coarse_k = _rg_oracle(spec, 32)
+        assert [coarse[name] for name in RG_ORACLE_INDICES] == pytest.approx(
+            [means[name] for name in RG_ORACLE_INDICES], rel=1e-7)
+        assert (coarse_isolated, coarse_k) == pytest.approx((isolated, mean_k), rel=1e-7)
+        # mean_degree's closed form g(r) against the integral of A.
+        point_rows = rows[point_id * len(RG_ORACLE_INDICES):][:len(RG_ORACLE_INDICES)]
+        assert point_rows[0].mean_k_theory == pytest.approx(mean_k, rel=1e-8)
+        # The sweep's replicas, drawn again for their isolated vertices.
+        deg, *_ = sample_chunk(spec, replica_generators(SEED, point_id, 0, replicas))
+        counts = (deg.reshape(replicas, spec.n) == 0).sum(axis=1)
+        for row in point_rows:
+            assert row.spec == spec and row.replicas == replicas
+            z = (row.mean_ln - means[row.index]) / row.sem
+            assert abs(z) <= 5.0, (spec, row.index, z)
+            arity = MULTIPLICATIVE_INDICES[row.index].arity
+            assert row.degenerate == (counts.sum() if arity == "vertex" else 0), (spec, row.index)
+        z_k = (point_rows[0].mean_k_empirical - mean_k) / point_rows[0].mean_k_sem
+        assert abs(z_k) <= 5.0, (spec, z_k)
+        # The normal approximation of the isolated total needs a few expected.
+        if replicas * isolated >= 10:
+            z_iso = (counts.mean() - isolated) / (counts.std(ddof=1) / math.sqrt(replicas))
+            assert abs(z_iso) <= 5.0, (spec, z_iso)

@@ -67,6 +67,25 @@ def test_invalid_specs_rejected(bad):
         bad()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: erdos_renyi(2.5, 0.5), "size must be a positive integer, got n=2.5"),
+    (lambda: random_geometric(7.0, 0.3), "size must be a positive integer, got n=7.0"),
+    (lambda: ModelSpec("br", 6, p=0.5, n1=3.0, n2=3), "br requires positive part sizes n1, n2"),
+    (lambda: bipartite(3, np.float64(3.0), 0.5), "size must be a positive integer, got n=6.0"),
+], ids=["er", "rg", "br-part", "br-total"])
+def test_a_size_that_is_no_integer_is_refused_at_construction(make, message):
+    # It would fail inside numpy when sampled, or pass a float n to a sampler.
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
+def test_numpy_integer_sizes_are_sizes():
+    for make, sizes in ((erdos_renyi, (9,)), (random_geometric, (9,)), (bipartite, (4, 5))):
+        assert (generate(make(*map(np.int32, sizes), 0.5), SeedDerivation(3))
+                == generate(make(*sizes, 0.5), SeedDerivation(3)))
+
+
 def test_mean_degree_formulas():
     assert mean_degree(erdos_renyi(101, 0.1)) == pytest.approx(10.0)
     assert mean_degree(random_geometric(2, MAX_RADIUS)) == pytest.approx(1.0)
@@ -313,34 +332,35 @@ def test_a_chunk_seeds_each_replica_from_its_triple(master, point_id, lo, size):
     assert seen == want
 
 
-@pytest.mark.parametrize(
-    "spec", [erdos_renyi(2**24 + 2, 1e-9), bipartite(2**24, 2**23 + 1, 1e-9)], ids=["er", "br"])
-def test_more_than_2_to_the_47_pairs_is_refused_before_any_allocation(spec):
+# No ModelSpec beyond 2^47 candidate pairs exists, so each test builds its own.
+@pytest.mark.parametrize("make, args", [(erdos_renyi, (2**24 + 2, 1e-9)),
+                                        (bipartite, (2**24, 2**23 + 1, 1e-9))], ids=["er", "br"])
+def test_more_than_2_to_the_47_pairs_is_refused_before_any_allocation(make, args):
     # Beyond 2^47 pairs the float skips and int64 offsets would no longer be exact.
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="candidate pairs exceed the 2\\^47 of one sample"):
-            models._edges(spec, [SeedDerivation(1).generator()])
+            models._edges(make(*args), [SeedDerivation(1).generator()])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
 
 
-@pytest.mark.parametrize("spec, message", [
-    (erdos_renyi(2**24 + 2, 1e-9),
+@pytest.mark.parametrize("make, args, message", [
+    (erdos_renyi, (2**24 + 2, 1e-9),
      "er n=16777218 p=1e-09: 140737513521153 candidate pairs exceed the 2^47 of one sample"),
-    (bipartite(2**24, 2**23 + 1, 1e-9),
+    (bipartite, (2**24, 2**23 + 1, 1e-9),
      "br n1=16777216 n2=8388609 p=1e-09: 140737505132544 candidate pairs exceed the 2^47 of"
      " one sample"),
 ], ids=["er", "br"])
-def test_generate_names_a_point_no_replica_can_sample(monkeypatch, spec, message):
+def test_generate_names_a_point_no_replica_can_sample(monkeypatch, make, args, message):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew from a point that was to be refused")
 
     monkeypatch.setattr(models, "_bernoulli_offsets", no_draw)
     with pytest.raises(ValueError) as refused:
-        generate(spec, SeedDerivation(1))
+        generate(make(*args), SeedDerivation(1))
     assert str(refused.value) == message
 
 
