@@ -3,10 +3,10 @@
 Every randomized command requires an explicit ``--seed``; reruns with
 identical flags produce byte-identical output.  ``sweep --workers`` is
 accepted (at least 1) and changes nothing: every chunk runs in this process.
-Out-of-range flags, unreadable inputs, custom expressions outside the grammar,
-bad ``--out`` paths, failed replicas and allocations that numpy refuses end the
-command with one ``error:`` line (exit status 1); a degree function that fails
-in ``verify`` exits 2 instead.
+A command refuses out-of-range flags, unreadable inputs, custom expressions
+outside the grammar, bad ``--out`` paths, failed replicas and allocations that
+numpy refuses by raising ValueError; :func:`main` alone writes the one ``error:``
+line (exit status 1).  A degree function that fails in ``verify`` exits 2 instead.
 An interrupt (Ctrl-C) ends any command with exit status 130 and one line on
 stderr; it leaves no partial output file and no temp file (``generate``
 keeps the edge-list files it finished).
@@ -73,29 +73,28 @@ def _build_grid(args) -> list[models.ModelSpec]:
     """
     if args.model == "br":
         if not args.n1 or not args.n2:
-            raise SystemExit("error: br requires --n1 and --n2")
+            raise ValueError("br requires --n1 and --n2")
         if len(args.n1) != len(args.n2):
-            raise SystemExit("error: --n1 and --n2 lists must have equal length")
+            raise ValueError("--n1 and --n2 lists must have equal length")
         if not args.p:
-            raise SystemExit("error: br requires --p")
+            raise ValueError("br requires --p")
         return [models.bipartite(n1, n2, p) for n1, n2 in zip(args.n1, args.n2) for p in args.p]
     if not args.n:
-        raise SystemExit(f"error: {args.model} requires --n")
+        raise ValueError(f"{args.model} requires --n")
     if args.model == "er":
         if not args.p:
-            raise SystemExit("error: er requires --p")
+            raise ValueError("er requires --p")
         return [models.erdos_renyi(n, p) for n in args.n for p in args.p]
     if not args.r:
-        raise SystemExit("error: rg requires --r")
+        raise ValueError("rg requires --r")
     return [models.random_geometric(n, r) for n in args.n for r in args.r]
 
 
-def _check_out_dir(out: str | None) -> None:
-    """Stop before any work when ``--out`` is a directory or lies in a missing one."""
-    if out and os.path.isdir(out):
-        raise SystemExit(f"error: {out}: is a directory")
-    if out and not os.path.isdir(os.path.dirname(out) or "."):
-        raise SystemExit(f"error: {os.path.dirname(out)}: no such output directory")
+def _csv_field(what: str, text: str) -> None:
+    """Refuse ``text``, which the CLI writes as given into one CSV field, unless
+    it is nonempty and holds no comma or line break."""
+    if "," in text or text.splitlines() != [text]:
+        raise ValueError(f"{what} {text!r} must be nonempty, with no comma or line break")
 
 
 def _point_tag(spec: models.ModelSpec) -> str:
@@ -110,12 +109,12 @@ def cmd_generate(args) -> int:
     models.check_master_seed(args.seed)
     grid = _build_grid(args)
     if args.replicas < 1:
-        raise SystemExit(f"error: replicas must be >= 1, got {args.replicas}")
+        raise ValueError(f"replicas must be >= 1, got {args.replicas}")
     outdir = Path(args.outdir)
     # The directory is made once the first graph is sampled, so a failed
     # sample leaves none behind; a regular file in its place stops us now.
     if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
-        raise SystemExit(f"error: {outdir}: not a directory")
+        raise ValueError(f"{outdir}: not a directory")
     for point_id, spec in enumerate(grid):
         for replica in range(args.replicas):
             seed = models.SeedDerivation(args.seed, point_id, replica)
@@ -131,15 +130,14 @@ def cmd_index(args) -> int:
     rules = resolve(args.index, BUILT_IN_INDICES)
     # Each path is the file field of its rows, written as it is given.
     for path in args.paths:
-        if "," in path or path.splitlines() != [path]:
-            raise SystemExit(f"error: input path {path!r} must hold no comma or line break")
+        _csv_field("input path", path)
     lines = ["file,index,value_type,value,log_zero,excluded,policy"]
     for path in args.paths:
         try:
             g = read_edge_list_path(path)
         # GraphError, undecodable bytes, unreadable path, a vertex count too large to allocate
         except (ValueError, OSError, MemoryError) as exc:
-            raise SystemExit(f"error: {path}: {exc}")
+            raise ValueError(f"{path}: {exc}") from None
         values, excluded = _ln_indices(rules, g.histogram, args.policy)
         for rule, [value], [skipped] in zip(rules, values.tolist(), excluded.tolist()):
             lines.append(
@@ -155,11 +153,11 @@ def cmd_sweep(args) -> int:
 
     grid = _build_grid(args)
     if args.workers < 1:
-        raise SystemExit("error: workers must be >= 1")
+        raise ValueError("workers must be >= 1")
     budget = ensemble.DEFAULT_BUDGET if args.budget is None else args.budget
     max_n = max(spec.n for spec in grid)
     if budget < max_n:
-        raise SystemExit(f"error: budget {budget} must be >= max n {max_n}")
+        raise ValueError(f"budget {budget} must be >= max n {max_n}")
     spec = ensemble.EnsembleSpec(
         grid=tuple(grid),
         indices=tuple(args.index),
@@ -179,18 +177,22 @@ def cmd_collapse(args) -> int:
     from . import dense, ensemble
 
     if not 0.0 <= args.tolerance < math.inf:
-        raise SystemExit(f"error: tolerance must be finite and >= 0, got {args.tolerance}")
+        raise ValueError(f"tolerance must be finite and >= 0, got {args.tolerance}")
+    resolve([args.index])    # an unknown or additive name, before any CSV is read
+    # A path, or its name, is the start of a curve field of the report.
+    for path in args.csvs:
+        _csv_field("input path", path)
     names = [Path(path).name for path in args.csvs]
     tables = []
     for i, (path, name) in enumerate(zip(args.csvs, names)):
         try:
             rows = ensemble.read_results_csv_path(path)
         except (ValueError, OSError) as exc:
-            raise SystemExit(f"error: {path}: {exc}")
+            raise ValueError(f"{path}: {exc}") from None
         # A table named twice would be compared with itself.
         for earlier in args.csvs[:i]:
             if os.path.samefile(earlier, path):
-                raise SystemExit(f"error: inputs repeat a table: {earlier} and {path}")
+                raise ValueError(f"inputs repeat a table: {earlier} and {path}")
         # A basename that two inputs share names neither; their paths do.
         source = name if names.count(name) == 1 else path
         for label, group in ensemble.split_curves(rows):
@@ -225,14 +227,14 @@ def cmd_predict(args) -> int:
 
     if args.model == "br":
         if args.d1 is None or args.d2 is None:
-            raise SystemExit("error: br prediction requires --d1 and --d2")
+            raise ValueError("br prediction requires --d1 and --d2")
         if args.per_vertex:
             value = dense.predict_br_per_vertex(args.index, args.d1, args.d2)
         else:
             value = dense.predict_br(args.index, args.d1, args.d2)
     else:
         if args.k is None:
-            raise SystemExit("error: er/rg prediction requires --k")
+            raise ValueError("er/rg prediction requires --k")
         value = dense.scaling_curve(args.index, args.k)
     if not math.isfinite(value):
         raise ValueError(f"prediction is not finite at these degrees, got {value!r}")
@@ -294,15 +296,13 @@ def _parse_custom(defs: list[str], kind: type):
     out = []
     for item in defs:
         if "=" not in item:
-            raise SystemExit(f"error: custom function must be NAME=EXPR, got {item!r}")
+            raise ValueError(f"custom function must be NAME=EXPR, got {item!r}")
         name, expr = item.split("=", 1)
-        if "," in name or name.splitlines() != [name]:
-            raise SystemExit(f"error: custom function name {name!r} must be nonempty,"
-                             " with no comma or line break")
+        _csv_field("custom function name", name)
         try:
             closure = _custom_closure(ast.parse(expr, mode="eval").body, _CUSTOM_ARGS[kind])
         except (SyntaxError, ValueError, OverflowError) as exc:
-            raise SystemExit(f"error: custom function {name!r}: {getattr(exc, 'msg', exc)}")
+            raise ValueError(f"custom function {name!r}: {getattr(exc, 'msg', exc)}") from None
         # Float arguments, as the literals are floats (see _custom_closure).
         out.append(kind(name, lambda *degrees, _c=closure: _c(tuple(map(float, degrees)))))
     return out
@@ -434,8 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _check_out_dir(getattr(args, "out", None))
+    out = getattr(args, "out", None)
     try:
+        # A bad --out path stops the command before any work.
+        if out and os.path.isdir(out):
+            raise ValueError(f"{out}: is a directory")
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValueError(f"{os.path.dirname(out)}: no such output directory")
         return args.fn(args)
     # MemoryError: a per-point array numpy refuses (a vast --budget)
     except (ValueError, RuntimeError, MemoryError) as exc:

@@ -300,16 +300,13 @@ def read_results_csv_path(path) -> list[EnsembleStats]:
 
 
 def split_curves(rows: Iterable[EnsembleStats]) -> list[tuple[str, list[EnsembleStats]]]:
-    """Group result rows into curves by (model, n, n1, n2), preserving order."""
-    groups: dict[tuple, list[EnsembleStats]] = {}
+    """``(curve, rows)`` groups of the result rows by ``row.spec.curve``
+    (``er n=60``, ``br n1=6 n2=54``), in order of first appearance, each
+    group's rows in their order."""
+    groups: dict[str, list[EnsembleStats]] = {}
     for row in rows:
-        key = (row.spec.model, row.spec.n, row.spec.n1, row.spec.n2)
-        groups.setdefault(key, []).append(row)
-    out = []
-    for (model, n, n1, n2), grp in groups.items():
-        label = f"{model} n={n}" if n1 is None else f"{model} n1={n1} n2={n2}"
-        out.append((label, grp))
-    return out
+        groups.setdefault(row.spec.curve, []).append(row)
+    return list(groups.items())
 
 
 @dataclass(frozen=True)

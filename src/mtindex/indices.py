@@ -46,8 +46,9 @@ then one log, within one ulp (2u*|t_i|); the u + 2u*|t_i| left is margin.
 The tests hold every built-in to this bound against a 240-bit oracle that
 forms the product itself, factor by factor, and each log-factor alone.
 
-Names.  :func:`resolve`, the one resolver, refuses an unknown or repeated name
-for the evaluators, ``EnsembleSpec``, ``verify_corpus`` and ``mtindex index``.
+Names.  :func:`resolve` alone turns index kinds into rules, refusing an unknown
+or repeated name, for the evaluators, ``EnsembleSpec``, ``verify_corpus``,
+``run_all_checks`` and ``mtindex index`` and ``collapse``.
 
 Vertex-based products are zero on graphs with isolated vertices.  The
 ``isolated_policy`` argument picks between excluding those vertices from the
@@ -264,26 +265,23 @@ def _distinct_arguments(
     return (d + start,), body[graph, d], graph, skipped
 
 
-def _resolve(kind: IndexKind, table: dict[str, _Rule] = MULTIPLICATIVE_INDICES) -> _Rule:
-    """The rule behind any index kind: a built-in name in ``table`` or a custom
-    function, additive when ``table`` is the additive one."""
-    if isinstance(kind, str):
-        try:
-            return table[kind]
-        except KeyError:
-            family = ("multiplicative " if table is MULTIPLICATIVE_INDICES
-                      else "additive " if table is _ADDITIVE else "")
-            raise ValueError(f"unknown {family}index {kind!r}") from None
-    if isinstance(kind, (VertexFunction, EdgeFunction)):
-        arity = "vertex" if isinstance(kind, VertexFunction) else "edge"
-        return _Custom(kind.name, arity, _checked(kind.fn, kind.name), additive=table is _ADDITIVE)
-    raise TypeError(f"not an index kind: {kind!r}")
-
-
 def resolve(kinds: Iterable[IndexKind], table=MULTIPLICATIVE_INDICES) -> list[_Rule]:
-    """The rule of each kind, in order; raises ValueError for a name not in
-    ``table`` or a name given twice."""
-    rules = [_resolve(kind, table) for kind in kinds]
+    """The rule of each kind, in order, from a name in ``table`` or a custom function (additive
+    with the additive table); ValueError for a name not in ``table`` or given twice."""
+    rules = []
+    for kind in kinds:
+        if isinstance(kind, str):
+            if kind not in table:
+                family = ("multiplicative " if table is MULTIPLICATIVE_INDICES
+                          else "additive " if table is _ADDITIVE else "")
+                raise ValueError(f"unknown {family}index {kind!r}")
+            rules.append(table[kind])
+        elif isinstance(kind, (VertexFunction, EdgeFunction)):
+            arity = "vertex" if isinstance(kind, VertexFunction) else "edge"
+            rules.append(_Custom(kind.name, arity, _checked(kind.fn, kind.name),
+                                 additive=table is _ADDITIVE))
+        else:
+            raise TypeError(f"not an index kind: {kind!r}")
     names = [rule.name for rule in rules]
     if len(set(names)) < len(names):
         raise ValueError(f"index set repeats a name: {','.join(names)}")
@@ -315,7 +313,7 @@ def additive_index(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) ->
     are skipped under ``exclude`` and make the sum +inf under ``logzero``,
     matching the divergence of 1/d at d=0.
     """
-    [[value]], _ = _ln_indices([_resolve(kind, _ADDITIVE)], g.histogram, isolated_policy)
+    [[value]], _ = _ln_indices(resolve([kind], _ADDITIVE), g.histogram, isolated_policy)
     return float(value)
 
 

@@ -68,10 +68,10 @@ from mpmath.libmp import (fone, from_float, from_int, from_str, fzero, mpf_abs, 
 from .graph import Graph, build_graph
 from .indices import (
     IndexKind,
-    MULTIPLICATIVE_INDICES,
+    MULTIPLICATIVE_NAMES,
     VertexFunction,
+    _ROW,
     _distinct_arguments,
-    _resolve,
     resolve,
 )
 from .models import (
@@ -179,10 +179,10 @@ class _Prepared:
     and the sums are weighted by how often each value occurs.  ``a`` and
     ``b`` are the least and greatest ln F (None when k == 0).
 
-    ``memo`` maps a distinct argument of the resolved ``rule`` to the raw
-    ``(F, ln F)`` and the float of ln F; passing the same dict for every graph
-    evaluates each argument once.  A built-in edge rule is exactly symmetric,
-    so its entry for (d_u, d_v) is also stored for (d_v, d_u).
+    ``memo`` maps a distinct argument of the resolved ``rule`` to the raw ``(F, ln F)`` and
+    the float of ln F; passing the same dict for every graph evaluates each argument once.
+    A built-in edge rule (one with a row in ``indices._ROW``) is exactly symmetric, so its
+    entry for (d_u, d_v) is also stored for (d_v, d_u).
     """
 
     def __init__(self, g: Graph, rule, memo: dict):
@@ -190,7 +190,7 @@ class _Prepared:
         args, counts, _, _ = _distinct_arguments(g.histogram, rule)
         distinct, counts = list(zip(*(a.tolist() for a in args))), counts.tolist()
         self.k = sum(counts)
-        mirror = rule.arity == "edge" and MULTIPLICATIVE_INDICES.get(rule.name) is rule
+        mirror = rule.arity == "edge" and rule in _ROW
         with mp.workprec(_PREC):
             for x in distinct:
                 if x not in memo:
@@ -217,7 +217,7 @@ def run_all_checks(g: Graph, f: IndexKind) -> list[InequalityCheck]:
     With no realized values (k == 0) the first four checks are vacuous:
     lhs = rhs = 0.
     """
-    return _checks(_Prepared(g, _resolve(f), {}), {})
+    return _checks(_Prepared(g, resolve([f])[0], {}), {})
 
 
 def _cached_exp(x, exps: dict):
@@ -326,7 +326,7 @@ def verify_corpus(
     is resolved once, here), a seed outside [0, 2^64), a size below 2, or a
     cell that no replica can sample (no :class:`ModelSpec`), raises ValueError
     before any sampling."""
-    rules = resolve(MULTIPLICATIVE_INDICES if functions is None else functions)
+    rules = resolve(MULTIPLICATIVE_NAMES if functions is None else functions)
     check_master_seed(master_seed)
     cells = corpus_model_points(sizes, graphs_per_size)
     rows: list[CorpusCheck] = []

@@ -131,10 +131,15 @@ class ModelSpec:
         return self.r if self.model == "rg" else self.p
 
     @property
+    def curve(self) -> str:
+        """The model and sizes, as ``collapse`` names a curve: ``er n=30``, ``br n1=10 n2=20``."""
+        size = f"n={self.n}" if self.n1 is None else f"n1={self.n1} n2={self.n2}"
+        return f"{self.model} {size}"
+
+    @property
     def label(self) -> str:
         """The point as messages name it: ``er n=30 p=0.1``, ``br n1=10 n2=20 p=0.3``."""
-        size = f"n={self.n}" if self.n1 is None else f"n1={self.n1} n2={self.n2}"
-        return f"{self.model} {size} {self.param_name}={self.param_value!r}"
+        return f"{self.curve} {self.param_name}={self.param_value!r}"
 
 
 def erdos_renyi(n: int, p: float) -> ModelSpec:

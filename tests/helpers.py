@@ -17,7 +17,7 @@ from mtindex.indices import (
     LogIndexValue,
     VertexFunction,
     _check_policy,
-    _resolve,
+    resolve,
 )
 from mtindex.inequalities import _PREC as PREC, RELATIVE_TOL
 from mtindex.models import SeedDerivation, bipartite, erdos_renyi, generate, random_geometric
@@ -278,7 +278,7 @@ def exact_ln_oracle(g: Graph, kind: IndexKind, isolated_policy: str = EXCLUDE) -
     _check_policy(isolated_policy)
     if g.n > 64:
         raise ValueError(f"oracle restricted to n <= 64 graphs, got n={g.n}")
-    rule = _resolve(kind)
+    rule = resolve([kind])[0]
     with mp.workprec(_ORACLE_PREC):
         product = mp.one
         excluded = 0
@@ -315,7 +315,7 @@ def exact_mean_ln(spec, name):
     Bin(n-2, p) in ER and Bin(n2-1, p), Bin(n1-1, p) in BR, since the other
     pairs at the two ends are disjoint (Bollobas, *Random Graphs*, 2nd ed., ch. 3).
     """
-    rule = _resolve(name)
+    rule = resolve([name])[0]
     p = spec.p
     if rule.arity == "vertex":
         parts = ([(spec.n, spec.n - 1)] if spec.model == "er"
@@ -333,6 +333,44 @@ def exact_mean_ln(spec, name):
         (x, px), (y, py) = _binomial_pmf(spec.n2 - 1, p), _binomial_pmf(spec.n1 - 1, p)
     ln_f = rule.ln(1 + x[:, None], 1 + y[None, :])
     return edges * math.fsum((np.outer(px, py) * ln_f).ravel().tolist())
+
+
+def second_order_mean_ln(spec, name):
+    """E[ln X_prod] of the built-in ``name`` over ER or BR model ``spec`` to
+    second order: ln F at the mean degrees, plus half of each degree's
+    variance times the second derivative of ln F in that degree there.
+
+    The degrees are those of :func:`exact_mean_ln`.  A vertex degree has mean
+    (n-1)p and variance (n-1)p(1-p) in ER, and n2 or n1 trials in place of
+    n-1 in the two parts of BR.  An edge's end degrees are independent, each
+    1 plus a binomial: mean 1 + (n-2)p and variance (n-2)p(1-p) at both ends
+    in ER; 1 + (n2-1)p and 1 + (n1-1)p, with (n2-1)p(1-p) and (n1-1)p(1-p),
+    at the part-1 and part-2 ends in BR.  The derivatives are mpmath's
+    numerical ones of the exact rule.
+    """
+    rule = resolve([name])[0]
+    p = spec.p
+    # (factor count, each degree of a factor as (shift, trials): shift + Bin(trials, p))
+    if rule.arity == "vertex":
+        groups = ([(spec.n, [(0, spec.n - 1)])] if spec.model == "er"
+                  else [(spec.n1, [(0, spec.n2)]), (spec.n2, [(0, spec.n1)])])
+    elif spec.model == "er":
+        groups = [(math.comb(spec.n, 2) * p, [(1, spec.n - 2)] * 2)]
+    else:
+        groups = [(spec.n1 * spec.n2 * p, [(1, spec.n2 - 1), (1, spec.n1 - 1)])]
+    total = 0.0
+    with mp.workprec(_ORACLE_PREC):
+        def ln_f(*degrees):
+            return mp.log(rule.mp(mp, *degrees))
+
+        for count, degrees in groups:
+            means = [mp.mpf(shift + trials * p) for shift, trials in degrees]
+            term = ln_f(*means)
+            for i, (_, trials) in enumerate(degrees):
+                order = [2 if j == i else 0 for j in range(len(degrees))]
+                term += trials * p * (1 - p) / 2 * mp.diff(ln_f, means, order)
+            total += count * float(term)
+    return total
 
 
 def exact_isolated_moments(spec):
@@ -431,7 +469,7 @@ def stated_ln_bound(g: Graph, kind: str) -> float:
     """The bound that the indices module docstring states on the error of
     ``ln_multiplicative_index(g, kind)`` (exclude policy), gamma_(k-1) * sum |t_i|
     + 4u * sum (1 + |t_i|), from the built-in's computed log-factors t_i."""
-    rule = _resolve(kind)
+    rule = resolve([kind])[0]
     deg = g.degrees
     args = (deg[deg > 0],) if rule.arity == "vertex" else tuple(g.edge_degree_pairs().T)
     abs_terms = np.abs(rule.ln(*args))
@@ -509,7 +547,7 @@ class UnmemoizedPrepared:
     count-weighted ``c * v`` sums of mpf objects, and min/max of the logs."""
 
     def __init__(self, g, f):
-        rule = _resolve(f)
+        rule = resolve([f])[0]
         self.name = rule.name
         if rule.arity == "vertex":
             args = g.degrees[g.degrees > 0, None]
@@ -599,15 +637,15 @@ def reference_parse_custom(defs: list[str], arity: str):
     env = {"__builtins__": {}, **_CUSTOM_CALLS, **_CUSTOM_CONSTANTS}
     for item in defs:
         if "=" not in item:
-            raise SystemExit(f"error: custom function must be NAME=EXPR, got {item!r}")
+            raise ValueError(f"custom function must be NAME=EXPR, got {item!r}")
         name, expr = item.split("=", 1)
         try:
             tree = ast.parse(expr, mode="eval")
             _check_custom(tree.body, names)
         except SyntaxError as exc:
-            raise SystemExit(f"error: custom function {name!r}: {exc.msg}")
+            raise ValueError(f"custom function {name!r}: {exc.msg}") from None
         except ValueError as exc:
-            raise SystemExit(f"error: custom function {name!r}: {exc}")
+            raise ValueError(f"custom function {name!r}: {exc}") from None
         code = compile(tree, f"<{name}>", "eval")
         # Float arguments: integer powers such as d**d**d would otherwise grow
         # without bound, where float ones overflow into an error.

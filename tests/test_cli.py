@@ -1,10 +1,12 @@
 import contextlib
 import glob
+import io
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -397,6 +399,59 @@ def test_collapse_compares_same_named_files_as_two_curves(tmp_path, capsys):
     assert same == distinct.replace("a.csv", d1).replace("b.csv", d2)
 
 
+@pytest.fixture(scope="module")
+def two_sweeps(tmp_path_factory):
+    """The texts of two ER sweeps at n = 60 (seeds 1 and 2), five points each."""
+    folder = tmp_path_factory.mktemp("sweeps")
+    for seed in (1, 2):
+        _er_sweep(folder / f"{seed}.csv", seed)
+    return [(folder / f"{seed}.csv").read_text() for seed in (1, 2)]
+
+
+def _well_formed_csv_or_refusal(argv, out):
+    """``argv`` run with ``--out out`` either refuses with one ``error:`` line
+    and writes nothing, or writes lines that each have the header's fields."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            main([*argv, "--out", str(out)])
+    except SystemExit as exc:
+        assert isinstance(exc.code, str) and exc.code.startswith("error: "), exc.code
+        assert "\n" not in exc.code and printed.getvalue() == "" and not out.exists()
+        return
+    text = out.read_text()
+    header, *rows = text.removesuffix("\n").split("\n")
+    assert text.endswith("\n") and rows, text
+    assert [len(row.split(",")) for row in rows] == [len(header.split(","))] * len(rows), text
+
+
+# Names with and without what no CSV field of the CLI may hold.
+_FIELD_TEXTS = st.text(st.sampled_from(',\n" ab'), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=st.tuples(_FIELD_TEXTS, _FIELD_TEXTS))
+@example(names=("a,x", "b"))
+@example(names=("a", "b\nx"))
+@example(names=('"a', "b a"))
+def test_every_csv_the_cli_writes_is_well_formed(two_sweeps, names):
+    # A path is the file field of index rows and the start of collapse's curve
+    # fields; a custom NAME is the function field of the verify report.
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        edges = folder / f"{names[0]}.edges"
+        edges.write_text("3 2\n0 1\n1 2\n")
+        _well_formed_csv_or_refusal(["index", str(edges), "--index", "nk,m1"],
+                                    folder / "index.csv")
+        tables = [folder / f"{name}.csv" for name in names]
+        for table, text in zip(tables, two_sweeps):
+            table.write_text(text)
+        _well_formed_csv_or_refusal(["collapse", *map(str, tables), "--index", "nk",
+                                     "--tolerance", "10"], folder / "collapse.csv")
+        _well_formed_csv_or_refusal(["verify", "--seed", "1", "--sizes", "8", "--graphs", "1",
+                                     "--custom-edge", f"{names[1]}=a*b"], folder / "verify.csv")
+
+
 @pytest.mark.parametrize("floor", ["nan", "inf", "-inf", "-1"])
 def test_collapse_refuses_a_tolerance_floor_that_is_not_finite_and_nonnegative(tmp_path, floor):
     # The inputs do not exist: the floor is refused before any CSV is read.
@@ -570,10 +625,10 @@ def _agrees_with_the_reference(expr, arity, degree_args):
     kind = VertexFunction if arity == "vertex" else EdgeFunction
     try:
         reference_parse_custom([f"x={expr}"], arity)
-    except SystemExit as exc:
-        with pytest.raises(SystemExit) as info:
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
             cli._parse_custom([f"x={expr}"], kind)
-        assert info.value.code == exc.code
+        assert str(info.value) == str(exc)
         return
     # The walk reads every literal as a float, so the reference gets float literals.
     (want,) = reference_parse_custom([f"x={with_float_literals(expr)}"], arity)
@@ -699,9 +754,9 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
     # Each index path is the first field of its rows: one field, on one line.
     (["index", "g.edges", "--index", "nk,m1,nk"], "index set repeats a name: nk,m1,nk"),
     (["index", "a,b.edges", "--index", "nk"],
-     "input path 'a,b.edges' must hold no comma or line break"),
+     "input path 'a,b.edges' must be nonempty, with no comma or line break"),
     (["index", "a\nb.edges", "--index", "nk"],
-     "input path 'a\\nb.edges' must hold no comma or line break"),
+     "input path 'a\\nb.edges' must be nonempty, with no comma or line break"),
     # A point beyond 2^47 candidate pairs is refused as a point, before any replica.
     (["sweep", "--model", "er", "--n", "16777218", "--p", "1e-9", "--index", "nk", "--seed", "1",
       "--budget", "16777218"],
@@ -724,6 +779,15 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
     (["generate", "--model", "rg", "--n", "10", "--seed", "1"], "rg requires --r"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "x"],
      "custom function must be NAME=EXPR, got 'x'"),
+    # A collapse input names curves of the report, and its --index is resolved,
+    # each before any CSV is read: these inputs do not exist.
+    (["collapse", "a,x.csv", "b.csv", "--index", "nk"],
+     "input path 'a,x.csv' must be nonempty, with no comma or line break"),
+    (["collapse", "a.csv", "b\nx.csv", "--index", "nk"],
+     "input path 'b\\nx.csv' must be nonempty, with no comma or line break"),
+    (["collapse", "a.csv", "b.csv", "--index", "m1"], "unknown multiplicative index 'm1'"),
+    (["collapse", "a.csv", "b.csv", "--index", "wiener"],
+     "unknown multiplicative index 'wiener'"),
 ], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0",
         "verify-sizes-1", "verify-sizes-8-1",
         "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative",
@@ -734,7 +798,8 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
         "index-repeated-name", "index-path-comma", "index-path-line-break",
         "sweep-er-pairs", "generate-br-pairs", "verify-pairs", "sweep-br-no-sizes",
         "generate-br-unequal-sizes", "sweep-br-no-p", "generate-er-no-n", "sweep-er-no-p",
-        "generate-rg-no-r", "verify-custom-no-equals"])
+        "generate-rg-no-r", "verify-custom-no-equals", "collapse-path-comma",
+        "collapse-path-line-break", "collapse-additive-index", "collapse-unknown-index"])
 def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:

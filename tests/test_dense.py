@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import exact_mean_ln
+from helpers import exact_mean_ln, second_order_mean_ln
 from mpmath import mp
 
 from mtindex.dense import (
@@ -125,3 +125,19 @@ def test_dense_limits_lie_within_their_stated_error(k):
         br_gap = exact_mean_ln(br, name) / br.n - predict_br_per_vertex(name, d, d)
         assert _within_stated_error(name, k, er_gap), ("er", name, er_gap)
         assert _within_stated_error(name, k, br_gap), ("br", name, br_gap)
+
+
+@pytest.mark.parametrize("k", [10.0, 20.0, 40.0])
+@pytest.mark.parametrize("make", [
+    lambda k: erdos_renyi(250, k / 249),
+    lambda k: erdos_renyi(2000, k / 1999),
+    lambda k: bipartite(200, 800, k * 1000 / (2 * 200 * 800)),
+], ids=["er-250", "er-2000", "br-200-800"])
+def test_second_order_references_lie_within_1_over_k_of_the_exact_means(make, k):
+    # What the first-order curve misses, per rule (dense module docstring):
+    # the end-degree shift and the degrees' variance.  At mean degree k the
+    # reference is within c/k per vertex of the exact finite-n mean, c = 1.
+    spec = make(k)
+    for name in SCALING:
+        residual = (second_order_mean_ln(spec, name) - exact_mean_ln(spec, name)) / spec.n
+        assert abs(residual) <= 1.0 / k, (name, residual)

@@ -250,12 +250,16 @@ def test_collapse_refuses_a_floor_that_is_not_finite_and_nonnegative(monkeypatch
 
 
 def test_split_curves_groups_by_size():
-    rows = sweep(EnsembleSpec(
-        grid=(erdos_renyi(20, 0.1), erdos_renyi(40, 0.1)),
+    er = sweep(EnsembleSpec(
+        grid=(erdos_renyi(20, 0.1), erdos_renyi(40, 0.1), erdos_renyi(20, 0.2)),
         indices=("nk",), master_seed=SEED, budget=40))
-    curves = split_curves(rows)
-    assert [label for label, _ in curves] == ["er n=20", "er n=40"]
-    assert all(len(grp) == 1 for _, grp in curves)
+    br = sweep(EnsembleSpec(grid=(bipartite(10, 20, 0.1), bipartite(10, 20, 0.2)),
+                            indices=("nk",), master_seed=SEED, budget=40))
+    # Each curve is named by ModelSpec.curve, in order of first appearance.
+    curves = split_curves([*er, *br])
+    assert [(label, [id(row) for row in grp]) for label, grp in curves] == [
+        ("er n=20", [id(er[0]), id(er[2])]), ("er n=40", [id(er[1])]),
+        ("br n1=10 n2=20", [id(br[0]), id(br[1])])]
 
 
 def test_broken_worker_pool_names_the_seed_triple(monkeypatch):

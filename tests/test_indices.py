@@ -402,7 +402,7 @@ def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         additive_index(P3, "nk")
     with pytest.raises(TypeError, match="not an index kind: 3"):
-        indices._resolve(3)
+        indices.resolve([3])
 
 
 @pytest.mark.parametrize("g", list(mixed_graphs(31, 10)), ids=lambda g: f"n{g.n}m{g.m}")
