@@ -92,9 +92,11 @@ def _build_grid(args) -> list[models.ModelSpec]:
 
 def _csv_field(what: str, text: str) -> None:
     """Refuse ``text``, which the CLI writes as given into one CSV field, unless
-    it is nonempty and holds no comma or line break."""
-    if "," in text or text.splitlines() != [text]:
-        raise ValueError(f"{what} {text!r} must be nonempty, with no comma or line break")
+    it is nonempty and holds no comma, double quote or line break: a field that
+    starts with a quote is read by RFC 4180 readers as a quoted one."""
+    if "," in text or '"' in text or text.splitlines() != [text]:
+        raise ValueError(
+            f"{what} {text!r} must be nonempty, with no comma, double quote or line break")
 
 
 def _point_tag(spec: models.ModelSpec) -> str:
@@ -291,8 +293,9 @@ def _custom_closure(node: ast.AST, args: dict[str, int]):
 
 def _parse_custom(defs: list[str], kind: type):
     """The ``NAME=EXPR`` definitions as functions of ``kind``.  Each NAME is a
-    field of the verify report, so it must be nonempty and hold no comma or
-    line break; ``indices.resolve`` refuses one that repeats a function name."""
+    field of the verify report, so it must be nonempty and hold no comma,
+    double quote or line break; ``indices.resolve`` refuses one that repeats a
+    function name."""
     out = []
     for item in defs:
         if "=" not in item:

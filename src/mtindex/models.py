@@ -44,7 +44,10 @@ Cost of one sample with m edges:
 
 * ER/BR -- O(n + m) time and memory: m + 1 uniform draws, in a first block
   of E[m] + 5 sqrt(E[m]) + 2 (at most ``_BLOCK``), then blocks of ``_BLOCK``;
-  each edge's flat pair offset is mapped back to (u, v) arithmetically.  A
+  each edge's flat pair offset is mapped back to (u, v) arithmetically, or,
+  for a point of at most ``_BLOCK`` pairs, by one gather from a table of every
+  pair's (u, v) that the arithmetic builds once (see ``_pairs``).  One table
+  is kept, that of the last such point: at most 1 MiB.  A
   sample may have at most 2^47 candidate pairs, which keeps y, the skips and
   the offsets exact in float64 and int64; :class:`ModelSpec` refuses more.
 * RG -- O(n + m) expected time and memory: a cell list (Bentley, Stanat &
@@ -55,7 +58,9 @@ Cost of one sample with m edges:
   candidates laid out by ``np.repeat``, each candidate carrying the sorted
   index of its own point and of the point it is tested against, so a hit
   reads both ends directly and needs no search; then the edges are sorted
-  canonically.
+  canonically.  The cell ids and the edge keys are each sorted in the
+  narrowest integer type that holds them, which is faster (16-bit ids take a
+  radix sort) and, a sort having one result, gives the same order.
 
 A chunk of J replicas (:func:`sample_chunk`) is sampled in one pass, at the
 numpy call count of one sample: each replica draws from its own generator,
@@ -414,20 +419,47 @@ def _union(u: np.ndarray, v: np.ndarray, counts: np.ndarray, n: int):
     return u, v, counts
 
 
-def _er_edges(n: int, p: float, rngs: Sequence[np.random.Generator]):
-    flat, counts = _bernoulli_offsets(rngs, n * (n - 1) // 2, p)
+def _er_pairs(n: int, flat: np.ndarray):
     # Row u holds the pairs (u, u+1..n-1); it starts at u*(2n-u-1)/2.
     u = np.arange(n, dtype=np.intp)
     row_start = u * (2 * n - u - 1) // 2
-    return _union(*_unrank(row_start, u + 1, flat), counts, n)
+    return _unrank(row_start, u + 1, flat)
+
+
+def _br_pairs(n1: int, n2: int, flat: np.ndarray):
+    # Cross pairs (u, n1 + w) in lexicographic order; u < n1 <= v always.
+    u, v = np.divmod(flat, n2)
+    v += n1
+    return u, v
+
+
+# The pair table of the one point last read through a table, by its key.
+_tables: dict = {}
+
+
+def _pairs(pairs_of, sizes: tuple, total: int, flat: np.ndarray):
+    """``pairs_of(*sizes, flat)``: the (u, v) of each offset into the ``total``
+    pairs of a point.  Up to ``_BLOCK`` pairs, one gather from the table of
+    every pair's (u, v), built by ``pairs_of`` once; one table is kept."""
+    if total > _BLOCK:
+        return pairs_of(*sizes, flat)
+    key = (pairs_of, sizes)
+    if key not in _tables:
+        _tables.clear()  # freed before the next table is built
+        _tables[key] = np.stack(pairs_of(*sizes, np.arange(total, dtype=np.intp)))
+    return _tables[key].take(flat, axis=1)
+
+
+def _er_edges(n: int, p: float, rngs: Sequence[np.random.Generator]):
+    total = n * (n - 1) // 2
+    flat, counts = _bernoulli_offsets(rngs, total, p)
+    return _union(*_pairs(_er_pairs, (n,), total, flat), counts, n)
 
 
 def _br_edges(n1: int, n2: int, p: float, rngs: Sequence[np.random.Generator]):
-    # Cross pairs (u, n1 + w) in lexicographic order; u < n1 <= v always.
-    flat, counts = _bernoulli_offsets(rngs, n1 * n2, p)
-    u, v = np.divmod(flat, n2)
-    v += n1
-    return _union(u, v, counts, n1 + n2)
+    total = n1 * n2
+    flat, counts = _bernoulli_offsets(rngs, total, p)
+    return _union(*_pairs(_br_pairs, (n1, n2), total, flat), counts, n1 + n2)
 
 
 def _cells_per_side(n: int, r: float) -> int:
@@ -470,10 +502,13 @@ def _rg_runs(n: int, r: float, rngs: Sequence[np.random.Generator]):
     below, above = cell[:, 1] > 0, cell[:, 1] < g - 1
     cell = cell[:, 0] * g + cell[:, 1]
     cell.reshape(len(rngs), n)[...] += (np.arange(len(rngs)) * ((g + 1) * g))[:, None]
-    order = np.argsort(cell, kind="stable")
+    cells = len(rngs) * (g + 1) * g
+    # Sorted in the narrowest type that holds the ids: stable, so the same
+    # order, and a radix sort for 16-bit ids.
+    order = np.argsort(cell.astype(np.min_scalar_type(cells - 1)), kind="stable")
     x, y = pos[order, 0], pos[order, 1]
     del pos
-    counts = np.bincount(cell, minlength=len(rngs) * (g + 1) * g)
+    counts = np.bincount(cell, minlength=cells)
     cell_end = np.cumsum(counts)
     cell_start = np.subtract(cell_end, counts, out=counts)
     own = cell[order]
@@ -529,7 +564,11 @@ def _rg_edges(n: int, r: float, rngs: Sequence[np.random.Generator]):
         a = order[a[hit]]
         b = order[b[hit]]
         keys.append(np.minimum(a, b) * points + np.maximum(a, b))
-    u, v = np.divmod(np.sort(np.concatenate(keys)), points)
+    # Sorted and split in the narrowest integer type that holds every key,
+    # which is faster.
+    keys = np.concatenate(keys, dtype=np.min_scalar_type(points * points - 1), casting="unsafe")
+    keys.sort()
+    u, v = (ends.astype(np.intp) for ends in np.divmod(keys, points))
     return u, v, np.diff(np.searchsorted(u, np.arange(len(rngs) + 1) * n))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import glob
 import io
 import math
@@ -410,7 +411,8 @@ def two_sweeps(tmp_path_factory):
 
 def _well_formed_csv_or_refusal(argv, out):
     """``argv`` run with ``--out out`` either refuses with one ``error:`` line
-    and writes nothing, or writes lines that each have the header's fields."""
+    and writes nothing, or writes lines that each have the header's fields,
+    read alike by a comma split and by an RFC 4180 reader."""
     printed = io.StringIO()
     try:
         with contextlib.redirect_stdout(printed):
@@ -423,6 +425,7 @@ def _well_formed_csv_or_refusal(argv, out):
     header, *rows = text.removesuffix("\n").split("\n")
     assert text.endswith("\n") and rows, text
     assert [len(row.split(",")) for row in rows] == [len(header.split(","))] * len(rows), text
+    assert list(csv.reader(io.StringIO(text))) == [line.split(",") for line in [header, *rows]]
 
 
 # Names with and without what no CSV field of the CLI may hold.
@@ -740,11 +743,13 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
       "--seed", "1"], "grid repeats a point: br n1=10 n2=20 p=0.3"),
     # A custom NAME is the report's function field: one field, naming one function.
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-edge", "a,b=a*b"],
-     "custom function name 'a,b' must be nonempty, with no comma or line break"),
+     "custom function name 'a,b' must be nonempty, with no comma, double quote or line break"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "=d+1"],
-     "custom function name '' must be nonempty, with no comma or line break"),
+     "custom function name '' must be nonempty, with no comma, double quote or line break"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "x\ry=d"],
-     "custom function name 'x\\ry' must be nonempty, with no comma or line break"),
+     "custom function name 'x\\ry' must be nonempty, with no comma, double quote or line break"),
+    (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-edge", '"x=a*b'],
+     "custom function name '\"x' must be nonempty, with no comma, double quote or line break"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-edge", "nk=a*b"],
      f"index set repeats a name: {','.join(MULTIPLICATIVE_NAMES)},nk"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-edge", "y=a",
@@ -754,9 +759,11 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
     # Each index path is the first field of its rows: one field, on one line.
     (["index", "g.edges", "--index", "nk,m1,nk"], "index set repeats a name: nk,m1,nk"),
     (["index", "a,b.edges", "--index", "nk"],
-     "input path 'a,b.edges' must be nonempty, with no comma or line break"),
+     "input path 'a,b.edges' must be nonempty, with no comma, double quote or line break"),
     (["index", "a\nb.edges", "--index", "nk"],
-     "input path 'a\\nb.edges' must be nonempty, with no comma or line break"),
+     "input path 'a\\nb.edges' must be nonempty, with no comma, double quote or line break"),
+    (["index", '"a.edges', "--index", "nk"],
+     "input path '\"a.edges' must be nonempty, with no comma, double quote or line break"),
     # A point beyond 2^47 candidate pairs is refused as a point, before any replica.
     (["sweep", "--model", "er", "--n", "16777218", "--p", "1e-9", "--index", "nk", "--seed", "1",
       "--budget", "16777218"],
@@ -782,9 +789,11 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
     # A collapse input names curves of the report, and its --index is resolved,
     # each before any CSV is read: these inputs do not exist.
     (["collapse", "a,x.csv", "b.csv", "--index", "nk"],
-     "input path 'a,x.csv' must be nonempty, with no comma or line break"),
+     "input path 'a,x.csv' must be nonempty, with no comma, double quote or line break"),
     (["collapse", "a.csv", "b\nx.csv", "--index", "nk"],
-     "input path 'b\\nx.csv' must be nonempty, with no comma or line break"),
+     "input path 'b\\nx.csv' must be nonempty, with no comma, double quote or line break"),
+    (["collapse", "a.csv", 'b"x.csv', "--index", "nk"],
+     "input path 'b\"x.csv' must be nonempty, with no comma, double quote or line break"),
     (["collapse", "a.csv", "b.csv", "--index", "m1"], "unknown multiplicative index 'm1'"),
     (["collapse", "a.csv", "b.csv", "--index", "wiener"],
      "unknown multiplicative index 'wiener'"),
@@ -794,12 +803,13 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
         "verify-sizes-empty", "verify-sizes-comma", "generate-replicas-0",
         "generate-replicas-negative", "sweep-er-repeated-point", "sweep-br-repeated-point",
         "verify-custom-comma", "verify-custom-empty", "verify-custom-line-break",
-        "verify-custom-builtin", "verify-custom-twice", "verify-custom-vertex-and-edge",
-        "index-repeated-name", "index-path-comma", "index-path-line-break",
-        "sweep-er-pairs", "generate-br-pairs", "verify-pairs", "sweep-br-no-sizes",
-        "generate-br-unequal-sizes", "sweep-br-no-p", "generate-er-no-n", "sweep-er-no-p",
-        "generate-rg-no-r", "verify-custom-no-equals", "collapse-path-comma",
-        "collapse-path-line-break", "collapse-additive-index", "collapse-unknown-index"])
+        "verify-custom-quote", "verify-custom-builtin", "verify-custom-twice",
+        "verify-custom-vertex-and-edge", "index-repeated-name", "index-path-comma",
+        "index-path-line-break", "index-path-quote", "sweep-er-pairs", "generate-br-pairs",
+        "verify-pairs", "sweep-br-no-sizes", "generate-br-unequal-sizes", "sweep-br-no-p",
+        "generate-er-no-n", "sweep-er-no-p", "generate-rg-no-r", "verify-custom-no-equals",
+        "collapse-path-comma", "collapse-path-line-break", "collapse-path-quote",
+        "collapse-additive-index", "collapse-unknown-index"])
 def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as info:

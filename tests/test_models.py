@@ -253,12 +253,15 @@ def test_rg_edges_at_cell_width_boundaries(n):
                 _assert_same_edges(spec, SeedDerivation(g, n, replica))
 
 
-@pytest.mark.parametrize("block", [1, 7, 4096])
+# A point of at most _BLOCK pairs maps its offsets through a pair table: block
+# 2^16 sends er-250 and br-125 through one, the smaller blocks through the
+# arithmetic.
+@pytest.mark.parametrize("block", [1, 7, 4096, 1 << 16])
 @pytest.mark.parametrize(
     "spec",
     [erdos_renyi(90, 0.1), random_geometric(90, 0.2), random_geometric(40, 0.6),
-     bipartite(30, 45, 0.1)],
-    ids=["er", "rg", "rg-dense", "br"],
+     bipartite(30, 45, 0.1), erdos_renyi(250, 0.04), bipartite(125, 125, 0.04)],
+    ids=["er", "rg", "rg-dense", "br", "er-250", "br-125"],
 )
 def test_edges_do_not_depend_on_block_size(monkeypatch, block, spec):
     monkeypatch.setattr(models, "_BLOCK", block)
@@ -291,13 +294,17 @@ def chunk_specs(draw):
 def test_a_chunk_equals_its_replicas_sampled_alone(spec, master, lo, size, block):
     # block: a small _BLOCK makes some replicas read on past their first
     # block, alone, and a small _RG_BLOCK cuts the RG tests across replicas.
-    replicas = range(lo, lo + size)
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
             patch.setattr(models, "_BLOCK", block)
             patch.setattr(models, "_RG_BLOCK", block)
-        deg, du, dv, m = sample_chunk(
-            spec, [SeedDerivation(master, 3, r).generator() for r in replicas])
+        _assert_chunk_equals_replicas(spec, master, range(lo, lo + size))
+
+
+def _assert_chunk_equals_replicas(spec, master, replicas):
+    size = len(replicas)
+    deg, du, dv, m = sample_chunk(
+        spec, [SeedDerivation(master, 3, r).generator() for r in replicas])
     assert m.sum() == du.size == dv.size
     assert deg.size == size * spec.n
     ends = np.cumsum(m)
@@ -308,6 +315,26 @@ def test_a_chunk_equals_its_replicas_sampled_alone(spec, master, lo, size, block
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+# RG n = 250 with 16 x 16 cells: 272 cell ids a replica, cells 0.0625 wide.
+@pytest.mark.parametrize("size, id_type, key_type", [(241, np.uint32, np.uint32),
+                                                     (263, np.uint32, np.uint64)])
+def test_a_chunk_equals_its_replicas_at_each_rg_key_width(size, id_type, key_type):
+    # The chunk's cell ids, past 2^16, take no radix sort; past 2^16 points
+    # its edge keys u*N + v need 64 bits.  Its edges must still be those of
+    # the all-pairs reference, array type too, and its replicas those alone.
+    spec = random_geometric(250, 0.05)
+    g = models._cells_per_side(spec.n, spec.r)
+    assert np.min_scalar_type(size * (g + 1) * g - 1) == id_type
+    assert np.min_scalar_type((size * spec.n) ** 2 - 1) == key_type
+    u, v, _ = models._edges(spec, [SeedDerivation(4, 3, r).generator() for r in range(size)])
+    want = [reference_edge_arrays(spec, SeedDerivation(4, 3, r).generator()) for r in range(size)]
+    for got, alone in zip((u, v), zip(*want)):
+        union = np.concatenate([ends + j * spec.n for j, ends in enumerate(alone)])
+        assert got.dtype == union.dtype
+        np.testing.assert_array_equal(got, union)
+    _assert_chunk_equals_replicas(spec, 4, range(size))
 
 
 _SEEDS = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
@@ -330,6 +357,43 @@ def test_a_chunk_seeds_each_replica_from_its_triple(master, point_id, lo, size):
         rng = np.random.Generator(np.random.PCG64(seed))
         want.append((rng.bit_generator.state, rng.random(3).tolist()))
     assert seen == want
+
+
+@pytest.mark.parametrize("model, sizes", [
+    *[("er", (n,)) for n in (2, 3, 57, 250, 362, 363)],
+    *[("br", sizes) for sizes in ((1, 7), (125, 125), (255, 257), (256, 256), (256, 257))],
+], ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else x)
+def test_the_pair_table_equals_the_arithmetic_mapping(model, sizes):
+    # Every pair of the point, in reverse order, through _pairs and through
+    # the arithmetic; a table is built up to _BLOCK = 2^16 pairs only.
+    pairs_of = models._er_pairs if model == "er" else models._br_pairs
+    total = math.comb(sizes[0], 2) if model == "er" else math.prod(sizes)
+    flat = np.arange(total)[::-1]
+    models._tables.clear()
+    got = models._pairs(pairs_of, sizes, total, flat)
+    for g, w in zip(got, pairs_of(*sizes, flat)):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+    assert list(models._tables) == ([(pairs_of, sizes)] if total <= 1 << 16 else [])
+
+
+def test_the_process_keeps_one_pair_table():
+    # Three points of at most 2^16 pairs in turn; each table replaces the last,
+    # and what stays held is BR 256 + 256's: 2 x 65536 int64 (1 MiB), plus
+    # 64 KiB of slack for the arrays' headers and the interpreter's own.  A
+    # first sample, untraced, pays the allocations of a first call.
+    sample_chunk(erdos_renyi(20, 0.5), models.replica_generators(1, 0, 0, 4))
+    models._tables.clear()
+    tracemalloc.start()
+    try:
+        for spec, sizes in ((erdos_renyi(250, 0.04), (250,)), (erdos_renyi(362, 0.03), (362,)),
+                            (bipartite(256, 256, 0.04), (256, 256))):
+            sample_chunk(spec, models.replica_generators(1, 0, 0, 4))
+            assert [key[1] for key in models._tables] == [sizes]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2**20 + 2**16
 
 
 # No ModelSpec beyond 2^47 candidate pairs exists, so each test builds its own.
