@@ -47,8 +47,8 @@ Cost of one sample with m edges:
   each edge's flat pair offset is mapped back to (u, v) arithmetically, or,
   for a point of at most ``_BLOCK`` pairs, by one gather from a table of every
   pair's (u, v) that the arithmetic builds once (see ``_pairs``).  One table
-  is kept, that of the last such point: at most 1 MiB.  A
-  sample may have at most 2^47 candidate pairs, which keeps y, the skips and
+  is kept, that of the last such point: at most 1 MiB, and 2 MiB while the
+  next is built.  A sample may have at most 2^47 candidate pairs, which keeps y, the skips and
   the offsets exact in float64 and int64; :class:`ModelSpec` refuses more.
 * RG -- O(n + m) expected time and memory: a cell list (Bentley, Stanat &
   Williams, IPL 6, 1977) over g x g cells at least r + 2^-40 wide, the margin
@@ -79,6 +79,7 @@ those of materialising every candidate pair at once.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -433,21 +434,19 @@ def _br_pairs(n1: int, n2: int, flat: np.ndarray):
     return u, v
 
 
-# The pair table of the one point last read through a table, by its key.
-_tables: dict = {}
+@functools.lru_cache(maxsize=1)
+def _pair_table(pairs_of, sizes: tuple, total: int) -> np.ndarray:
+    """The (u, v) of every pair of a point, as ``pairs_of`` maps them."""
+    return np.stack(pairs_of(*sizes, np.arange(total, dtype=np.intp)))
 
 
 def _pairs(pairs_of, sizes: tuple, total: int, flat: np.ndarray):
     """``pairs_of(*sizes, flat)``: the (u, v) of each offset into the ``total``
-    pairs of a point.  Up to ``_BLOCK`` pairs, one gather from the table of
-    every pair's (u, v), built by ``pairs_of`` once; one table is kept."""
+    pairs of a point.  Up to ``_BLOCK`` pairs, one gather from the point's
+    ``_pair_table``, which keeps the table of the last such point only."""
     if total > _BLOCK:
         return pairs_of(*sizes, flat)
-    key = (pairs_of, sizes)
-    if key not in _tables:
-        _tables.clear()  # freed before the next table is built
-        _tables[key] = np.stack(pairs_of(*sizes, np.arange(total, dtype=np.intp)))
-    return _tables[key].take(flat, axis=1)
+    return _pair_table(pairs_of, sizes, total).take(flat, axis=1)
 
 
 def _er_edges(n: int, p: float, rngs: Sequence[np.random.Generator]):
@@ -568,7 +567,7 @@ def _rg_edges(n: int, r: float, rngs: Sequence[np.random.Generator]):
     # which is faster.
     keys = np.concatenate(keys, dtype=np.min_scalar_type(points * points - 1), casting="unsafe")
     keys.sort()
-    u, v = (ends.astype(np.intp) for ends in np.divmod(keys, points))
+    u, v = (half.astype(np.intp) for half in np.divmod(keys, points))
     return u, v, np.diff(np.searchsorted(u, np.arange(len(rngs) + 1) * n))
 
 

@@ -294,19 +294,20 @@ def chunk_specs(draw):
 def test_a_chunk_equals_its_replicas_sampled_alone(spec, master, lo, size, block):
     # block: a small _BLOCK makes some replicas read on past their first
     # block, alone, and a small _RG_BLOCK cuts the RG tests across replicas.
+    # The replicas alone are sampled after the patch ends, at the default blocks.
+    replicas = range(lo, lo + size)
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
             patch.setattr(models, "_BLOCK", block)
             patch.setattr(models, "_RG_BLOCK", block)
-        _assert_chunk_equals_replicas(spec, master, range(lo, lo + size))
+        chunk = sample_chunk(spec, [SeedDerivation(master, 3, r).generator() for r in replicas])
+    _assert_chunk_equals_replicas(spec, master, replicas, chunk)
 
 
-def _assert_chunk_equals_replicas(spec, master, replicas):
-    size = len(replicas)
-    deg, du, dv, m = sample_chunk(
-        spec, [SeedDerivation(master, 3, r).generator() for r in replicas])
+def _assert_chunk_equals_replicas(spec, master, replicas, chunk):
+    deg, du, dv, m = chunk
     assert m.sum() == du.size == dv.size
-    assert deg.size == size * spec.n
+    assert deg.size == len(replicas) * spec.n
     ends = np.cumsum(m)
     for j, r in enumerate(replicas):
         want = sample_degree_arrays(spec, SeedDerivation(master, 3, r).generator())
@@ -334,7 +335,8 @@ def test_a_chunk_equals_its_replicas_at_each_rg_key_width(size, id_type, key_typ
         union = np.concatenate([ends + j * spec.n for j, ends in enumerate(alone)])
         assert got.dtype == union.dtype
         np.testing.assert_array_equal(got, union)
-    _assert_chunk_equals_replicas(spec, 4, range(size))
+    chunk = sample_chunk(spec, [SeedDerivation(4, 3, r).generator() for r in range(size)])
+    _assert_chunk_equals_replicas(spec, 4, range(size), chunk)
 
 
 _SEEDS = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
@@ -369,27 +371,30 @@ def test_the_pair_table_equals_the_arithmetic_mapping(model, sizes):
     pairs_of = models._er_pairs if model == "er" else models._br_pairs
     total = math.comb(sizes[0], 2) if model == "er" else math.prod(sizes)
     flat = np.arange(total)[::-1]
-    models._tables.clear()
+    models._pair_table.cache_clear()
     got = models._pairs(pairs_of, sizes, total, flat)
     for g, w in zip(got, pairs_of(*sizes, flat)):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
-    assert list(models._tables) == ([(pairs_of, sizes)] if total <= 1 << 16 else [])
+    built = models._pair_table.cache_info()
+    assert (built.misses, built.currsize) == ((1, 1) if total <= 1 << 16 else (0, 0))
 
 
 def test_the_process_keeps_one_pair_table():
-    # Three points of at most 2^16 pairs in turn; each table replaces the last,
-    # and what stays held is BR 256 + 256's: 2 x 65536 int64 (1 MiB), plus
-    # 64 KiB of slack for the arrays' headers and the interpreter's own.  A
-    # first sample, untraced, pays the allocations of a first call.
+    # Three points of at most 2^16 pairs in turn; each builds its table, which
+    # replaces the last, and what stays held is BR 256 + 256's: 2 x 65536
+    # int64 (1 MiB), plus 64 KiB of slack for the arrays' headers and the
+    # interpreter's own.  A first sample, untraced, pays the allocations of a
+    # first call.
     sample_chunk(erdos_renyi(20, 0.5), models.replica_generators(1, 0, 0, 4))
-    models._tables.clear()
+    models._pair_table.cache_clear()
     tracemalloc.start()
     try:
-        for spec, sizes in ((erdos_renyi(250, 0.04), (250,)), (erdos_renyi(362, 0.03), (362,)),
-                            (bipartite(256, 256, 0.04), (256, 256))):
+        for built, spec in enumerate((erdos_renyi(250, 0.04), erdos_renyi(362, 0.03),
+                                      bipartite(256, 256, 0.04)), 1):
             sample_chunk(spec, models.replica_generators(1, 0, 0, 4))
-            assert [key[1] for key in models._tables] == [sizes]
+            kept = models._pair_table.cache_info()
+            assert (kept.misses, kept.currsize) == (built, 1)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
