@@ -335,7 +335,10 @@ class CollapseReport:
     max_deviation: float
     k_at_max: float
     passed: bool  # every pair within its tolerance
-    dense_deviation: float | None = None  # vs the closed form, over k >= DENSE_REGIME_MEAN_DEGREE
+    # The largest |curve - first-order dense curve| at k >= DENSE_REGIME_MEAN_DEGREE.
+    # Informational: passed never reads it.  That curve is off by the per-rule
+    # offsets dense.py states, O(1) per vertex for pi2, pi1s, rpi, hpi and chipi.
+    dense_deviation: float | None = None
 
 
 def collapse_check(

@@ -42,14 +42,16 @@ log of the exact 1 - p.
 
 Cost of one sample with m edges:
 
-* ER/BR -- O(n + m) time and memory: m + 1 uniform draws, in a first block
-  of E[m] + 5 sqrt(E[m]) + 2 (at most ``_BLOCK``), then blocks of ``_BLOCK``;
-  each edge's flat pair offset is mapped back to (u, v) arithmetically, or,
-  for a point of at most ``_BLOCK`` pairs, by one gather from a table of every
-  pair's (u, v) that the arithmetic builds once (see ``_pairs``).  One table
-  is kept, that of the last such point: at most 1 MiB, and 2 MiB while the
-  next is built.  A sample may have at most 2^47 candidate pairs, which keeps y, the skips and
-  the offsets exact in float64 and int64; :class:`ModelSpec` refuses more.
+* ER/BR -- O(n + m) time and memory, one sampler over the point's
+  ``ModelSpec.pairs`` candidate pairs in its model's order (``_er_pairs``,
+  ``_br_pairs``): m + 1 uniform draws, in a first block of at most ``_BLOCK``
+  sized E[m] + 5 sqrt(E[m]) + 2, then blocks of ``_BLOCK``; each edge's flat
+  pair offset is mapped back to (u, v) arithmetically, or, for a point of at
+  most ``_BLOCK`` pairs, by one gather from a table of every pair's (u, v)
+  that the arithmetic builds once (see ``_pairs``).  One table is kept, that
+  of the last such point: at most 1 MiB, and 2 MiB while the next is built.
+  A sample may have at most 2^47 candidate pairs, which keeps y, the skips
+  and the offsets exact in float64 and int64; :class:`ModelSpec` refuses more.
 * RG -- O(n + m) expected time and memory: a cell list (Bentley, Stanat &
   Williams, IPL 6, 1977) over g x g cells at least r + 2^-40 wide, the margin
   covering every rounding (see ``_cells_per_side``).  Each sorted point has
@@ -66,11 +68,11 @@ A chunk of J replicas (:func:`sample_chunk`) is sampled in one pass, at the
 numpy call count of one sample: each replica draws from its own generator,
 into its own row of the first ER/BR block or its own n positions, and the
 chunk is then one graph, the disjoint union of its replicas, on J*n vertices
-(replica j's vertex u is j*n + u).  ER/BR skip, cut and unrank every row at
-once; only a replica whose first block holds only edges reads on, alone.  RG
-gives replica j's cells the ids after replica j - 1's, so one sort, one cell
-count and one block loop serve the chunk.  At n = 250 a single sample's time
-goes mostly to the fixed cost of its numpy calls, which a chunk pays once.
+(replica j's vertex u is j*n + u).  ER/BR skip, cut and map to pairs every
+row at once; only a replica whose first block holds only edges reads on,
+alone.  RG gives replica j's cells the ids after replica j - 1's, so one sort,
+one cell count and one block loop serve the chunk.  At n = 250 one sample's
+time goes mostly to the fixed cost of its numpy calls, which a chunk pays once.
 
 The edges do not depend on the block size: ER/BR read the stream in order and
 stop at the first offset past the last pair, and RG's equal, array for array,
@@ -96,9 +98,10 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One random-graph model point: ER(n, p) | RG(n, r) | BR(n1, n2, p).  An
-    ER/BR point beyond 2^47 candidate pairs, which no replica can sample, is
-    refused here by name, so no entry point meets one."""
+    """One random-graph model point: ER(n, p) | RG(n, r) | BR(n1, n2, p).  A
+    field that its model does not read, and an ER/BR point beyond 2^47
+    candidate pairs, which no replica can sample, are refused here, so no
+    entry point meets one."""
 
     model: str  # "er" | "rg" | "br"
     n: int      # total vertex count (n1 + n2 for br)
@@ -123,10 +126,19 @@ class ModelSpec:
                 raise ValueError("br requires positive part sizes n1, n2")
             if self.n1 + self.n2 != self.n:
                 raise ValueError(f"br total n={self.n} != n1+n2={self.n1 + self.n2}")
-        # Python ints, so that numpy sizes cannot wrap around below the limit.
-        pairs = int(self.n1) * int(self.n2) if self.model == "br" else math.comb(self.n, 2)
-        if self.model != "rg" and pairs > _MAX_PAIRS:
-            raise ValueError(f"{self.label}: {pairs} candidate pairs exceed the 2^47 of one sample")
+        unread = {"er": ("r", "n1", "n2"), "rg": ("p", "n1", "n2"), "br": ("r",)}[self.model]
+        given = [name for name in unread if getattr(self, name) is not None]
+        if given:
+            raise ValueError(f"{self.model} takes no {', '.join(given)}")
+        if self.model != "rg" and self.pairs > _MAX_PAIRS:
+            raise ValueError(
+                f"{self.label}: {self.pairs} candidate pairs exceed the 2^47 of one sample")
+
+    @property
+    def pairs(self) -> int:
+        """The vertex pairs that can be edges: C(n, 2), or n1 * n2 for br.  A
+        Python int, so that numpy sizes cannot wrap around below the limit."""
+        return int(self.n1) * int(self.n2) if self.model == "br" else math.comb(self.n, 2)
 
     @property
     def param_name(self) -> str:
@@ -401,30 +413,14 @@ def _later_offsets(rng: np.random.Generator, last: int, total: int, p: float) ->
         last = int(offsets[-1])
 
 
-def _unrank(row_start: np.ndarray, first: np.ndarray, flat: np.ndarray):
-    """Map offsets into consecutive ragged rows to (row, first[row] + column).
-
-    ``row_start`` is nondecreasing; an empty row shares its start with the
-    next row, and ``side="right"`` skips it.
-    """
-    row = np.searchsorted(row_start, flat, "right") - 1
-    return row, flat - row_start[row] + first[row]
-
-
-def _union(u: np.ndarray, v: np.ndarray, counts: np.ndarray, n: int):
-    """Replica j's next ``counts[j]`` edges (u, v) as the edges (j*n + u, j*n + v)
-    of the disjoint union of the replicas, in place; returns (u, v, counts)."""
-    base = np.repeat(np.arange(counts.size) * n, counts)
-    u += base
-    v += base
-    return u, v, counts
-
-
 def _er_pairs(n: int, flat: np.ndarray):
-    # Row u holds the pairs (u, u+1..n-1); it starts at u*(2n-u-1)/2.
+    # Row u holds the pairs (u, u+1..n-1); it starts at u*(2n-u-1)/2.  The
+    # last row is empty and starts at C(n, 2), past every offset, and
+    # side="right" puts an offset equal to a row's start in that row.
     u = np.arange(n, dtype=np.intp)
     row_start = u * (2 * n - u - 1) // 2
-    return _unrank(row_start, u + 1, flat)
+    row = np.searchsorted(row_start, flat, "right") - 1
+    return row, flat - row_start[row] + row + 1
 
 
 def _br_pairs(n1: int, n2: int, flat: np.ndarray):
@@ -447,18 +443,6 @@ def _pairs(pairs_of, sizes: tuple, total: int, flat: np.ndarray):
     if total > _BLOCK:
         return pairs_of(*sizes, flat)
     return _pair_table(pairs_of, sizes, total).take(flat, axis=1)
-
-
-def _er_edges(n: int, p: float, rngs: Sequence[np.random.Generator]):
-    total = n * (n - 1) // 2
-    flat, counts = _bernoulli_offsets(rngs, total, p)
-    return _union(*_pairs(_er_pairs, (n,), total, flat), counts, n)
-
-
-def _br_edges(n1: int, n2: int, p: float, rngs: Sequence[np.random.Generator]):
-    total = n1 * n2
-    flat, counts = _bernoulli_offsets(rngs, total, p)
-    return _union(*_pairs(_br_pairs, (n1, n2), total, flat), counts, n1 + n2)
 
 
 def _cells_per_side(n: int, r: float) -> int:
@@ -575,11 +559,17 @@ def _edges(spec: ModelSpec, rngs: Sequence[np.random.Generator]):
     """Edges (u, v) of the disjoint union of one replica per generator, the
     vertices of replica j being j*n .. j*n + n-1, in canonical order; and each
     replica's edge count.  Any ModelSpec can be sampled: it holds the limit."""
-    if spec.model == "er":
-        return _er_edges(spec.n, spec.p, rngs)
     if spec.model == "rg":
         return _rg_edges(spec.n, spec.r, rngs)
-    return _br_edges(spec.n1, spec.n2, spec.p, rngs)
+    pairs_of, sizes = ((_er_pairs, (spec.n,)) if spec.model == "er"
+                       else (_br_pairs, (spec.n1, spec.n2)))
+    flat, counts = _bernoulli_offsets(rngs, spec.pairs, spec.p)
+    u, v = _pairs(pairs_of, sizes, spec.pairs, flat)
+    base = np.repeat(np.arange(counts.size) * spec.n, counts)
+    # In place: _pairs returns new arrays, never a view of its table.
+    u += base
+    v += base
+    return u, v, counts
 
 
 def sample_chunk(

@@ -502,9 +502,10 @@ def test_collapse_refuses_a_point_with_no_mean(tmp_path, capsys):
     (lambda f: f + ["0"], "line 2: expected 17 fields, got 18"),
     (lambda f: f[:4] + ["x"] + f[5:], "line 2: unknown param_name 'x'"),
     (lambda f: ["rg"] + f[1:], "line 2: r must lie in [0, sqrt(2)], got None"),
+    (lambda f: f[:2] + ["20", "40"] + f[4:], "line 2: er takes no n1, n2"),
     (lambda f: f[:1] + ["16777218"] + f[2:], "line 2: er n=16777218 p=0.04: 140737513521153"
      " candidate pairs exceed the 2^47 of one sample"),
-], ids=["short", "long", "param-x", "rg-with-p", "unsamplable"])
+], ids=["short", "long", "param-x", "rg-with-p", "er-with-parts", "unsamplable"])
 def test_collapse_bad_row_is_a_one_line_error(tmp_path, capsys, edit, message):
     csv = tmp_path / "sweep.csv"
     _er_sweep(csv, 3)

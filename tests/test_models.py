@@ -27,22 +27,27 @@ from mtindex.models import (
 )
 
 
-def test_er_p1_is_complete():
-    g = generate(erdos_renyi(5, 1.0), SeedDerivation(1))
-    assert g.m == 10
-    assert g.degrees.tolist() == [4] * 5
+def _assert_complete(spec, degrees):
+    # Every replica of a 3-replica chunk holds each of the spec.pairs pairs.
+    deg, _, _, m = sample_chunk(spec, models.replica_generators(1, 0, 0, 3))
+    assert m.tolist() == [spec.pairs] * 3
+    assert deg.tolist() == degrees * 3
 
 
-def test_rg_max_radius_is_complete():
-    g = generate(random_geometric(6, MAX_RADIUS), SeedDerivation(2))
-    assert g.m == 15
-    assert g.degrees.tolist() == [5] * 6
+@pytest.mark.parametrize("n", [1, 2, 3, 57, 362, 363])
+def test_er_p1_is_complete(n):
+    _assert_complete(erdos_renyi(n, 1.0), [n - 1] * n)
 
 
-def test_br_p1_is_complete_bipartite():
-    g = generate(bipartite(2, 3, 1.0), SeedDerivation(3))
-    assert g.m == 6
-    assert g.degrees.tolist() == [3, 3, 2, 2, 2]
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_rg_max_radius_is_complete(n):
+    _assert_complete(random_geometric(n, MAX_RADIUS), [n - 1] * n)
+
+
+# Both sides of the pair table's bound of 2^16 pairs.
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 7), (256, 256), (256, 257)])
+def test_br_p1_is_complete_bipartite(n1, n2):
+    _assert_complete(bipartite(n1, n2, 1.0), [n2] * n1 + [n1] * n2)
 
 
 def test_er_p0_is_empty():
@@ -60,6 +65,11 @@ def test_er_p0_is_empty():
         lambda: bipartite(0, 3, 0.5),
         lambda: ModelSpec("br", 4, p=0.5, n1=1, n2=2),
         lambda: ModelSpec("zz", 4, p=0.5),
+        # A field that its model does not read, which would set the point apart
+        # from its model's point, so that a repeat check missed the pair.
+        pytest.param(lambda: ModelSpec("er", 10, p=0.1, r=0.3), id="er-with-r"),
+        pytest.param(lambda: ModelSpec("rg", 10, p=0.1, r=0.3), id="rg-with-p"),
+        pytest.param(lambda: ModelSpec("rg", 10, r=0.3, n1=4, n2=6), id="rg-with-parts"),
     ],
 )
 def test_invalid_specs_rejected(bad):
@@ -367,17 +377,23 @@ def test_a_chunk_seeds_each_replica_from_its_triple(master, point_id, lo, size):
 ], ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else x)
 def test_the_pair_table_equals_the_arithmetic_mapping(model, sizes):
     # Every pair of the point, in reverse order, through _pairs and through
-    # the arithmetic; a table is built up to _BLOCK = 2^16 pairs only.
-    pairs_of = models._er_pairs if model == "er" else models._br_pairs
-    total = math.comb(sizes[0], 2) if model == "er" else math.prod(sizes)
-    flat = np.arange(total)[::-1]
+    # the arithmetic; a table is built up to _BLOCK = 2^16 pairs only.  A p = 1
+    # chunk then adds each replica's j*n to its pairs in place, which must
+    # leave the table as it was built.
+    pairs_of, make = {"er": (models._er_pairs, erdos_renyi),
+                      "br": (models._br_pairs, bipartite)}[model]
+    spec = make(*sizes, 1.0)
+    flat = np.arange(spec.pairs)[::-1]
     models._pair_table.cache_clear()
-    got = models._pairs(pairs_of, sizes, total, flat)
-    for g, w in zip(got, pairs_of(*sizes, flat)):
-        assert g.dtype == w.dtype
+    got = models._pairs(pairs_of, sizes, spec.pairs, flat)
+    models._edges(spec, models.replica_generators(1, 0, 0, 3))
+    again = models._pairs(pairs_of, sizes, spec.pairs, flat)
+    for g, a, w in zip(got, again, pairs_of(*sizes, flat)):
+        assert g.dtype == a.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(a, w)
     built = models._pair_table.cache_info()
-    assert (built.misses, built.currsize) == ((1, 1) if total <= 1 << 16 else (0, 0))
+    assert (built.misses, built.currsize) == ((1, 1) if spec.pairs <= 1 << 16 else (0, 0))
 
 
 def test_the_process_keeps_one_pair_table():
