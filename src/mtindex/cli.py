@@ -6,7 +6,10 @@ accepted (at least 1) and changes nothing: every chunk runs in this process.
 A command refuses out-of-range flags, unreadable inputs, custom expressions
 outside the grammar, bad ``--out`` paths, failed replicas and allocations that
 numpy refuses by raising ValueError; :func:`main` alone writes the one ``error:``
-line (exit status 1).  A degree function that fails in ``verify`` exits 2 instead.
+line (exit status 1).  ``sweep``, ``generate`` and ``predict`` refuse a size,
+parameter or degree flag that the model does not read (``rg takes no --p``);
+``models.FIELDS`` says which fields each model reads.  A degree function that
+fails in ``verify`` exits 2 instead.
 An interrupt (Ctrl-C) ends any command with exit status 130 and one line on
 stderr; it leaves no partial output file and no temp file (``generate``
 keeps the edge-list files it finished).
@@ -46,8 +49,8 @@ from .indices import (
     EXCLUDE,
     EdgeFunction,
     EvaluationError,
-    LOGZERO,
     MULTIPLICATIVE_NAMES,
+    POLICIES,
     VertexFunction,
     _ln_indices,
     resolve,
@@ -71,23 +74,22 @@ def _build_grid(args) -> list[models.ModelSpec]:
 
     A point that no replica can sample is no ModelSpec, so it fails here, before any work.
     """
-    if args.model == "br":
-        if not args.n1 or not args.n2:
-            raise ValueError("br requires --n1 and --n2")
-        if len(args.n1) != len(args.n2):
-            raise ValueError("--n1 and --n2 lists must have equal length")
-        if not args.p:
-            raise ValueError("br requires --p")
-        return [models.bipartite(n1, n2, p) for n1, n2 in zip(args.n1, args.n2) for p in args.p]
-    if not args.n:
-        raise ValueError(f"{args.model} requires --n")
-    if args.model == "er":
-        if not args.p:
-            raise ValueError("er requires --p")
-        return [models.erdos_renyi(n, p) for n in args.n for p in args.p]
-    if not args.r:
-        raise ValueError("rg requires --r")
-    return [models.random_geometric(n, r) for n in args.n for r in args.r]
+    *sizes, param = read = models.FIELDS[args.model]
+    unread = [f"--{name}" for name in sorted(set().union(*models.FIELDS.values()))
+              if name not in read and getattr(args, name)]
+    if unread:
+        raise ValueError(f"{args.model} takes no {', '.join(unread)}")
+    lists = [getattr(args, name) for name in sizes]
+    flags = " and ".join(f"--{name}" for name in sizes)
+    if not all(lists):
+        raise ValueError(f"{args.model} requires {flags}")
+    if len(set(map(len, lists))) > 1:
+        raise ValueError(f"{flags} lists must have equal length")
+    if not getattr(args, param):
+        raise ValueError(f"{args.model} requires --{param}")
+    make = {"er": models.erdos_renyi, "rg": models.random_geometric,
+            "br": models.bipartite}[args.model]
+    return [make(*size, value) for size in zip(*lists) for value in getattr(args, param)]
 
 
 def _csv_field(what: str, text: str) -> None:
@@ -227,6 +229,11 @@ def cmd_collapse(args) -> int:
 def cmd_predict(args) -> int:
     from . import dense
 
+    # A degree flag that the model does not read is refused, not dropped.
+    unread = ("k",) if args.model == "br" else ("d1", "d2", "per_vertex")
+    given = [f"--{name.replace('_', '-')}" for name in unread if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{args.model} takes no {', '.join(given)}")
     if args.model == "br":
         if args.d1 is None or args.d2 is None:
             raise ValueError("br prediction requires --d1 and --d2")
@@ -366,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p, budgeted: bool):
-        p.add_argument("--model", choices=("er", "rg", "br"), required=True)
+        p.add_argument("--model", choices=tuple(models.FIELDS), required=True)
         p.add_argument("--n", type=_int_list, default=[], help="comma list of sizes")
         p.add_argument("--n1", type=_int_list, default=[], help="br part-1 sizes")
         p.add_argument("--n2", type=_int_list, default=[], help="br part-2 sizes")
@@ -388,13 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="compute index values for edge-list files")
     p.add_argument("paths", nargs="+")
     p.add_argument("--index", type=lambda s: s.split(","), required=True)
-    p.add_argument("--policy", choices=(EXCLUDE, LOGZERO), default=EXCLUDE)
+    p.add_argument("--policy", choices=POLICIES, default=EXCLUDE)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_index)
 
     p = sub.add_parser("sweep", help="run a replica ensemble over a parameter grid")
     add_model_flags(p, budgeted=True)
-    p.add_argument("--policy", choices=(EXCLUDE, LOGZERO), default=EXCLUDE)
+    p.add_argument("--policy", choices=POLICIES, default=EXCLUDE)
     p.add_argument("--out", default=None, help="results CSV path (default stdout)")
     p.set_defaults(fn=cmd_sweep)
 
@@ -411,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_collapse)
 
     p = sub.add_parser("predict", help="dense-limit prediction of mean ln X per vertex")
-    p.add_argument("--model", choices=("er", "rg", "br"), required=True)
+    p.add_argument("--model", choices=tuple(models.FIELDS), required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--k", type=float, default=None, help="mean degree (er/rg)")
     p.add_argument("--d1", type=float, default=None, help="br part-1 mean degree")
@@ -419,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--per-vertex",
         action="store_true",
+        default=None,
         help="normalize br prediction per total vertex count instead of per part",
     )
     p.set_defaults(fn=cmd_predict)

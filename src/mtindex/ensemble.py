@@ -150,14 +150,15 @@ def run_point(
     # Allocated before any chunk is planned or sampled, so a replica count
     # whose arrays numpy refuses fails at once.
     values = np.empty((len(rules), replicas))
-    excluded = np.empty((len(rules), replicas), dtype=np.int64)
+    skipped = np.zeros(len(rules), dtype=np.int64)  # isolated vertices each rule skipped
     k_emp = np.empty(replicas)
     for lo, hi in _chunks(point, replicas):
         try:
             deg, du, dv, m = sample_chunk(point, replica_generators(master_seed, point_id, lo, hi))
-            values[:, lo:hi], excluded[:, lo:hi] = _ln_indices(
+            values[:, lo:hi], excluded = _ln_indices(
                 rules, DegreeHistogram.stack(deg, du, dv, np.full(hi - lo, point.n), m),
                 isolated_policy)
+            skipped += excluded.sum(axis=1)
         except Exception as exc:
             raise RuntimeError(
                 f"replica failed at seed triple (master_seed={master_seed}, "
@@ -170,10 +171,10 @@ def run_point(
     k_theory = mean_degree(point)
 
     out = []
-    for rule, vals, skipped in zip(rules, values, excluded):
+    for rule, vals, rule_skipped in zip(rules, values, skipped):
         finite = vals[np.isfinite(vals)]
         # Only logzero gives non-finite values and only exclude skips vertices.
-        degenerate = int(vals.size - finite.size + skipped.sum())
+        degenerate = int(vals.size - finite.size + rule_skipped)
         mean_ln, sem = _mean_sem(finite.tolist())
         out.append(
             EnsembleStats(

@@ -10,6 +10,10 @@ Models:
   ``0..n1-1``) and n2 (vertices ``n1..n1+n2-1``); each cross pair is an edge
   independently with probability p.  No intra-set edges ever.
 
+``FIELDS`` states once which fields each model reads, in the order its
+factory takes them (sizes, then the parameter); :class:`ModelSpec` and the
+CLI's grid read it.
+
 Determinism contract: a replica stream is a pure function of the triple
 (master_seed, point_id, replica_index), mixed through a splitmix64-style
 avalanche into a PCG64 state; a chunk of replicas of one point computes the
@@ -84,7 +88,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,15 +97,17 @@ from .graph import Graph, _from_canonical
 
 MAX_RADIUS = math.sqrt(2.0)
 
+FIELDS = {"er": ("n", "p"), "rg": ("n", "r"), "br": ("n1", "n2", "p")}
+
 _MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """One random-graph model point: ER(n, p) | RG(n, r) | BR(n1, n2, p).  A
-    field that its model does not read, and an ER/BR point beyond 2^47
-    candidate pairs, which no replica can sample, are refused here, so no
-    entry point meets one."""
+    field that its model does not read (see ``FIELDS``), and an ER/BR point
+    beyond 2^47 candidate pairs, which no replica can sample, are refused
+    here, so no entry point meets one."""
 
     model: str  # "er" | "rg" | "br"
     n: int      # total vertex count (n1 + n2 for br)
@@ -111,23 +117,21 @@ class ModelSpec:
     n2: int | None = None
 
     def __post_init__(self):
-        if self.model not in ("er", "rg", "br"):
+        if self.model not in FIELDS:
             raise ValueError(f"unknown model {self.model!r}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"size must be a positive integer, got n={self.n}")
-        if self.model in ("er", "br"):
-            if self.p is None or not (0.0 <= self.p <= 1.0):
-                raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if self.model == "rg":
-            if self.r is None or not (0.0 <= self.r <= MAX_RADIUS):
-                raise ValueError(f"r must lie in [0, sqrt(2)], got {self.r}")
+        high, spelled = (MAX_RADIUS, "sqrt(2)") if self.param_name == "r" else (1.0, "1")
+        value = self.param_value
+        if value is None or not (0.0 <= value <= high):
+            raise ValueError(f"{self.param_name} must lie in [0, {spelled}], got {value}")
         if self.model == "br":
             if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (self.n1, self.n2)):
                 raise ValueError("br requires positive part sizes n1, n2")
             if self.n1 + self.n2 != self.n:
                 raise ValueError(f"br total n={self.n} != n1+n2={self.n1 + self.n2}")
-        unread = {"er": ("r", "n1", "n2"), "rg": ("p", "n1", "n2"), "br": ("r",)}[self.model]
-        given = [name for name in unread if getattr(self, name) is not None]
+        given = [f.name for f in fields(self) if f.default is None  # the optional fields
+                 and f.name not in FIELDS[self.model] and getattr(self, f.name) is not None]
         if given:
             raise ValueError(f"{self.model} takes no {', '.join(given)}")
         if self.model != "rg" and self.pairs > _MAX_PAIRS:
@@ -142,11 +146,11 @@ class ModelSpec:
 
     @property
     def param_name(self) -> str:
-        return "r" if self.model == "rg" else "p"
+        return FIELDS[self.model][-1]
 
     @property
     def param_value(self) -> float:
-        return self.r if self.model == "rg" else self.p
+        return getattr(self, self.param_name)
 
     @property
     def curve(self) -> str:

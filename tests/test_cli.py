@@ -299,9 +299,17 @@ def test_predict_command(capsys):
     # A degree the model needs is missing.
     (["--model", "br", "--index", "nk", "--d1", "3"], "br prediction requires --d1 and --d2"),
     (["--model", "rg", "--index", "nk"], "er/rg prediction requires --k"),
+    # A degree flag that the model does not read is refused, not dropped, and
+    # before a missing one is named.
+    (["--model", "br", "--index", "pi2", "--d1", "3", "--d2", "4", "--k", "9"],
+     "br takes no --k"),
+    (["--model", "br", "--index", "pi2", "--d1", "3", "--k", "0"], "br takes no --k"),
+    (["--model", "rg", "--index", "nk", "--k", "10", "--per-vertex"], "rg takes no --per-vertex"),
+    (["--model", "er", "--index", "nk", "--d1", "3", "--d2", "4"], "er takes no --d1, --d2"),
 ], ids=["er-k-nan", "rg-k-inf", "er-k-0", "br-d1-inf", "br-d2-nan-per-vertex",
         "er-pi2-overflow", "er-idpi-overflow", "br-hpi-overflow", "br-pi2-per-vertex-overflow",
-        "er-pi2-underflow", "rg-pi1-underflow", "br-rpi-underflow", "br-no-d2", "rg-no-k"])
+        "er-pi2-underflow", "rg-pi1-underflow", "br-rpi-underflow", "br-no-d2", "rg-no-k",
+        "br-with-k", "br-with-k-0-no-d2", "rg-with-per-vertex", "er-with-d1-d2"])
 def test_bad_predict_degrees_are_one_line_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         main(["predict", *argv])
@@ -785,6 +793,15 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
     (["generate", "--model", "er", "--p", "0.1", "--seed", "1"], "er requires --n"),
     (["sweep", "--model", "er", "--n", "10", "--index", "nk", "--seed", "1"], "er requires --p"),
     (["generate", "--model", "rg", "--n", "10", "--seed", "1"], "rg requires --r"),
+    # A size or parameter flag that the model does not read is refused, not dropped.
+    (["sweep", "--model", "rg", "--n", "30", "--r", "0.3", "--p", "0.5", "--index", "nk",
+      "--seed", "1"], "rg takes no --p"),
+    (["sweep", "--model", "br", "--n", "20", "--n1", "10", "--n2", "10", "--p", "0.1",
+      "--index", "nk", "--seed", "1"], "br takes no --n"),
+    (["generate", "--model", "er", "--n", "20", "--n1", "10", "--n2", "10", "--p", "0.1",
+      "--seed", "1"], "er takes no --n1, --n2"),
+    (["generate", "--model", "er", "--n", "20", "--p", "0.1", "--r", "0.3", "--seed", "1"],
+     "er takes no --r"),
     (["verify", "--seed", "1", "--sizes", "8", "--graphs", "1", "--custom-vertex", "x"],
      "custom function must be NAME=EXPR, got 'x'"),
     # A collapse input names curves of the report, and its --index is resolved,
@@ -808,7 +825,9 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
         "verify-custom-vertex-and-edge", "index-repeated-name", "index-path-comma",
         "index-path-line-break", "index-path-quote", "sweep-er-pairs", "generate-br-pairs",
         "verify-pairs", "sweep-br-no-sizes", "generate-br-unequal-sizes", "sweep-br-no-p",
-        "generate-er-no-n", "sweep-er-no-p", "generate-rg-no-r", "verify-custom-no-equals",
+        "generate-er-no-n", "sweep-er-no-p", "generate-rg-no-r", "sweep-rg-with-p",
+        "sweep-br-with-n", "generate-er-with-parts", "generate-er-with-r",
+        "verify-custom-no-equals",
         "collapse-path-comma", "collapse-path-line-break", "collapse-path-quote",
         "collapse-additive-index", "collapse-unknown-index"])
 def test_bad_model_and_worker_flags_are_one_line_errors(tmp_path, argv, message):

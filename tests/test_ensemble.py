@@ -150,6 +150,16 @@ def test_csv_round_trip():
         assert a.degenerate == b.degenerate and a.replicas == b.replicas
 
 
+def test_blank_lines_of_a_results_csv_are_skipped():
+    rows = sweep(EnsembleSpec(grid=(erdos_renyi(10, 0.3), erdos_renyi(10, 0.5)),
+                              indices=("nk",), master_seed=SEED, budget=20))
+    buf = io.StringIO()
+    write_results_csv(rows, buf)
+    header, first, second = buf.getvalue().splitlines()
+    back = read_results_csv(io.StringIO(f"{header}\n{first}\n\n{second}\n\n"))
+    assert repr(back) == repr(rows)
+
+
 _SIZES = st.integers(1, 10**6)
 _RESULT_ROWS = st.builds(
     EnsembleStats,
@@ -387,6 +397,26 @@ def test_a_chunk_is_released_before_the_next_is_sampled(point):
     run_point(point, MULTIPLICATIVE_NAMES, 1, SEED)  # builds the ln tables
     assert len(ensemble._chunks(point, 6)) == 6
     assert peak(6) - peak(1) <= 64 * 2**10
+
+
+def test_a_point_holds_one_value_per_rule_and_replica():
+    # Up front a point allocates its rules x replicas values and the replicas'
+    # empirical <k>, 8 bytes each, and the chunks add a few bytes a replica; the
+    # skipped vertices are one total per rule, where a second rules x replicas
+    # array would add 8 bytes a rule.
+    point = erdos_renyi(30, 0.1)
+
+    def peak(replicas):
+        tracemalloc.start()
+        try:
+            run_point(point, MULTIPLICATIVE_NAMES, replicas, SEED)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_point(point, MULTIPLICATIVE_NAMES, 1, SEED)  # builds the ln tables
+    per_replica = (peak(4000) - peak(1000)) / 3000
+    assert per_replica <= (len(MULTIPLICATIVE_NAMES) + 1) * 8 + 16
 
 
 @settings(max_examples=200, deadline=None)

@@ -259,6 +259,8 @@ def _outcome(read, text):
 @example("3 2\n0\n1\n")                       # every edge line has one token
 @example("\n \t\n")
 @example("2 0")
+@example("3 1\n0 x\n")                        # a token that is no integer
+@example("3 1\n0 1.0\n")
 def test_reader_agrees_with_the_line_parser(text):
     # The same Graph, or the same error type and message.
     assert _outcome(read_edge_list, text) == _outcome(reference_read_edge_list, text)
