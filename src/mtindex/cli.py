@@ -8,7 +8,7 @@ outside the grammar, bad ``--out`` paths, failed replicas and allocations that
 numpy refuses by raising ValueError; :func:`main` alone writes the one ``error:``
 line (exit status 1).  ``sweep``, ``generate`` and ``predict`` refuse a size,
 parameter or degree flag that the model does not read (``rg takes no --p``);
-``models.FIELDS`` says which fields each model reads.  A degree function that
+``names.FIELDS`` says which fields each model reads.  A degree function that
 fails in ``verify`` exits 2 instead.
 An interrupt (Ctrl-C) ends any command with exit status 130 and one line on
 stderr; it leaves no partial output file and no temp file (``generate``
@@ -17,14 +17,17 @@ keeps the edge-list files it finished).
 ``index`` evaluates each file's index set, sums and ln-products alike, in one
 evaluator call; a row's ``excluded`` counts the isolated vertices it skipped.
 
-Each command imports only the modules it runs.  This module loads ``graph``,
-``indices`` and ``models`` (numpy, no mpmath); ``sweep`` and ``collapse``
-import ``ensemble``; ``collapse`` and ``predict`` import ``dense``; only
-``verify`` imports ``inequalities``, and with it mpmath.
+Each command imports only the modules it runs, when it runs.  This module
+loads the standard library and ``names`` alone, so ``--help``, every usage
+error and the ``--out`` refusals load no numpy.  ``generate`` imports
+``models`` and ``graph``; ``index`` imports ``graph`` and ``indices``;
+``sweep`` and ``collapse`` import ``ensemble``; ``collapse`` and ``predict``
+import ``dense``; only ``verify`` imports ``inequalities``, and with it mpmath.
 
 No command starts a second process, nor a second thread: mtindex calls no
 BLAS routine, so the OpenBLAS worker that numpy starts on import could only
-spin, and this module pins OpenBLAS to one thread before it loads numpy.
+spin, and this module pins OpenBLAS to one thread on import, before any
+command loads numpy.
 """
 
 from __future__ import annotations
@@ -37,24 +40,12 @@ import os
 import sys
 from pathlib import Path
 
-# One thread (see above), set only where the CLI is first to load numpy: an
-# inherited value is overridden, and a library user's BLAS is left alone.
+# One thread (see above), set only where numpy is not loaded before the CLI:
+# an inherited value is overridden, and a library user's BLAS is left alone.
 if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import models
-from .graph import atomic_write, read_edge_list_path, write_edge_list_path
-from .indices import (
-    BUILT_IN_INDICES,
-    EXCLUDE,
-    EdgeFunction,
-    EvaluationError,
-    MULTIPLICATIVE_NAMES,
-    POLICIES,
-    VertexFunction,
-    _ln_indices,
-    resolve,
-)
+from .names import EXCLUDE, FIELDS, POLICIES
 
 
 def _int_list(text: str) -> list[int]:
@@ -74,8 +65,10 @@ def _build_grid(args) -> list[models.ModelSpec]:
 
     A point that no replica can sample is no ModelSpec, so it fails here, before any work.
     """
-    *sizes, param = read = models.FIELDS[args.model]
-    unread = [f"--{name}" for name in sorted(set().union(*models.FIELDS.values()))
+    from . import models
+
+    *sizes, param = read = FIELDS[args.model]
+    unread = [f"--{name}" for name in sorted(set().union(*FIELDS.values()))
               if name not in read and getattr(args, name)]
     if unread:
         raise ValueError(f"{args.model} takes no {', '.join(unread)}")
@@ -110,6 +103,9 @@ def _point_tag(spec: models.ModelSpec) -> str:
 
 
 def cmd_generate(args) -> int:
+    from . import models
+    from .graph import write_edge_list_path
+
     models.check_master_seed(args.seed)
     grid = _build_grid(args)
     if args.replicas < 1:
@@ -131,6 +127,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from .graph import read_edge_list_path
+    from .indices import BUILT_IN_INDICES, _ln_indices, resolve
+
     rules = resolve(args.index, BUILT_IN_INDICES)
     # Each path is the file field of its rows, written as it is given.
     for path in args.paths:
@@ -179,6 +178,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_collapse(args) -> int:
     from . import dense, ensemble
+    from .indices import resolve
 
     if not 0.0 <= args.tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {args.tolerance}")
@@ -261,8 +261,8 @@ def _power(base, exponent):
 
 _CUSTOM_CALLS = {"sqrt": math.sqrt, "log": math.log, "exp": math.exp}
 _CUSTOM_CONSTANTS = {"pi": math.pi, "e": math.e}
-# Argument name -> position in the degree tuple.
-_CUSTOM_ARGS = {VertexFunction: {"d": 0}, EdgeFunction: {"a": 0, "b": 1, "du": 0, "dv": 1}}
+# Argument name -> position in the degree tuple, by arity.
+_CUSTOM_ARGS = {"vertex": {"d": 0}, "edge": {"a": 0, "b": 1, "du": 0, "dv": 1}}
 _CUSTOM_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
                   ast.Div: operator.truediv, ast.Pow: _power}
 
@@ -298,11 +298,14 @@ def _custom_closure(node: ast.AST, args: dict[str, int]):
     raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
 
-def _parse_custom(defs: list[str], kind: type):
-    """The ``NAME=EXPR`` definitions as functions of ``kind``.  Each NAME is a
-    field of the verify report, so it must be nonempty and hold no comma,
-    double quote or line break; ``indices.resolve`` refuses one that repeats a
-    function name."""
+def _parse_custom(defs: list[str], arity: str):
+    """The ``NAME=EXPR`` definitions as vertex or edge functions, by ``arity``.
+    Each NAME is a field of the verify report, so it must be nonempty and hold
+    no comma, double quote or line break; ``indices.resolve`` refuses one that
+    repeats a function name."""
+    from .indices import EdgeFunction, VertexFunction
+
+    kind = VertexFunction if arity == "vertex" else EdgeFunction
     out = []
     for item in defs:
         if "=" not in item:
@@ -310,7 +313,7 @@ def _parse_custom(defs: list[str], kind: type):
         name, expr = item.split("=", 1)
         _csv_field("custom function name", name)
         try:
-            closure = _custom_closure(ast.parse(expr, mode="eval").body, _CUSTOM_ARGS[kind])
+            closure = _custom_closure(ast.parse(expr, mode="eval").body, _CUSTOM_ARGS[arity])
         except (SyntaxError, ValueError, OverflowError) as exc:
             raise ValueError(f"custom function {name!r}: {getattr(exc, 'msg', exc)}") from None
         # Float arguments, as the literals are floats (see _custom_closure).
@@ -320,9 +323,11 @@ def _parse_custom(defs: list[str], kind: type):
 
 def cmd_verify(args) -> int:
     from . import inequalities
+    from .graph import atomic_write
+    from .indices import EvaluationError, MULTIPLICATIVE_NAMES
 
-    vertex = _parse_custom(args.custom_vertex, VertexFunction)
-    edge = _parse_custom(args.custom_edge, EdgeFunction)
+    vertex = _parse_custom(args.custom_vertex, "vertex")
+    edge = _parse_custom(args.custom_edge, "edge")
     functions = [*MULTIPLICATIVE_NAMES, *vertex, *edge]
     try:
         rows = inequalities.verify_corpus(
@@ -357,6 +362,8 @@ def cmd_verify(args) -> int:
 
 
 def _emit(lines: list[str], out: str | None) -> None:
+    from .graph import atomic_write
+
     text = "\n".join(lines) + "\n"
     if out:
         with atomic_write(out) as fh:
@@ -373,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p, budgeted: bool):
-        p.add_argument("--model", choices=tuple(models.FIELDS), required=True)
+        p.add_argument("--model", choices=tuple(FIELDS), required=True)
         p.add_argument("--n", type=_int_list, default=[], help="comma list of sizes")
         p.add_argument("--n1", type=_int_list, default=[], help="br part-1 sizes")
         p.add_argument("--n2", type=_int_list, default=[], help="br part-2 sizes")
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_collapse)
 
     p = sub.add_parser("predict", help="dense-limit prediction of mean ln X per vertex")
-    p.add_argument("--model", choices=tuple(models.FIELDS), required=True)
+    p.add_argument("--model", choices=tuple(FIELDS), required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--k", type=float, default=None, help="mean degree (er/rg)")
     p.add_argument("--d1", type=float, default=None, help="br part-1 mean degree")

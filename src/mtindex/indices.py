@@ -71,10 +71,7 @@ from typing import Callable, Iterable, Union
 import numpy as np
 
 from .graph import DegreeHistogram, Graph
-
-EXCLUDE = "exclude"
-LOGZERO = "logzero"
-POLICIES = (EXCLUDE, LOGZERO)
+from .names import EXCLUDE, LOGZERO, POLICIES
 
 
 class EvaluationError(ValueError):

@@ -10,9 +10,8 @@ Models:
   ``0..n1-1``) and n2 (vertices ``n1..n1+n2-1``); each cross pair is an edge
   independently with probability p.  No intra-set edges ever.
 
-``FIELDS`` states once which fields each model reads, in the order its
-factory takes them (sizes, then the parameter); :class:`ModelSpec` and the
-CLI's grid read it.
+``FIELDS`` (from :mod:`mtindex.names`) says which fields each model reads,
+in the order its factory takes them; :class:`ModelSpec` and the CLI's grid read it.
 
 Determinism contract: a replica stream is a pure function of the triple
 (master_seed, point_id, replica_index), mixed through a splitmix64-style
@@ -94,10 +93,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import Graph, _from_canonical
+from .names import FIELDS
 
 MAX_RADIUS = math.sqrt(2.0)
-
-FIELDS = {"er": ("n", "p"), "rg": ("n", "r"), "br": ("n1", "n2", "p")}
 
 _MASK64 = (1 << 64) - 1
 

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtindex
-from mtindex import cli, ensemble, graph, inequalities, models
+from mtindex import cli, ensemble, graph, indices, inequalities, models
 from mtindex.cli import main
 from mtindex.graph import write_edge_list_path
 from mtindex.indices import (
@@ -173,7 +173,7 @@ SWEEP = ["sweep", "--model", "er", "--n", "30", "--p", "0.1", "--budget", "60", 
 
 def _verify_with_built_ins(monkeypatch, names):
     """``mtindex verify`` as if ``names`` were its built-in functions."""
-    monkeypatch.setattr(cli, "MULTIPLICATIVE_NAMES", names)
+    monkeypatch.setattr(indices, "MULTIPLICATIVE_NAMES", names)
     main(["verify", "--seed", "1", "--sizes", "8", "--graphs", "1"])
 
 
@@ -223,7 +223,7 @@ def test_an_unknown_or_repeated_index_is_refused_before_any_work(monkeypatch, tm
         raise AssertionError("work began before the index set was checked")
 
     for owner, name in ((inequalities, "generate"), (ensemble, "sample_chunk"),
-                        (cli, "read_edge_list_path"), (graph.DegreeHistogram, "stack")):
+                        (graph, "read_edge_list_path"), (graph.DegreeHistogram, "stack")):
         monkeypatch.setattr(owner, name, no_work)
     with pytest.raises((ValueError, SystemExit)) as info:
         call(monkeypatch, tmp_path)
@@ -634,17 +634,16 @@ def _outcome(fn, degrees):
 
 
 def _agrees_with_the_reference(expr, arity, degree_args):
-    kind = VertexFunction if arity == "vertex" else EdgeFunction
     try:
         reference_parse_custom([f"x={expr}"], arity)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
-            cli._parse_custom([f"x={expr}"], kind)
+            cli._parse_custom([f"x={expr}"], arity)
         assert str(info.value) == str(exc)
         return
     # The walk reads every literal as a float, so the reference gets float literals.
     (want,) = reference_parse_custom([f"x={with_float_literals(expr)}"], arity)
-    (got,) = cli._parse_custom([f"x={expr}"], kind)
+    (got,) = cli._parse_custom([f"x={expr}"], arity)
     for degrees in degree_args:
         expected, actual = _outcome(want.fn, degrees), _outcome(got.fn, degrees)
         walk_complex = actual[0] is ValueError and actual[1].startswith("complex result")
@@ -889,9 +888,9 @@ SWEEP = ["sweep", "--model", "er", "--n", "30", "--p", "0.1,0.3", "--index", "nk
     ("sweep", ensemble, "sample_chunk"),
     ("sweep", ensemble, "atomic_write"),
     ("verify", inequalities, "_Prepared"),
-    ("verify", cli, "atomic_write"),
-    ("index", cli, "_ln_indices"),
-    ("index", cli, "atomic_write"),
+    ("verify", graph, "atomic_write"),
+    ("index", indices, "_ln_indices"),
+    ("index", graph, "atomic_write"),
     ("generate", models, "generate"),
     ("generate", graph, "atomic_write"),
 ])

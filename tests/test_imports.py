@@ -1,10 +1,13 @@
 """Which modules each command loads, each case in a fresh interpreter.
 
-``import mtindex`` loads no submodule; ``mtindex.cli`` loads ``graph``,
-``indices`` and ``models``, and every command imports the rest of what it
-runs: mpmath only with ``verify``, ``ensemble`` only with ``sweep`` and
+``import mtindex`` loads no submodule.  ``mtindex.cli`` loads only the
+standard library and ``names``, so ``--help``, a usage error and a refused
+``--out`` load no numpy; every command imports what it runs when it runs:
+``models`` and ``graph`` with ``generate``, ``graph`` and ``indices`` with
+``index``, mpmath only with ``verify``, ``ensemble`` only with ``sweep`` and
 ``collapse``.  No command loads a process pool, and every command runs on
-one thread: the CLI pins OpenBLAS to one thread before it loads numpy.
+one thread: the CLI pins OpenBLAS to one thread before any command loads
+numpy.
 """
 
 import os
@@ -38,7 +41,7 @@ EXPORTS = {
 }
 
 POOL = "concurrent.futures.process"
-SUBMODULES = {f"mtindex.{name}" for name in (*EXPORTS, "cli")}
+SUBMODULES = {f"mtindex.{name}" for name in (*EXPORTS, "cli", "names")}
 ALL_INDICES = ",".join(MULTIPLICATIVE_NAMES + ADDITIVE_NAMES)
 
 
@@ -67,24 +70,42 @@ def test_importing_the_package_loads_no_submodule(tmp_path):
 
 def test_importing_the_cli_loads_no_command_module(tmp_path):
     loaded = _loaded(tmp_path, "import mtindex.cli")
-    assert {"mtindex.graph", "mtindex.indices", "mtindex.models"} <= loaded
-    assert loaded.isdisjoint(
-        {"mpmath", "mtindex.inequalities", "mtindex.ensemble", "mtindex.dense", POOL})
+    assert loaded.isdisjoint(SUBMODULES - {"mtindex.cli", "mtindex.names"}
+                             | {"numpy", "mpmath", POOL}), sorted(loaded & SUBMODULES)
 
 
 def _main(*argv: str) -> str:
     return f"from mtindex.cli import main\nassert main({list(argv)!r}) == 0"
 
 
+# Runs that end before any command starts: argv -> the code they exit with.
+SWEEP = ["sweep", "--model", "er", "--n", "30", "--p", "0.1", "--index", "nk", "--seed", "1"]
+PARSE_ONLY = {
+    "help": (["--help"], "0"),
+    "sweep-help": (["sweep", "--help"], "0"),
+    "usage-error": ([*SWEEP[:2], "xx", *SWEEP[3:]], "2"),    # --model xx
+    "out-is-a-directory": ([*SWEEP, "--out", "."], "error: .: is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ONLY))
+def test_parsing_loads_no_numpy(tmp_path, case):
+    argv, code = PARSE_ONLY[case]
+    lines = _run(tmp_path, f"from mtindex.cli import main\ntry:\n    main({argv!r})\n"
+                           "except SystemExit as exc:\n    print(exc.code)")
+    assert lines[-2] == code
+    assert "numpy" not in lines[-1].split()
+
+
 # command -> (its argv, modules it must load, modules it must leave unloaded)
 COMMANDS = {
     "generate": (["generate", "--model", "rg", "--n", "30", "--r", "0.3", "--seed", "1",
                   "--out", "graphs"],
-                 set(), {"mpmath", "mtindex.inequalities", "mtindex.ensemble", "mtindex.dense",
-                         POOL}),
+                 {"mtindex.models", "mtindex.graph"},
+                 {"mpmath", "mtindex.inequalities", "mtindex.ensemble", "mtindex.dense", POOL}),
     "index": (["index", "path.edges", "--index", ALL_INDICES, "--out", "index.csv"],
-              set(), {"mpmath", "mtindex.inequalities", "mtindex.ensemble", "mtindex.dense",
-                      POOL}),
+              {"mtindex.graph", "mtindex.indices"},
+              {"mpmath", "mtindex.inequalities", "mtindex.ensemble", "mtindex.dense", POOL}),
     "predict": (["predict", "--model", "br", "--index", "pi2", "--d1", "6", "--d2", "6"],
                 {"mtindex.dense"}, {"mpmath", "mtindex.inequalities", "mtindex.ensemble",
                                     POOL}),
