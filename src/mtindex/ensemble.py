@@ -123,6 +123,13 @@ def _mean_sem(xs: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _check_run(policy: str, master_seed: int, replicas: int, point_id: int = 0) -> None:
+    _check_policy(policy)
+    check_master_seed(master_seed, point_id)
+    if replicas < 1:
+        raise ValueError(f"replica count must be >= 1, got {replicas}")
+
+
 def run_point(
     point: ModelSpec,
     indices: Sequence[str],
@@ -143,10 +150,7 @@ def run_point(
     no replica can sample is no :class:`ModelSpec`.
     """
     rules = resolve(indices)
-    _check_policy(isolated_policy)
-    check_master_seed(master_seed, point_id)
-    if replicas < 1:
-        raise ValueError(f"replica count must be >= 1, got {replicas}")
+    _check_run(isolated_policy, master_seed, replicas, point_id)
     # Allocated before any chunk is planned or sampled, so a replica count
     # whose arrays numpy refuses fails at once.
     values = np.empty((len(rules), replicas))
@@ -268,6 +272,9 @@ def _read_row(line: str) -> EnsembleStats:
     param = f.pop("param_name")
     if param not in ("p", "r"):
         raise ValueError(f"unknown param_name {param!r}")
+    _check_run(f["policy"], f["master_seed"], f["replicas"])
+    if f["degenerate"] < 0:
+        raise ValueError(f"degenerate count must be >= 0, got {f['degenerate']}")
     spec = ModelSpec(f.pop("model"), f.pop("n"), n1=f.pop("n1"), n2=f.pop("n2"),
                      **{param: f.pop("param_value")})
     del f["mean_ln_over_n"]  # derived from mean_ln and n
@@ -277,8 +284,8 @@ def _read_row(line: str) -> EnsembleStats:
 def read_results_csv(src: TextIO) -> list[EnsembleStats]:
     """Rows of a results CSV.
 
-    A wrong header or a row that is the wrong width, does not parse or is no
-    valid model point raises ValueError naming its line.
+    A wrong header, or a row that is the wrong width, does not parse or holds
+    a value that no run writes, raises ValueError naming its line.
     """
     header = src.readline().strip()
     if header != RESULTS_COLUMNS:

@@ -19,16 +19,16 @@ graph gets the same bits alone or stacked.
 
 Terms.  A built-in's ln F comes from its row of one table per arity, with one
 row per built-in product of that arity, at every degree (or degree pair) below
-the power of two above the largest degree seen, up to ``_TABLE_CAP``.  The
-table index of a histogram's arguments is computed once per arity, and one
-gather of the table's rows and one multiply by the counts give the weighted
-terms of every built-in product of that arity; each rule keeps its own
-``np.bincount``.  A stack with a degree at or above the cap computes ln F at
-its distinct arguments.  A sum's F, and any custom function, is computed at
-those arguments only, never over a table.
-numpy's log and the rules' arithmetic act element by element, so a table
-entry has the bits of ln F at that argument alone, and no value depends on
-where its term came from (the tests check this under both log kernels).
+``_TABLE_CAP`` = 64, built once per process on first use.  The table index
+of a histogram's arguments is computed once per arity, and one gather of the
+table's rows and one multiply by the counts give the weighted terms of every
+built-in product of that arity; each rule keeps its own ``np.bincount``.  A
+stack with a degree at or above the cap computes ln F at its distinct
+arguments.  A sum's F, and any custom function, is computed at those
+arguments only, never over a table.  numpy's log and the rules' arithmetic
+act element by element, so a table entry has the bits of ln F at that
+argument alone, and no value depends on where its term came from (the tests
+check this under both log kernels).
 
 Error bound.  With unit roundoff u = 2^-53 and gamma_j = j*u / (1 - j*u),
 the computed value S^ of S = sum ln F_i over k factors obeys
@@ -64,6 +64,7 @@ caller, so mpmath loads only where the exact forms run:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Union
@@ -88,7 +89,9 @@ class VertexFunction:
 
 @dataclass(frozen=True)
 class EdgeFunction:
-    """Custom symmetric edge rule (d_u, d_v) -> F, positive and finite for d >= 1."""
+    """Custom edge rule (d_u, d_v) -> F, positive and finite for d >= 1, called
+    as F(d_u, d_v) for each edge u < v in vertex order: an asymmetric F means
+    something only where the model fixes that order (in br, u is in part 1)."""
 
     name: str
     fn: Callable[[int, int], float]
@@ -210,31 +213,25 @@ _ADDITIVE: dict[str, _Rule] = {
 _TABLE_ROWS = {arity: tuple(rule for rule in MULTIPLICATIVE_INDICES.values() if rule.arity == arity)
                for arity in ("vertex", "edge")}
 _ROW = {rule: row for rules in _TABLE_ROWS.values() for row, rule in enumerate(rules)}
-# One table of ln F per arity per process: row i holds ln F of _TABLE_ROWS[arity][i]
-# at every degree (vertex rules) or degree pair (edge rules) below the power of
-# two at or above the largest degree seen, up to _TABLE_CAP.  It is replaced by
-# one twice as large or more as degrees grow, so an arity builds at most 7.  An
-# entry depends on its rule alone, so every caller shares it.
-_TABLE_CAP = 64
-_LN_TABLES: dict[str, np.ndarray] = {}
+_TABLE_CAP = 64     # the tables cover degrees below it; a stack with one at or above computes ln F
 
 
-def _table_terms(arity: str, degrees: tuple[np.ndarray, ...], top: int) -> np.ndarray:
-    """ln F of every built-in of ``arity`` at each argument, one row per rule of
-    ``_TABLE_ROWS[arity]``, read from the table by one gather, where no degree
-    reaches ``top <= _TABLE_CAP``.  Each entry has the bits of ``rule.ln`` at
-    that argument alone."""
-    table = _LN_TABLES.get(arity)
-    if table is None or table.shape[1] < top:
-        size = min(1 << (top - 1).bit_length(), _TABLE_CAP)   # a power of two >= top
-        grid = np.indices((size,) * len(degrees))
-        with np.errstate(divide="ignore", invalid="ignore"):   # F at degree 0
-            table = np.array([rule.ln(*grid) for rule in _TABLE_ROWS[arity]])
-        _LN_TABLES[arity] = table
-    index = degrees[0]
-    for d in degrees[1:]:
-        index = index * table.shape[1] + d
-    return table.reshape(len(table), -1).take(index, axis=1)
+@functools.cache
+def _ln_table(arity: str) -> np.ndarray:
+    """Row i holds ln F of ``_TABLE_ROWS[arity][i]`` at every degree (or degree pair, flat
+    at ``d_u * _TABLE_CAP + d_v``) below ``_TABLE_CAP``; built on first use, read-only."""
+    grid = np.indices((_TABLE_CAP,) * (1 if arity == "vertex" else 2))
+    with np.errstate(divide="ignore", invalid="ignore"):   # F at degree 0
+        table = np.array([rule.ln(*grid).ravel() for rule in _TABLE_ROWS[arity]])
+    table.setflags(write=False)
+    return table
+
+
+def _table_terms(arity: str, degrees: tuple[np.ndarray, ...]) -> np.ndarray:
+    """ln F of every built-in of ``arity`` at each argument below ``_TABLE_CAP``,
+    one row per rule of ``_TABLE_ROWS[arity]``, by one gather from its table."""
+    index = degrees[0] if len(degrees) == 1 else degrees[0] * _TABLE_CAP + degrees[1]
+    return _ln_table(arity).take(index, axis=1)
 
 
 MULTIPLICATIVE_NAMES = tuple(MULTIPLICATIVE_INDICES)
@@ -354,9 +351,7 @@ def _ln_indices(rules: list, h: DegreeHistogram, policy: str) -> tuple[np.ndarra
         row = _ROW.get(rule)
         if row is not None and top <= _TABLE_CAP:
             if rule.arity not in tabled:
-                weighted = _table_terms(rule.arity, degrees, top)
-                weighted *= counts
-                tabled[rule.arity] = weighted
+                tabled[rule.arity] = _table_terms(rule.arity, degrees) * counts
             weighted = tabled[rule.arity][row]
         else:
             weighted = counts * (rule.value(*degrees) if rule.additive else rule.ln(*degrees))

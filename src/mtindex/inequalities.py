@@ -294,14 +294,16 @@ def corpus_model_points(
     ``graphs_per_size`` graphs are split, the first ``graphs_per_size % 10``
     values taking one more than the rest.  Every grid value keeps its cell,
     also with zero replicas, so a cell's position (its point id) depends only
-    on the sizes.  A size below 2 leaves a bipartite part empty, so it is
-    refused before any cell is built.
+    on the sizes.  A size below 2 leaves a bipartite part empty, and a size
+    given twice repeats its cells, so each is refused before any cell is built.
     """
     if not sizes:
         raise ValueError("sizes must list at least one graph size")
     for n in sizes:
         if n < 2:
             raise ValueError(f"sizes must be >= 2, got {n}")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"sizes repeat a size: {','.join(map(str, sizes))}")
     if graphs_per_size < 1:
         raise ValueError(f"graphs per size must be >= 1, got {graphs_per_size}")
     params = [(i + 1) / 10.0 for i in range(10)]
@@ -323,9 +325,9 @@ def verify_corpus(
 ) -> list[CorpusCheck]:
     """Run every check over the sampled corpus; deterministic in master_seed.
     An unknown function or a repeated name, built-in or custom (each function
-    is resolved once, here), a seed outside [0, 2^64), a size below 2, or a
-    cell that no replica can sample (no :class:`ModelSpec`), raises ValueError
-    before any sampling."""
+    is resolved once, here), a seed outside [0, 2^64), a size below 2 or given
+    twice, or a cell that no replica can sample (no :class:`ModelSpec`), raises
+    ValueError before any sampling."""
     rules = resolve(MULTIPLICATIVE_NAMES if functions is None else functions)
     check_master_seed(master_seed)
     cells = corpus_model_points(sizes, graphs_per_size)

@@ -513,7 +513,13 @@ def test_collapse_refuses_a_point_with_no_mean(tmp_path, capsys):
     (lambda f: f[:2] + ["20", "40"] + f[4:], "line 2: er takes no n1, n2"),
     (lambda f: f[:1] + ["16777218"] + f[2:], "line 2: er n=16777218 p=0.04: 140737513521153"
      " candidate pairs exceed the 2^47 of one sample"),
-], ids=["short", "long", "param-x", "rg-with-p", "er-with-parts", "unsamplable"])
+    (lambda f: f[:7] + ["foo"] + f[8:], "line 2: unknown isolated policy 'foo'"),
+    (lambda f: f[:8] + ["-7"] + f[9:], "line 2: replica count must be >= 1, got -7"),
+    (lambda f: f[:9] + ["-1"] + f[10:], "line 2: degenerate count must be >= 0, got -1"),
+    (lambda f: f[:-1] + [str(2**64)],
+     "line 2: seed must lie in [0, 2^64), got 18446744073709551616"),
+], ids=["short", "long", "param-x", "rg-with-p", "er-with-parts", "unsamplable", "policy-foo",
+        "replicas-negative", "degenerate-negative", "seed-beyond-2^64"])
 def test_collapse_bad_row_is_a_one_line_error(tmp_path, capsys, edit, message):
     csv = tmp_path / "sweep.csv"
     _er_sweep(csv, 3)
@@ -731,6 +737,8 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
     (["verify", "--seed", "1", "--sizes", "0"], "sizes must be >= 2, got 0"),
     (["verify", "--seed", "1", "--sizes", "1"], "sizes must be >= 2, got 1"),
     (["verify", "--seed", "1", "--sizes", "8,1"], "sizes must be >= 2, got 1"),
+    (["verify", "--seed", "1", "--sizes", "8,16,8", "--graphs", "10"],
+     "sizes repeat a size: 8,16,8"),
     (["sweep", "--model", "er", "--n", "40", "--p", "0.1", "--index", "nk", "--seed", "5",
       "--budget", "inf"], "budget must be finite, got inf"),
     (["sweep", "--model", "er", "--n", "40", "--p", "0.1", "--index", "nk", "--seed", "5",
@@ -815,7 +823,7 @@ def test_failed_sweep_leaves_no_output_file(tmp_path, monkeypatch):
     (["collapse", "a.csv", "b.csv", "--index", "wiener"],
      "unknown multiplicative index 'wiener'"),
 ], ids=["sweep-workers-0", "sweep-p", "generate-p", "sweep-rg-r", "verify-sizes-0",
-        "verify-sizes-1", "verify-sizes-8-1",
+        "verify-sizes-1", "verify-sizes-8-1", "verify-sizes-repeated",
         "sweep-budget-inf", "sweep-budget-nan", "verify-graphs-0", "verify-graphs-negative",
         "verify-sizes-empty", "verify-sizes-comma", "generate-replicas-0",
         "generate-replicas-negative", "sweep-er-repeated-point", "sweep-br-repeated-point",

@@ -177,7 +177,7 @@ _RESULT_ROWS = st.builds(
     mean_k_sem=st.floats(),
     mean_ln=st.floats(),                  # nan and +-inf included
     sem=st.floats(),
-    master_seed=st.integers(),
+    master_seed=st.integers(0, 2**64 - 1),
 )
 
 

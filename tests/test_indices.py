@@ -259,46 +259,33 @@ def test_a_custom_function_is_called_only_at_the_graph_degrees():
 
 
 @pytest.mark.parametrize("name", MULTIPLICATIVE_NAMES)
-def test_table_terms_equal_the_rule_bit_for_bit(monkeypatch, name):
-    # Every degree (pair) in 1.._TABLE_CAP-1 read from its arity's table built
-    # small, grown, then read for a stack of smaller degrees: the rule's row
-    # must hold ln F of that argument alone.
-    monkeypatch.setattr(indices, "_LN_TABLES", {})
+def test_table_terms_equal_the_rule_bit_for_bit(name):
+    # Every degree (pair) in 1.._TABLE_CAP-1 read from its arity's full-width
+    # table: the rule's row must hold ln F of that argument alone.
     rule = MULTIPLICATIVE_INDICES[name]
     arity = 1 if rule.arity == "vertex" else 2
-    row = _TABLE_ROWS[rule.arity].index(rule)
-    for top in (5, _TABLE_CAP, 5):
-        args = tuple(np.indices((top - 1,) * arity).reshape(arity, -1) + 1)
-        got = _table_terms(rule.arity, args, top)[row]
-        want = np.concatenate([rule.ln(*(a[i:i + 1] for a in args)) for i in range(args[0].size)])
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    args = tuple(np.indices((_TABLE_CAP - 1,) * arity).reshape(arity, -1) + 1)
+    got = _table_terms(rule.arity, args)[_TABLE_ROWS[rule.arity].index(rule)]
+    want = np.concatenate([rule.ln(*(a[i:i + 1] for a in args)) for i in range(args[0].size)])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
-def test_tables_grow_by_powers_of_two(monkeypatch):
-    # Stacks whose largest degree climbs by one from 1 to 63 build each arity's
-    # table, one row per built-in of that arity, at sizes 2, 4, .., 64 only;
-    # a graph of degree 64 (top 65) is past the cap and builds none.
-    built = []
-
-    class Tables(dict):
-        def __setitem__(self, arity, table):
-            built.append((arity, table.shape))
-            super().__setitem__(arity, table)
-
-    monkeypatch.setattr(indices, "_LN_TABLES", Tables())
-    for largest in range(1, _TABLE_CAP):
-        for arity, rules in _TABLE_ROWS.items():
-            dims = 1 if arity == "vertex" else 2
-            args = tuple(np.indices((largest,) * dims).reshape(dims, -1) + 1)
-            got = _table_terms(arity, args, largest + 1)
-            assert got.view(np.int64).tolist() == \
-                [rule.ln(*args).view(np.int64).tolist() for rule in rules]
-    star = build_graph(_TABLE_CAP + 1, [(0, v) for v in range(1, _TABLE_CAP + 1)])
-    _ln_indices(resolve(MULTIPLICATIVE_NAMES), star.histogram, EXCLUDE)
-    sizes = [2, 4, 8, 16, 32, 64]
-    assert built == [(arity, (len(_TABLE_ROWS[arity]),) + (size,) * dims)
-                     for size in sizes
-                     for arity, dims in (("vertex", 1), ("edge", 2))]
+def test_each_arity_builds_its_table_once():
+    # A star with a hub of degree _TABLE_CAP builds no table; stars whose hub
+    # climbs from 1 to _TABLE_CAP - 1 then build each arity's table once, at
+    # full width, read-only.
+    rules = resolve(MULTIPLICATIVE_NAMES)
+    indices._ln_table.cache_clear()
+    for hub in (_TABLE_CAP, *range(1, _TABLE_CAP)):
+        star = build_graph(hub + 1, [(0, v) for v in range(1, hub + 1)])
+        _ln_indices(rules, star.histogram, EXCLUDE)
+        if hub == _TABLE_CAP:
+            assert indices._ln_table.cache_info().misses == 0
+    assert indices._ln_table.cache_info().misses == 2
+    for arity, dims in (("vertex", 1), ("edge", 2)):
+        table = indices._ln_table(arity)
+        assert table.shape == (len(_TABLE_ROWS[arity]), _TABLE_CAP ** dims)
+        assert not table.flags.writeable
 
 
 # Products and sums, built-in and custom, of both arities.
@@ -476,6 +463,43 @@ def test_weighted_sums_equal_the_per_element_reference(case):
                 continue
             bound = per_term + U * abs(ref[0]) + gamma(max(k - 1, 0)) * total
             assert abs(got - ref[0]) <= 2.0 * bound, (name, policy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_sets(), st.data(), st.sampled_from(POLICIES))
+def test_built_ins_do_not_depend_on_the_vertex_labels(case, data, policy):
+    # Relabelling keeps the degree multiset, so a vertex rule keeps its bits.
+    # It may turn an edge's (d_u, d_v) into (d_v, d_u), which a built-in edge
+    # rule's F ignores, but the counts of its arguments may regroup: both
+    # values lie within the module's stated bound of the exact one, so within
+    # twice that bound of each other.
+    n, edges = case
+    label = data.draw(st.permutations(range(n)))
+    g = build_graph(n, edges)
+    relabelled = build_graph(n, [(label[u], label[v]) for u, v in edges])
+    kinds = [(name, MULTIPLICATIVE_INDICES[name], "ln") for name in MULTIPLICATIVE_NAMES]
+    kinds += [(name, _ADDITIVE[name], "value") for name in ADDITIVE_NAMES]
+    for name, rule, field in kinds:
+        index = ln_multiplicative_index if field == "ln" else additive_index
+        a, b = index(g, name, policy), index(relabelled, name, policy)
+        if field == "ln":
+            assert a.excluded == b.excluded, name
+            a, b = a.value, b.value
+        if rule.arity == "vertex":
+            assert np.float64(a).view(np.int64) == np.float64(b).view(np.int64), name
+            continue
+        abs_terms = np.abs(getattr(rule, field)(*g.edge_degree_pairs().T))
+        k, total = abs_terms.size, float(abs_terms.sum())
+        assert abs(a - b) <= 2.0 * (gamma(max(k - 1, 0)) * total + 4.0 * U * (k + total)), name
+
+
+def test_an_asymmetric_edge_function_reads_vertex_order():
+    # Each edge u < v gives F(d_u, d_v): a/b is 1/2 then 2 along 0-1-2, and 2
+    # twice on the same path with its centre labelled 0.
+    ratio = EdgeFunction("ratio", lambda a, b: a / b)
+    assert ln_multiplicative_index(P3, ratio).value == 0.0
+    centre_first = build_graph(3, [(0, 1), (0, 2)])
+    assert ln_multiplicative_index(centre_first, ratio).value == 2 * math.log(2.0)
 
 
 @settings(max_examples=100, deadline=None)
