@@ -10,9 +10,10 @@ line (exit status 1).  ``sweep``, ``generate`` and ``predict`` refuse a size,
 parameter or degree flag that the model does not read (``rg takes no --p``);
 ``names.FIELDS`` says which fields each model reads.  A degree function that
 fails in ``verify`` exits 2 instead.
-An interrupt (Ctrl-C) ends any command with exit status 130 and one line on
-stderr; it leaves no partial output file and no temp file (``generate``
-keeps the edge-list files it finished).
+:func:`_read_each` reads every input path; :func:`_emit` writes every output,
+to stdout or through ``graph.atomic_write``.  So an interrupt (Ctrl-C), which
+ends any command with exit status 130 and one line on stderr, leaves no partial
+output file and no temp file (``generate`` keeps the edge-list files it finished).
 
 ``index`` evaluates each file's index set, sums and ln-products alike, in one
 evaluator call; a row's ``excluded`` counts the isolated vertices it skipped.
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import functools
 import math
 import operator
 import os
@@ -102,9 +105,32 @@ def _point_tag(spec: models.ModelSpec) -> str:
     return f"{spec.model}_{size}_{spec.param_name}{_fmt(spec.param_value)}"
 
 
+def _read_each(paths: list[str], read):
+    """Yield ``(path, read(path))`` in order.  Each path is a CSV field of the
+    output as given, so all are checked before the first read."""
+    for path in paths:
+        _csv_field("input path", path)
+    for path in paths:
+        try:
+            value = read(path)
+        # A bad table or edge list, an unreadable path, a vertex count too large to allocate
+        except (ValueError, OSError, MemoryError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        yield path, value
+
+
+def _emit(out, table) -> None:
+    """Write ``table``, a list of lines or a ``write(fh)`` callable, to ``out`` or stdout."""
+    from .graph import atomic_write
+
+    write = table if callable(table) else lambda fh: fh.write("\n".join(table) + "\n")
+    with atomic_write(out) if out else contextlib.nullcontext(sys.stdout) as fh:
+        write(fh)
+
+
 def cmd_generate(args) -> int:
     from . import models
-    from .graph import write_edge_list_path
+    from .graph import write_edge_list
 
     models.check_master_seed(args.seed)
     grid = _build_grid(args)
@@ -121,7 +147,7 @@ def cmd_generate(args) -> int:
             g = models.generate(spec, seed)
             outdir.mkdir(parents=True, exist_ok=True)
             name = f"{_point_tag(spec)}_s{args.seed}_pt{point_id}_r{replica}.edges"
-            write_edge_list_path(g, outdir / name)
+            _emit(outdir / name, functools.partial(write_edge_list, g))
             print(outdir / name)
     return 0
 
@@ -131,23 +157,15 @@ def cmd_index(args) -> int:
     from .indices import BUILT_IN_INDICES, _ln_indices, resolve
 
     rules = resolve(args.index, BUILT_IN_INDICES)
-    # Each path is the file field of its rows, written as it is given.
-    for path in args.paths:
-        _csv_field("input path", path)
     lines = ["file,index,value_type,value,log_zero,excluded,policy"]
-    for path in args.paths:
-        try:
-            g = read_edge_list_path(path)
-        # GraphError, undecodable bytes, unreadable path, a vertex count too large to allocate
-        except (ValueError, OSError, MemoryError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    for path, g in _read_each(args.paths, read_edge_list_path):
         values, excluded = _ln_indices(rules, g.histogram, args.policy)
         for rule, [value], [skipped] in zip(rules, values.tolist(), excluded.tolist()):
             lines.append(
                 f"{path},{rule.name},{'sum' if rule.additive else 'ln_product'},{_fmt(value)},"
                 f"{value == -math.inf},{skipped},{args.policy}"
             )
-    _emit(lines, args.out)
+    _emit(args.out, lines)
     return 0
 
 
@@ -168,11 +186,7 @@ def cmd_sweep(args) -> int:
         budget=budget,
         isolated_policy=args.policy,
     )
-    rows = ensemble.sweep(spec)
-    if args.out:
-        ensemble.write_results_csv_path(rows, args.out)
-    else:
-        ensemble.write_results_csv(rows, sys.stdout)
+    _emit(args.out, functools.partial(ensemble.write_results_csv, ensemble.sweep(spec)))
     return 0
 
 
@@ -184,21 +198,15 @@ def cmd_collapse(args) -> int:
         raise ValueError(f"tolerance must be finite and >= 0, got {args.tolerance}")
     resolve([args.index])    # an unknown or additive name, before any CSV is read
     # A path, or its name, is the start of a curve field of the report.
-    for path in args.csvs:
-        _csv_field("input path", path)
     names = [Path(path).name for path in args.csvs]
     tables = []
-    for i, (path, name) in enumerate(zip(args.csvs, names)):
-        try:
-            rows = ensemble.read_results_csv_path(path)
-        except (ValueError, OSError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    for i, (path, rows) in enumerate(_read_each(args.csvs, ensemble.read_results_csv_path)):
         # A table named twice would be compared with itself.
         for earlier in args.csvs[:i]:
             if os.path.samefile(earlier, path):
                 raise ValueError(f"inputs repeat a table: {earlier} and {path}")
         # A basename that two inputs share names neither; their paths do.
-        source = name if names.count(name) == 1 else path
+        source = names[i] if names.count(names[i]) == 1 else path
         for label, group in ensemble.split_curves(rows):
             tables.append((f"{source}:{label}", group))
     report = ensemble.collapse_check(tables, args.index, args.tolerance)
@@ -211,7 +219,7 @@ def cmd_collapse(args) -> int:
             f"{report.index},{pair.label_a},{pair.label_b},{_fmt(pair.max_abs_deviation)},"
             f"{_fmt(pair.k_at_max)},{_fmt(pair.pooled_sem)},{_fmt(pair.tolerance)},{pair.within}"
         )
-    _emit(lines, args.out)
+    _emit(args.out, lines)
 
     print(
         f"collapse[{report.index}]: max deviation {report.max_deviation:.6g} "
@@ -323,7 +331,6 @@ def _parse_custom(defs: list[str], arity: str):
 
 def cmd_verify(args) -> int:
     from . import inequalities
-    from .graph import atomic_write
     from .indices import EvaluationError, MULTIPLICATIVE_NAMES
 
     vertex = _parse_custom(args.custom_vertex, "vertex")
@@ -343,8 +350,7 @@ def cmd_verify(args) -> int:
         return 2
 
     if args.out:
-        with atomic_write(args.out) as fh:
-            inequalities.write_report_csv(rows, fh)
+        _emit(args.out, functools.partial(inequalities.write_report_csv, rows))
 
     flagged = [r for r in rows if not r.check.hypothesis_ok]
     failures = [r for r in rows if r.check.hypothesis_ok and not r.check.holds]
@@ -361,17 +367,6 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    from .graph import atomic_write
-
-    text = "\n".join(lines) + "\n"
-    if out:
-        with atomic_write(out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtindex",
@@ -379,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(p, budgeted: bool):
+    def add_model_flags(p):
         p.add_argument("--model", choices=tuple(FIELDS), required=True)
         p.add_argument("--n", type=_int_list, default=[], help="comma list of sizes")
         p.add_argument("--n1", type=_int_list, default=[], help="br part-1 sizes")
@@ -387,14 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=_float_list, default=[], help="comma list of probabilities")
         p.add_argument("--r", type=_float_list, default=[], help="comma list of radii")
         p.add_argument("--seed", type=int, required=True, help="master seed (required)")
-        if budgeted:
-            p.add_argument("--index", type=lambda s: s.split(","), required=True)
-            p.add_argument("--budget", type=float, default=None)
-            p.add_argument("--workers", type=int, default=1,
-                           help="accepted (>= 1) and ignored: a sweep runs in one process")
 
     p = sub.add_parser("generate", help="write edge-list files for sampled instances")
-    add_model_flags(p, budgeted=False)
+    add_model_flags(p)
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--out", dest="outdir", default=".", help="output directory (made if missing)")
     p.set_defaults(fn=cmd_generate)
@@ -407,7 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_index)
 
     p = sub.add_parser("sweep", help="run a replica ensemble over a parameter grid")
-    add_model_flags(p, budgeted=True)
+    add_model_flags(p)
+    p.add_argument("--index", type=lambda s: s.split(","), required=True)
+    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted (>= 1) and ignored: a sweep runs in one process")
     p.add_argument("--policy", choices=POLICIES, default=EXCLUDE)
     p.add_argument("--out", default=None, help="results CSV path (default stdout)")
     p.set_defaults(fn=cmd_sweep)
@@ -464,7 +458,7 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, MemoryError) as exc:
         raise SystemExit(f"error: {exc}")
     except KeyboardInterrupt:
-        # Every output file goes through atomic_write, so none is left behind.
+        # Every output file goes through _emit, so none is left behind.
         print(f"{args.command}: interrupted", file=sys.stderr)
         return 130
 

@@ -76,6 +76,7 @@ class EnsembleStats:
 
     ``degenerate`` counts log-zero replicas under the logzero policy, and the
     total number of excluded isolated vertices under the exclude policy.
+    ``mean_k_theory`` and ``mean_ln_over_n`` derive from the other fields.
     """
 
     spec: ModelSpec
@@ -83,12 +84,15 @@ class EnsembleStats:
     policy: str
     replicas: int
     degenerate: int
-    mean_k_theory: float
     mean_k_empirical: float
     mean_k_sem: float
     mean_ln: float
     sem: float
     master_seed: int
+
+    @property
+    def mean_k_theory(self) -> float:
+        return mean_degree(self.spec)
 
     @property
     def mean_ln_over_n(self) -> float:
@@ -172,7 +176,6 @@ def run_point(
         del deg, du, dv  # before the next chunk is sampled
 
     k_mean, k_sem = _mean_sem(k_emp.tolist())
-    k_theory = mean_degree(point)
 
     out = []
     for rule, vals, rule_skipped in zip(rules, values, skipped):
@@ -187,7 +190,6 @@ def run_point(
                 policy=isolated_policy,
                 replicas=replicas,
                 degenerate=degenerate,
-                mean_k_theory=k_theory,
                 mean_k_empirical=k_mean,
                 mean_k_sem=k_sem,
                 mean_ln=mean_ln,
@@ -277,15 +279,22 @@ def _read_row(line: str) -> EnsembleStats:
         raise ValueError(f"degenerate count must be >= 0, got {f['degenerate']}")
     spec = ModelSpec(f.pop("model"), f.pop("n"), n1=f.pop("n1"), n2=f.pop("n2"),
                      **{param: f.pop("param_value")})
-    del f["mean_ln_over_n"]  # derived from mean_ln and n
-    return EnsembleStats(spec=spec, **f)
+    # Each derived column must be what the writer spells for the other fields.
+    derived = {name: _spell(float, f.pop(name)) for name in ("mean_k_theory", "mean_ln_over_n")}
+    stats = EnsembleStats(spec=spec, **f)
+    for name, given in derived.items():
+        want = _spell(float, getattr(stats, name))
+        if given != want:
+            raise ValueError(f"{name} {given} differs from {want}, derived from the row")
+    return stats
 
 
 def read_results_csv(src: TextIO) -> list[EnsembleStats]:
     """Rows of a results CSV.
 
-    A wrong header, or a row that is the wrong width, does not parse or holds
-    a value that no run writes, raises ValueError naming its line.
+    A wrong header, or a row that is the wrong width, does not parse, holds
+    a value that no run writes or a derived column that its other fields do
+    not give, raises ValueError naming its line.
     """
     header = src.readline().strip()
     if header != RESULTS_COLUMNS:

@@ -518,8 +518,14 @@ def test_collapse_refuses_a_point_with_no_mean(tmp_path, capsys):
     (lambda f: f[:9] + ["-1"] + f[10:], "line 2: degenerate count must be >= 0, got -1"),
     (lambda f: f[:-1] + [str(2**64)],
      "line 2: seed must lie in [0, 2^64), got 18446744073709551616"),
+    # The model gives <k> = 59 * 0.04 and mean_ln / n = 60 / 60.
+    (lambda f: f[:10] + ["999.0"] + f[11:],
+     "line 2: mean_k_theory 999.0 differs from 2.36, derived from the row"),
+    (lambda f: f[:13] + ["60.0"] + f[14:15] + ["-5.0"] + f[16:],
+     "line 2: mean_ln_over_n -5.0 differs from 1.0, derived from the row"),
 ], ids=["short", "long", "param-x", "rg-with-p", "er-with-parts", "unsamplable", "policy-foo",
-        "replicas-negative", "degenerate-negative", "seed-beyond-2^64"])
+        "replicas-negative", "degenerate-negative", "seed-beyond-2^64", "k-theory-not-derived",
+        "ln-over-n-not-derived"])
 def test_collapse_bad_row_is_a_one_line_error(tmp_path, capsys, edit, message):
     csv = tmp_path / "sweep.csv"
     _er_sweep(csv, 3)
@@ -894,7 +900,8 @@ SWEEP = ["sweep", "--model", "er", "--n", "30", "--p", "0.1,0.3", "--index", "nk
 
 @pytest.mark.parametrize("command, module, name", [
     ("sweep", ensemble, "sample_chunk"),
-    ("sweep", ensemble, "atomic_write"),
+    ("sweep", graph, "atomic_write"),
+    ("collapse", graph, "atomic_write"),
     ("verify", inequalities, "_Prepared"),
     ("verify", graph, "atomic_write"),
     ("index", indices, "_ln_indices"),
@@ -907,9 +914,14 @@ def test_interrupt_exits_130_and_leaves_no_output(tmp_path, monkeypatch, capsys,
     edges = tmp_path / "in" / "g.edges"
     edges.parent.mkdir()
     edges.write_text("3 2\n0 1\n1 2\n")
+    tables = [tmp_path / "in" / name for name in ("a.csv", "b.csv")]
+    if command == "collapse":
+        for seed, table in enumerate(tables, start=4):
+            _er_sweep(table, seed)
     out = tmp_path / "out"
     argv = {
         "sweep": [*SWEEP, "--out", str(out)],
+        "collapse": ["collapse", *map(str, tables), "--index", "nk", "--out", str(out)],
         "verify": ["verify", "--seed", "3", "--sizes", "8", "--graphs", "10", "--out", str(out)],
         "index": ["index", str(edges), "--index", "nk,m1", "--out", str(out)],
         "generate": ["generate", "--model", "er", "--n", "10", "--p", "0.3", "--seed", "1",
@@ -924,7 +936,24 @@ def test_interrupt_exits_130_and_leaves_no_output(tmp_path, monkeypatch, capsys,
     left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
     # generate makes its output directory once the first graph is sampled.
     made = command == "generate" and name == "atomic_write"
-    assert left == ["in", "in/g.edges"] + (["out"] if made else [])
+    inputs = ["in/a.csv", "in/b.csv"] if command == "collapse" else []
+    assert left == ["in", *inputs, "in/g.edges"] + (["out"] if made else [])
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("index", graph, "read_edge_list_path"),
+    ("collapse", ensemble, "read_results_csv_path"),
+])
+@pytest.mark.parametrize("exc", [MemoryError("cannot allocate"), OSError("device gone")],
+                         ids=["memory", "os"])
+def test_a_failed_read_names_its_path(tmp_path, monkeypatch, command, module, name, exc):
+    def fail(path):
+        raise exc
+    monkeypatch.setattr(module, name, fail)
+    path = str(tmp_path / "input")
+    with pytest.raises(SystemExit) as info:
+        main([command, path, "--index", "nk"])
+    assert info.value.code == f"error: {path}: {exc}"
 
 
 def _no_work(*args, **kwargs):

@@ -172,7 +172,6 @@ _RESULT_ROWS = st.builds(
     policy=st.sampled_from([EXCLUDE, LOGZERO]),
     replicas=st.integers(1, 10**6),
     degenerate=st.integers(0, 10**9),
-    mean_k_theory=st.floats(),
     mean_k_empirical=st.floats(),
     mean_k_sem=st.floats(),
     mean_ln=st.floats(),                  # nan and +-inf included
